@@ -1,15 +1,15 @@
-"""Statistics, arrival schedules and output checks shared by the workloads.
+"""Statistics, arrival schedules, output checks and the host-speed reference.
 
-Everything here is pure and deterministic so ``test_perfbench.py`` can pin it
-down without running a workload.
+Everything here except :class:`HostSpeed` is pure and deterministic so
+``test_perfbench.py`` can pin it down without running a workload.
 """
 
 from __future__ import annotations
 
 import re
 import statistics
-from collections import defaultdict
-from typing import Iterable, List, Optional, Sequence, Tuple
+import time
+from typing import Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -18,6 +18,11 @@ METRIC_NAME = re.compile(r"[A-Za-z0-9_.-]+")
 
 #: A tail percentile is reported only with at least this many samples beyond it.
 MIN_TAIL_SAMPLES = 10
+
+#: Seconds one reference kernel takes on the reference host (a quiet 2-vCPU
+#: Intel Xeon VM, Python 3.11, numpy 2.4, one BLAS thread).  Reported times
+#: are in seconds of a host running the kernel at this speed.
+REFERENCE_KERNEL_S = 2.0e-3
 
 
 def percentile(values: Sequence[float], q: float) -> float:
@@ -34,57 +39,80 @@ def tail_percentile(values: Sequence[float], q: float) -> Optional[float]:
     return percentile(values, q)
 
 
-def quiet_operations(
-    finish_s: Sequence[float],
-    latencies_s: Sequence[float],
-    elapsed_s: float,
-    window_s: float,
-    keep: float = 0.25,
-) -> Tuple[List[int], float]:
-    """Operations that finished in the quietest ``keep`` share of the phase.
+class HostSpeed:
+    """Times a fixed kernel that shares no code with the program under test.
 
-    The timed phase is cut into equal windows of about ``window_s`` seconds;
-    each operation belongs to the window it finished in, and windows rank
-    by the median latency of their operations.  Returns the indices of the
-    operations in the lowest-ranked ``keep`` share of the windows (at least
-    one) and the seconds those windows cover.  Other tenants of a shared
-    host slow it down by up to 1.6x in bursts of seconds; this keeps the
-    bursts out of the reported figures as long as a quarter of the phase
-    ran clear of them.
+    Other tenants of a shared host slow it by up to 1.6x, in bursts of one
+    to twenty seconds and in drifts over minutes.  The workloads call
+    :meth:`sample` between operations, while the program is idle, and
+    divide each timing by the speed factor sampled next to it (raised to
+    the workload's sensitivity), so a slow spell of the host cancels while
+    a slower program does not.  The kernel
+    mixes a GEMM, small-array numpy calls and allocation-heavy interpreter
+    work, as the workloads mix BLAS, per-tile numpy and Python time.
     """
-    windows = max(1, round(elapsed_s / window_s))
-    length = elapsed_s / windows
-    members = defaultdict(list)
-    for index, finish in enumerate(finish_s):
-        members[min(int(finish / length), windows - 1)].append(index)
-    ranked = sorted(
-        members.values(), key=lambda ops: statistics.median(latencies_s[i] for i in ops)
-    )[: max(1, int(windows * keep))]
-    return sorted(index for ops in ranked for index in ops), length * len(ranked)
+
+    def __init__(self, repeats: int = 5) -> None:
+        rng = np.random.default_rng(0)
+        self._a = rng.standard_normal((1024, 128))
+        self._b = rng.standard_normal((128, 128))
+        self._out = np.empty((1024, 128))
+        self.repeats = repeats
+        self._kernel()  # first call pays for page faults
+
+    def _kernel(self) -> int:
+        np.matmul(self._a, self._b, out=self._out)
+        np.clip(self._out, -1.0, 1.0, out=self._out)
+        row = self._out[0, :8].copy()
+        for index in range(500):  # small-array calls, as in per-tile code
+            row = np.maximum(row * 0.5, self._out[index, :8])
+        objects = {}
+        for index in range(4000):  # allocation-heavy interpreter work
+            objects[index] = (index, [index])
+        return len(objects) + int(row.argmax())
+
+    def sample(self) -> float:
+        """The host's slowness now: median kernel time over :data:`REFERENCE_KERNEL_S`."""
+        times = []
+        for _ in range(self.repeats):
+            began = time.perf_counter()
+            self._kernel()
+            times.append(time.perf_counter() - began)
+        return statistics.median(times) / REFERENCE_KERNEL_S
 
 
-def quiet_figures(phase, window_s: float, concurrency: int = 0) -> dict:
-    """Throughput and latency percentiles over the quiet windows of ``phase``.
+def window_factors(samples: Sequence[float], windows: int) -> List[float]:
+    """Speed factor of each of ``windows`` windows bracketed by ``samples``.
 
-    A closed loop of ``concurrency`` clients completes ``concurrency``
+    ``samples[w]`` was taken just before window ``w`` and ``samples[w + 1]``
+    just after it; a window's factor is their mean.
+    """
+    if len(samples) != windows + 1:
+        raise ValueError(f"{windows} windows need {windows + 1} samples, got {len(samples)}")
+    return [(samples[w] + samples[w + 1]) / 2.0 for w in range(windows)]
+
+
+def normalized_figures(phase, concurrency: int = 1, exponent: float = 1.0) -> dict:
+    """Whole-phase throughput and p50, each operation's time over its window's factor.
+
+    The factor is raised to ``exponent``, the workload's measured
+    sensitivity to the host (0 gives the figures as measured).  A closed loop of ``concurrency`` clients completes ``concurrency``
     operations per operation latency (Little's law), so its throughput is
-    taken over the quiet operations.  An open loop (``concurrency=0``) runs
-    at its offered load; its throughput is taken over the whole phase,
-    because the quiet windows are also the ones with fewer arrivals.
+    images over summed normalized latency.  An open loop (``concurrency=0``)
+    runs at its offered rate; its throughput is images over the seconds its
+    arrivals were open, untouched by the factors.
     """
-    chosen, _ = quiet_operations(phase.finish_s, phase.latencies_s, phase.elapsed_s, window_s)
-    latencies = [phase.latencies_s[index] for index in chosen]
+    factors = [factor**exponent for factor in window_factors(phase.speed, len(phase.speed) - 1)]
+    latencies = [
+        latency / factors[window] for latency, window in zip(phase.latencies_s, phase.windows)
+    ]
     if concurrency:
-        images = sum(phase.images_per_op[index] for index in chosen)
-        throughput = concurrency * images / sum(latencies)
+        throughput = concurrency * phase.images / sum(latencies)
     else:
-        throughput = phase.images / phase.elapsed_s
-    p90 = tail_percentile(latencies, 90)
+        throughput = phase.images / phase.open_s
     return {
         "throughput_img_per_s": throughput,
         "latency_p50_ms": percentile(latencies, 50) * 1e3,
-        "latency_p90_ms": None if p90 is None else p90 * 1e3,
-        "quiet_operations": len(chosen),
     }
 
 

@@ -27,12 +27,8 @@ def per_layer_metrics(name, phases, spans, sweep, overhead) -> dict:
     ``overhead`` is the traced p50 of ``name`` over its untraced p50.
     """
     metrics = dict(sweep)
-    own = phases[name]
-    if name == "http-closed":
-        engine_s = own.extra["server"]["run_batch_s"]
-    else:
-        engine_s = sum(span.duration for span in spans[name] if span.name == "run_batch")
-    metrics["inference.ms_per_img"] = engine_s * 1e3 / own.images
+    engine_s = sum(span.duration for span in spans[name] if span.name == "run_batch")
+    metrics["inference.ms_per_img"] = engine_s * 1e3 / phases[name].images
     metrics["obs.trace_overhead_pct"] = 100.0 * (overhead - 1.0)
     metrics.update(_offline(phases["lenet-offline"], spans["lenet-offline"]))
     metrics.update(_reprogram(phases["lenet-reprogram"], spans["lenet-reprogram"]))
@@ -92,7 +88,7 @@ def _serving(phase, spans) -> dict:
     stages = telemetry["stage_breakdown"]
     metrics = {
         "serve.batch_size.mean": sum(span.size for span in batches) / len(batches),
-        "serve.engine_busy_frac": sum(span.duration for span in batches) / phase.elapsed_s,
+        "serve.engine_busy_frac": sum(span.duration for span in batches) / phase.open_s,
         "serve.submit_ms.p50": percentile(
             [span.duration for span in spans if span.name == "submit"], 50
         )

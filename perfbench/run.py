@@ -5,12 +5,16 @@ Run from the repository root::
     python3 perfbench/run.py --workload lenet-offline --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics of one workload with no
-probes installed.  ``--trace 1`` is the per-layer run: the workload spends
-a third of ``--seconds`` untraced and a third traced, alternating in
-``PAIRS`` chunks (the median p50 ratio of a pair is the tracing overhead);
-every other workload runs a short traced probe, so each per-layer metric is
-measured on the workload it targets; and a batch sweep times warm
-``run_batch`` at B=1, 8 and 32 on the 128×128 chip.
+probes installed.  Every timing is divided by the host-speed factor sampled
+next to it (``harness.HostSpeed``) raised to the workload's
+``host_exponent``, so a slow spell of a shared host cancels; the details
+line also prints the figures as measured.
+``--trace 1`` is the per-layer run: the workload spends a third of
+``--seconds`` untraced and a third traced, alternating in ``PAIRS`` chunks
+(the median p50 ratio of a pair is the tracing overhead); every other
+workload, ``http-closed`` included, runs a short traced probe, so each
+per-layer metric is measured on the workload it targets; and a batch sweep
+times warm ``run_batch`` at B=1, 8 and 32 on the 128×128 chip.
 ``BENCHMARK.json`` lists the metrics; ``perfbench/README.md`` says which
 end-to-end metric each per-layer metric should move.
 
@@ -27,14 +31,13 @@ import platform
 import resource
 import statistics
 import sys
-import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 THREAD_VARIABLES = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
-#: ``workloads.WORKLOADS`` in probe order, spelled out so arguments parse
-#: before the thread pins and the numpy import.
-WORKLOAD_NAMES = ("lenet-offline", "lenet-reprogram", "serve-open", "http-closed")
+#: The workloads ``BENCHMARK.json`` declares, spelled out so arguments parse
+#: before the thread pins and the numpy import.  ``http-closed`` is only probed.
+WORKLOAD_NAMES = ("lenet-offline", "lenet-reprogram", "serve-open")
 #: Traced run time of each workload other than the one under test.
 PROBE_SECONDS = 2.5
 #: Untraced/traced chunk pairs the workload under test alternates through.
@@ -77,48 +80,42 @@ def end_to_end(workload, seconds: float):
     Half the set-ups come before the timed phase and half after it, so
     their median spans the run rather than one moment of the host.
     """
-    from harness import percentile, quiet_figures
+    from harness import normalized_figures, tail_percentile
 
     from repro.core.accelerator import OpticalCrossbarAccelerator
     from repro.nn.models import build_lenet5
 
-    setups = []
-
-    def fresh_setup() -> None:
-        workload.close()
-        began = time.perf_counter()
-        workload.setup()
-        setups.append(time.perf_counter() - began)
-
     try:
-        for _ in range((workload.setups + 1) // 2):
-            fresh_setup()
+        setups = workload.timed_setups((workload.setups + 1) // 2)
         phase = workload.run(seconds)
-        for _ in range(workload.setups // 2):
-            fresh_setup()
+        setups += workload.timed_setups(workload.setups // 2)
     finally:
         workload.close()
     peak_rss = peak_rss_mb()  # before the reference run of the output check
     phase.failed += workload.verify(phase)
     chip = OpticalCrossbarAccelerator(workload.config).evaluate(build_lenet5())
-    quiet = quiet_figures(phase, workload.window_s, workload.concurrency)
+
+    def setup_s(exponent: float) -> float:
+        return statistics.median(seconds / factor**exponent for seconds, factor in setups)
+
     metrics = {
-        "setup_s": statistics.median(setups),
-        "throughput_img_per_s": quiet.pop("throughput_img_per_s"),
-        "latency_p50_ms": quiet.pop("latency_p50_ms"),
+        "setup_s": setup_s(workload.host_exponent),
+        **normalized_figures(phase, workload.concurrency, workload.host_exponent),
         "peak_rss_mb": peak_rss,
         "chip_ips": chip.inferences_per_second,
         "chip_uj_per_image": chip.energy_per_inference_j * 1e6,
     }
+    p90 = tail_percentile(phase.latencies_s, 90)
     details = {
         "operations": len(phase.latencies_s),
-        **quiet,
-        "whole_phase": {
-            "throughput_img_per_s": phase.images / phase.elapsed_s,
-            "latency_p50_ms": percentile(phase.latencies_s, 50) * 1e3,
-            "latency_p90_ms": percentile(phase.latencies_s, 90) * 1e3,
+        "host_factor_p50": statistics.median(phase.speed),
+        "host_exponent": workload.host_exponent,
+        "as_measured": {
+            "setup_s": setup_s(0.0),
+            **normalized_figures(phase, workload.concurrency, exponent=0.0),
+            "latency_p90_ms": None if p90 is None else p90 * 1e3,
         },
-        "setups_s": setups,
+        "setups": setups,
     }
     return metrics, phase.attempted, phase.failed, details
 
@@ -148,14 +145,14 @@ def traced(name: str, seed: int, seconds: float):
             base.failed += plain.verify(base)
             checked.append(base)
             own.merge(part)
-            own.elapsed_s += part.elapsed_s
     finally:
         plain.close()
         probed.close()
-    phases[name] = probed_phase(probed, own)
+    own.failed += probed.verify(own)
+    phases[name] = own
 
     with recorder:
-        for other in WORKLOAD_NAMES:
+        for other in WORKLOADS:
             if other == name:
                 continue
             workload = WORKLOADS[other](seed, traced=True)
@@ -166,7 +163,8 @@ def traced(name: str, seed: int, seconds: float):
                 spans[other] = recorder.spans[mark:]
             finally:
                 workload.close()
-            phases[other] = probed_phase(workload, phase)
+            phase.failed += workload.verify(phase)
+            phases[other] = phase
 
     metrics = per_layer_metrics(name, phases, spans, sweep, statistics.median(ratios))
     checked += phases.values()
@@ -177,14 +175,6 @@ def traced(name: str, seed: int, seconds: float):
         "trace_overhead_ratios": ratios,
     }
     return metrics, attempted, failed, details
-
-
-def probed_phase(workload, phase):
-    """``phase`` with its outputs checked and, for HTTP, the server's spans attached."""
-    if workload.name == "http-closed":
-        phase.extra["server"] = workload.server_spans()
-    phase.failed += workload.verify(phase)
-    return phase
 
 
 def declared_metrics(trace: int) -> dict:

@@ -10,12 +10,13 @@ import numpy as np
 import pytest
 from harness import (
     MIN_TAIL_SAMPLES,
+    HostSpeed,
     bitwise_equal,
     check_metric_names,
+    normalized_figures,
     poisson_schedule,
-    quiet_figures,
-    quiet_operations,
     tail_percentile,
+    window_factors,
 )
 from probes import SpanRecorder, layer_times, summarize
 
@@ -59,31 +60,46 @@ def test_poisson_schedule_reproduces_from_its_seed():
     assert first[0] >= 0.0 and first[-1] < 20.0
 
 
-def test_quiet_windows_skip_a_slow_burst():
-    # 20 one-second windows of 10 operations; operations in windows 5-14 run
-    # 1.6x slower, as under a neighbour's burst.
-    latencies, finishes = [], []
-    for window in range(20):
-        for op in range(10):
-            latencies.append(0.16 if 5 <= window < 15 else 0.1)
-            finishes.append(window + (op + 0.5) / 10)
-    chosen, seconds = quiet_operations(finishes, latencies, 20.0, window_s=1.0)
-    assert seconds == pytest.approx(5.0)
-    assert len(chosen) == 50 and all(latencies[i] == 0.1 for i in chosen)
+def test_window_factors_average_the_samples_around_each_window():
+    assert window_factors([1.0, 1.5, 1.5, 1.0], 3) == [1.25, 1.5, 1.25]
+    with pytest.raises(ValueError):
+        window_factors([1.0, 1.5], 2)
 
+
+def test_a_slow_spell_cancels_but_a_slower_program_does_not():
+    # 20 windows of 10 operations of 100 ms; the host runs 1.6x slower in
+    # windows 5-14, and the speed samples around them say so.
+    speed = [1.6 if 5 <= sample <= 15 else 1.0 for sample in range(21)]
+    factors = window_factors(speed, 20)
+    windows = [window for window in range(20) for _ in range(10)]
     phase = SimpleNamespace(
-        finish_s=finishes,
-        latencies_s=latencies,
-        elapsed_s=20.0,
-        images_per_op=[1] * len(latencies),
-        images=len(latencies),
+        speed=speed,
+        windows=windows,
+        latencies_s=[0.1 * factors[window] for window in windows],
+        images=200,
+        open_s=20.0,
     )
-    figures = quiet_figures(phase, window_s=1.0, concurrency=1)
+    figures = normalized_figures(phase, concurrency=1)
     assert figures["latency_p50_ms"] == pytest.approx(100.0)
     assert figures["throughput_img_per_s"] == pytest.approx(10.0)  # 1 image per 100 ms
-    assert quiet_figures(phase, 1.0, concurrency=2)["throughput_img_per_s"] == pytest.approx(20.0)
-    # An open loop runs at its offered load: 200 images in 20 s.
-    assert quiet_figures(phase, 1.0, concurrency=0)["throughput_img_per_s"] == 10.0
+    assert normalized_figures(phase, concurrency=2)["throughput_img_per_s"] == pytest.approx(20.0)
+    # An open loop runs at its offered rate: 200 images in 20 open seconds.
+    assert normalized_figures(phase, concurrency=0)["throughput_img_per_s"] == 10.0
+    # Without the factors the slow spell shows: 100 ops at 160 ms, 20 at
+    # 130 ms in the windows half inside it, 80 at 100 ms.
+    as_measured = normalized_figures(phase, exponent=0.0)
+    assert as_measured["throughput_img_per_s"] == pytest.approx(200 / 26.6)
+
+    # A stall in every fourth window of a program on a steady host stays in.
+    phase.speed = [1.0] * 21
+    phase.latencies_s = [0.3 if window % 4 == 0 else 0.1 for window in windows]
+    assert normalized_figures(phase)["throughput_img_per_s"] == pytest.approx(200 / 30.0)
+
+
+def test_host_speed_sample_is_a_positive_ratio():
+    speed = HostSpeed(repeats=3)
+    samples = [speed.sample() for _ in range(3)]
+    assert all(0.05 < sample < 50.0 for sample in samples)
 
 
 class _Model:

@@ -4,8 +4,10 @@ Each workload builds its inputs from the seed in ``__init__`` (untimed),
 builds the program under test in :meth:`Workload.setup` (timed as
 ``setup_s``: network, weights, engine or server, and the warm-up that
 programs the tiles), then runs timed operations for a given number of
-seconds.  :meth:`Workload.verify` checks the outputs afterwards, outside
-the timed phase and outside any recorded spans.
+seconds, in windows of about :attr:`Workload.window_s` with a host-speed
+sample (:class:`harness.HostSpeed`) between each two, taken while the
+program is idle.  :meth:`Workload.verify` checks the outputs afterwards,
+outside the timed phase and outside any recorded spans.
 
 * ``lenet-offline`` — closed loop, one thread: warm ``run_batch`` at B=32 on
   the 128×128 dual-core chip, cycling a few seeded batches.  Crossbar reads.
@@ -14,16 +16,18 @@ the timed phase and outside any recorded spans.
   programming and plan build.
 * ``serve-open`` — in-process ``InferenceServer`` (serial executor, max
   batch 8, max wait 2 ms), fed one image at a time by an open-loop Poisson
-  schedule at 40 requests/s; latency runs from each request's due time.
+  schedule at 20 requests/s; latency runs from each request's due time.
 * ``http-closed`` — ``python -m repro serve --http 0`` in a child process;
   two client threads on two keep-alive connections each POST 8 images as
-  npy-b64 and wait for the reply.
+  npy-b64 and wait for the reply.  Only the traced run probes it; it takes
+  no host-speed samples.
 """
 
 from __future__ import annotations
 
+import concurrent.futures
 import functools
-import json
+import gc
 import os
 import queue
 import re
@@ -37,7 +41,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 import numpy as np
-from harness import bitwise_equal, poisson_schedule
+from harness import HostSpeed, bitwise_equal, poisson_schedule
 
 from repro.config.presets import default_sweep_chip, optimal_chip
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
@@ -45,14 +49,11 @@ from repro.nn.models import build_lenet5
 from repro.serve.http import HTTPInferenceClient
 from repro.serve.server import InferenceServer
 
-HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
+ROOT = Path(__file__).resolve().parents[1]
 
 #: Weight scale of the serve CLI's synthetic weights; every workload uses it
 #: so the HTTP server's weights can be rebuilt here for the bitwise check.
 WEIGHT_SCALE = 0.3
-#: Prefix of the line ``traced_server.py`` prints with its span totals.
-SPANS_PREFIX = "PERFBENCH_SPANS "
 INPUT_SHAPE = build_lenet5().input_shape.as_tuple()
 
 
@@ -61,12 +62,13 @@ class Phase:
     """What one timed phase did: per-operation latencies and counts."""
 
     latencies_s: List[float] = field(default_factory=list)
-    #: When each operation with a latency finished, in seconds from the start.
-    finish_s: List[float] = field(default_factory=list)
-    #: Images each operation with a latency completed.
-    images_per_op: List[int] = field(default_factory=list)
+    #: Window each operation with a latency ran in.
+    windows: List[int] = field(default_factory=list)
+    #: Host-speed samples: ``speed[w]`` before window ``w``, ``speed[w + 1]`` after it.
+    speed: List[float] = field(default_factory=list)
     images: int = 0
-    elapsed_s: float = 0.0
+    #: Open loops: seconds the arrivals were open, host-speed samples excluded.
+    open_s: float = 0.0
     #: Operations that raised (they have no latency).
     errors: int = 0
     #: Operations that raised or returned a wrong output.
@@ -83,24 +85,22 @@ class Phase:
         self.errors += 1
         self.failed += 1
 
-    def record(self, began: float, ended: float, start: float, images: int) -> None:
-        """One operation that ran from ``began`` to ``ended`` in a phase begun at ``start``."""
-        self.latencies_s.append(ended - began)
-        self.finish_s.append(ended - start)
-        self.images_per_op.append(images)
+    def record(self, latency_s: float, images: int, window: int = 0) -> None:
+        self.latencies_s.append(latency_s)
+        self.windows.append(window)
         self.images += images
 
     def merge(self, other: "Phase") -> None:
         """Add the operations of ``other``, a phase that ran concurrently or later.
 
-        ``finish_s`` stays relative to each phase's own start and
-        ``elapsed_s`` is the caller's to set.  ``extra`` is taken from
+        ``other``'s windows follow this phase's.  ``extra`` is taken from
         ``other``: a workload's extras count from its set-up.
         """
         self.latencies_s += other.latencies_s
-        self.finish_s += other.finish_s
-        self.images_per_op += other.images_per_op
+        self.windows += [window + len(self.speed) for window in other.windows]
+        self.speed += other.speed
         self.images += other.images
+        self.open_s += other.open_s
         self.errors += other.errors
         self.failed += other.failed
         self.outputs += other.outputs
@@ -114,19 +114,43 @@ def _images(seed: int, count: int) -> np.ndarray:
 class Workload:
     name = ""
     #: Fresh set-ups per end-to-end run; ``setup_s`` is their median.
-    setups = 9
-    #: Length of the windows :func:`harness.quiet_figures` ranks.
+    setups = 15
+    #: Seconds between host-speed samples in the timed phase.
     window_s = 1.0
     #: Clients of a closed loop; 0 for an open loop.
     concurrency = 1
+    #: Timings are divided by the host-speed factor to this power: the
+    #: elasticity of the workload's time to the factor, fitted over runs.
+    host_exponent = 1.0
     config = None
 
     def __init__(self, seed: int, traced: bool = False) -> None:
         self.seed = seed
         self.traced = traced
+        self.speed = HostSpeed()
 
     def setup(self) -> None:
         raise NotImplementedError
+
+    def timed_setups(self, count: int):
+        """``count`` fresh set-ups: ``(seconds, host factor)`` of each.
+
+        A set-up's factor is the mean of the host-speed samples just before
+        and just after it.  The previous instance is closed and collected
+        first, outside the timing.
+        """
+        timings = []
+        before = self.speed.sample()
+        for _ in range(count):
+            self.close()
+            gc.collect()
+            began = time.perf_counter()
+            self.setup()
+            seconds = time.perf_counter() - began
+            after = self.speed.sample()
+            timings.append((seconds, (before + after) / 2.0))
+            before = after
+        return timings
 
     def run(self, seconds: float, recorder=None) -> Phase:
         raise NotImplementedError
@@ -144,11 +168,16 @@ class Workload:
         )
 
 
-def _closed_loop(seconds: float, operation, recorder=None) -> Phase:
-    """Run ``operation(index) -> (images, ok)`` back to back for ``seconds``."""
-    phase = Phase()
+def _closed_loop(seconds: float, operation, speed: HostSpeed, window_s: float, recorder=None):
+    """Run ``operation(index) -> (images, ok)`` back to back for ``seconds``.
+
+    A host-speed sample opens the phase and closes each window of at least
+    ``window_s`` seconds of operations.
+    """
+    phase = Phase(speed=[speed.sample()])
     start = time.perf_counter()
     deadline = start + seconds
+    window_end = start + window_s
     index = 0
     while index == 0 or time.perf_counter() < deadline:
         if recorder is not None:
@@ -159,10 +188,12 @@ def _closed_loop(seconds: float, operation, recorder=None) -> Phase:
         except Exception:  # a failing operation is counted, not fatal
             phase.error()
         else:
-            phase.record(began, time.perf_counter(), start, images)
+            phase.record(time.perf_counter() - began, images, len(phase.speed) - 1)
             phase.failed += 0 if ok else 1
         index += 1
-    phase.elapsed_s = time.perf_counter() - start
+        if time.perf_counter() >= window_end or time.perf_counter() >= deadline:
+            phase.speed.append(speed.sample())
+            window_end = time.perf_counter() + window_s
     if recorder is not None:
         recorder.set_op(None)
     return phase
@@ -170,8 +201,11 @@ def _closed_loop(seconds: float, operation, recorder=None) -> Phase:
 
 class LenetOffline(Workload):
     name = "lenet-offline"
-    setups = 5
+    setups = 7
     window_s = 1.2  # about three batches
+    # Large-array numpy work: over 25 runs at factors 1.3-2.2, p50 went
+    # as the factor to the power 0.33 (correlation 0.76).
+    host_exponent = 1 / 3
     batch = 32
     num_batches = 4
 
@@ -187,13 +221,16 @@ class LenetOffline(Workload):
         # Each batch's first warm output is its reference; batch 0's is the warm-up.
         self.reference = {0: self.engine.run_batch(self.batches[0])}
 
+    def close(self) -> None:
+        self.engine = self.reference = None
+
     def run(self, seconds: float, recorder=None) -> Phase:
         def operation(index):
             slot = index % self.num_batches
             output = self.engine.run_batch(self.batches[slot])
             return self.batch, bitwise_equal(output, self.reference.setdefault(slot, output))
 
-        return _closed_loop(seconds, operation, recorder)
+        return _closed_loop(seconds, operation, self.speed, self.window_s, recorder)
 
 
 class LenetReprogram(Workload):
@@ -223,6 +260,9 @@ class LenetReprogram(Workload):
             ("programming_events", "tile_cache_hits", "tile_cache_misses"), 0
         )
 
+    def close(self) -> None:
+        self.network = self.weight_pool = self.previous = None
+
     def run(self, seconds: float, recorder=None) -> Phase:
         def operation(index):
             slot = index % self.pool
@@ -234,7 +274,7 @@ class LenetReprogram(Workload):
             self.previous[slot] = output
             return 1, ok
 
-        phase = _closed_loop(seconds, operation, recorder)
+        phase = _closed_loop(seconds, operation, self.speed, self.window_s, recorder)
         phase.extra["functional_statistics"] = dict(self.counts)  # since set-up
         return phase
 
@@ -253,9 +293,9 @@ def _mismatches(outputs, reference: np.ndarray) -> int:
 
 class ServeOpen(Workload):
     name = "serve-open"
-    setups = 15  # a set-up takes about 20 ms
+    setups = 31  # a set-up takes about 20 ms
     concurrency = 0
-    rate_per_s = 40.0
+    rate_per_s = 20.0
     pool = 64
 
     def __init__(self, seed: int, traced: bool = False) -> None:
@@ -283,36 +323,55 @@ class ServeOpen(Workload):
             self.server = None
 
     def run(self, seconds: float, recorder=None) -> Phase:
+        """Offer the Poisson schedule window by window.
+
+        A window opens, offers the arrivals due in it, waits until every
+        request is answered and its span has passed, and closes with a
+        host-speed sample while the server is idle; the next window's
+        arrivals start after the sample.
+        """
         due = poisson_schedule(self.rate_per_s, seconds, self.seed)
         picks = np.random.default_rng(self.seed + 1).integers(0, self.pool, len(due))
+        windows = max(1, round(seconds / self.window_s))
+        length = seconds / windows
+        due_at = [0.0] * len(due)
         done = [0.0] * len(due)
         futures = []
 
         def stamp(index, _future):
             done[index] = time.perf_counter()
 
-        phase = Phase()
-        start = time.perf_counter()
-        for index, offset in enumerate(due):
-            delay = start + offset - time.perf_counter()
-            if delay > 0:
-                time.sleep(delay)
-            self.lateness_s.append(time.perf_counter() - start - offset)
-            try:
-                future = self.server.submit(self.images[picks[index]])
-            except Exception:
-                phase.error()
-                continue
-            future.add_done_callback(functools.partial(stamp, index))
-            futures.append((index, future))
-        for index, future in futures:
+        phase = Phase(speed=[self.speed.sample()])
+        for window in range(windows):
+            opened = time.perf_counter()
+            pending = []
+            for index in np.flatnonzero((due >= window * length) & (due < (window + 1) * length)):
+                due_at[index] = opened + due[index] - window * length
+                delay = due_at[index] - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                self.lateness_s.append(time.perf_counter() - due_at[index])
+                try:
+                    future = self.server.submit(self.images[picks[index]])
+                except Exception:
+                    phase.error()
+                    continue
+                future.add_done_callback(functools.partial(stamp, index))
+                futures.append((index, window, future))
+                pending.append(future)
+            concurrent.futures.wait(pending, timeout=60)
+            remaining = opened + length - time.perf_counter()
+            if remaining > 0:
+                time.sleep(remaining)
+            phase.open_s += time.perf_counter() - opened
+            phase.speed.append(self.speed.sample())
+        for index, window, future in futures:
             try:
                 phase.outputs.append(([picks[index]], future.result(timeout=60)[None]))
             except Exception:
                 phase.error()
                 continue
-            phase.record(start + due[index], done[index], start, 1)
-        phase.elapsed_s = max(done) - start
+            phase.record(done[index] - due_at[index], 1, window)
         # Both extras count from set-up, like the server's own telemetry.
         phase.extra["lateness_s"] = list(self.lateness_s)
         phase.extra["stats"] = self.server.stats()
@@ -324,7 +383,6 @@ class ServeOpen(Workload):
 
 class HttpClosed(Workload):
     name = "http-closed"
-    setups = 5
     concurrency = 2
     images_per_post = 8
     pool = 64
@@ -336,18 +394,15 @@ class HttpClosed(Workload):
         self.images = _images(seed, self.pool)
         self.process: Optional[subprocess.Popen] = None
         self.client: Optional[HTTPInferenceClient] = None
-        self.server_lines: List[str] = []
 
     def _command(self) -> List[str]:
-        serve = [
+        return [
+            sys.executable, "-m", "repro",
             "serve", "--http", "0", "--trace-sample", "0",
             "--rows", str(self.config.rows), "--columns", str(self.config.columns),
             "--executor", "serial", "--max-batch", "8", "--max-wait-ms", "2",
             "--weight-seed", str(self.seed),
         ]
-        if self.traced:
-            return [sys.executable, str(HERE / "traced_server.py"), *serve]
-        return [sys.executable, "-m", "repro", *serve]
 
     def setup(self) -> None:
         env = dict(os.environ, PYTHONUNBUFFERED="1")
@@ -358,7 +413,6 @@ class HttpClosed(Workload):
             self._command(), cwd=ROOT, env=env, stdout=subprocess.PIPE, text=True
         )
         urls: "queue.Queue[str]" = queue.Queue()
-        self.server_lines = []
         self._reader = threading.Thread(
             target=self._drain, args=(self.process.stdout, urls), daemon=True
         )
@@ -376,7 +430,6 @@ class HttpClosed(Workload):
 
     def _drain(self, stream, urls) -> None:
         for line in stream:
-            self.server_lines.append(line)
             match = re.search(r" at (http://\S+)$", line.strip())
             if match and line.startswith("serving "):
                 urls.put(match.group(1))
@@ -415,7 +468,7 @@ class HttpClosed(Workload):
                     if time.perf_counter() >= deadline:
                         return
                     continue
-                phase.record(began, time.perf_counter(), start, len(indices))
+                phase.record(time.perf_counter() - began, len(indices))
                 phase.outputs.append((indices, rows))
 
         threads = [
@@ -426,7 +479,7 @@ class HttpClosed(Workload):
             thread.start()
         for thread in threads:
             thread.join()
-        phase = Phase(elapsed_s=time.perf_counter() - start)
+        phase = Phase()
         for part in results:
             phase.merge(part)
         phase.extra["server_latency_p50_s"] = self.client.stats()["telemetry"]["latency_p50_s"]
@@ -434,13 +487,6 @@ class HttpClosed(Workload):
 
     def verify(self, phase: Phase) -> int:
         return _mismatches(phase.outputs, _reference_outputs(self.seed, self.images))
-
-    def server_spans(self) -> Dict[str, float]:
-        """Engine span totals the traced server printed at exit (after :meth:`close`)."""
-        for line in self.server_lines:
-            if line.startswith(SPANS_PREFIX):
-                return json.loads(line[len(SPANS_PREFIX) :])
-        raise RuntimeError("traced HTTP server printed no span totals")
 
 
 def batch_sweep(seed: int, sizes=(1, 8, 32), rounds: int = 4) -> Dict[str, float]:
