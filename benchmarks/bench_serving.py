@@ -16,17 +16,9 @@ make the same argument *online*:
 * the identical burst is served with per-request tracing off and on at the
   default sampling rate — tracing must stay within 5% of the untraced
   throughput, so observability is safe to leave enabled in production;
-* the identical burst is served over a ``process:2`` pool with the default
-  pickle transport and with the ``--ipc shm`` zero-copy shared-memory arena —
-  the arena must stay bitwise identical to a direct ``run_batch`` and must
-  not cost throughput (it strictly removes per-dispatch serialization work;
-  on this compute-dominated simulation workload the win is modest, which is
-  exactly what the recorded delta documents);
 * the same keep-alive request wave is driven at 100 / 500 / 2000 concurrent
-  connections against the legacy thread-per-connection front-end and the
-  asyncio front-end — the async front-end must answer every client at every
-  count with bitwise-identical outputs (the threaded one is measured for
-  the comparison, not held to the 2000-connection bar).
+  connections against the asyncio HTTP front-end — it must answer every
+  client at every count with bitwise-identical outputs.
 """
 
 from __future__ import annotations
@@ -46,7 +38,6 @@ from repro.serve import (
     AsyncServeHTTPServer,
     InferenceServer,
     LoadGenerator,
-    ServeHTTPServer,
     bursty_arrivals,
     poisson_arrivals,
 )
@@ -262,68 +253,7 @@ def test_tracing_overhead_under_five_percent(results_dir):
     )
 
 
-def test_shm_ipc_serves_bitwise_without_costing_throughput(results_dir):
-    """Acceptance: zero-copy IPC is bitwise-identical and at least as fast.
-
-    The shm transport strictly removes work (tensor pickling) from the
-    ``process:N`` dispatch path, so after the replicas are warm it must serve
-    the identical burst no slower than the pickle transport — modulo
-    scheduler noise, hence the 15% tolerance — while the outputs stay bitwise
-    equal to a direct ``run_batch`` and every dispatch really takes the
-    arena (zero pickle fallbacks).
-    """
-    network, weights, config, images = _workload()
-    flood = np.concatenate([images] * 2)
-    direct = FunctionalInferenceEngine(network, weights, config).run_batch(flood)
-
-    def burst_rps(ipc):
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            executor="process:2",
-            ipc=ipc,
-            max_batch=8,
-            max_wait_s=0.002,
-            queue_capacity=len(flood),
-        )
-        with server:
-            server.serve_batch(flood)  # warm: fork replicas, program tiles
-            best = 0.0
-            for _ in range(3):
-                start = time.perf_counter()
-                outputs = server.serve_batch(flood)
-                best = max(best, len(flood) / (time.perf_counter() - start))
-            ipc_stats = server.stats()["pool"]["ipc"]
-        assert np.array_equal(outputs, direct)  # transport never moves a bit
-        return best, ipc_stats
-
-    pickle_rps, pickle_stats = burst_rps("pickle")
-    shm_rps, shm_stats = burst_rps("shm")
-
-    assert not pickle_stats["zero_copy_active"]
-    assert shm_stats["zero_copy_active"]
-    assert shm_stats["copy_bytes_avoided"] > 0
-    assert shm_stats["pickle_fallbacks"] == 0
-    assert shm_stats["slots_in_use"] == 0
-    assert shm_rps >= 0.85 * pickle_rps, (
-        f"zero-copy transport lost throughput: {pickle_rps:.1f} rps pickle "
-        f"-> {shm_rps:.1f} rps shm"
-    )
-
-    with open(results_dir / "serving_ipc.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["ipc", "throughput_rps", "copy_bytes_avoided"])
-        writer.writerow(["pickle", f"{pickle_rps:.1f}", 0])
-        writer.writerow(["shm", f"{shm_rps:.1f}", shm_stats["copy_bytes_avoided"]])
-    print(
-        f"process:2 transport: pickle {pickle_rps:.1f} rps -> shm {shm_rps:.1f} "
-        f"rps ({shm_rps / pickle_rps:.2f}x, "
-        f"{shm_stats['copy_bytes_avoided'] / 1024:.0f} KiB kept off the pipe)"
-    )
-
-
-#: Concurrent keep-alive client counts for the front-end scaling comparison.
+#: Concurrent keep-alive client counts for the front-end scaling sweep.
 _CONN_COUNTS = (100, 500, 2000)
 #: fds per in-process client connection: the client socket + the accepted one.
 _FDS_PER_CONN = 2
@@ -436,10 +366,8 @@ def test_async_frontend_scales_keepalive_connections(results_dir):
     Each client performs one single-image infer (checked bitwise against a
     direct ``run_batch`` via the base64 ``.npy`` wire encoding — string
     equality of the payload is byte equality of the tensor) plus one healthz
-    on the same connection.  The async front-end must answer every client at
-    every count; the threaded front-end is measured alongside for the
-    comparison table and only held to the smallest count, since one thread
-    per connection is exactly the scaling wall the async front-end removes.
+    on the same connection.  The front-end must answer every client at every
+    count.
     """
     network, weights, config, images = _workload()
     direct = FunctionalInferenceEngine(network, weights, config).run_batch(images)
@@ -450,77 +378,39 @@ def test_async_frontend_scales_keepalive_connections(results_dir):
     expected_b64 = [encode_array_b64(row) for row in direct]
 
     rows = []
-    for label, front_cls in (("threaded", ServeHTTPServer), ("async", AsyncServeHTTPServer)):
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            executor="thread:2",
-            max_batch=32,
-            max_wait_s=0.002,
-            queue_capacity=2 * max(_CONN_COUNTS),
-        )
-        with server:
-            server.serve_batch(images)  # warm: program tiles before timing
-            with front_cls(server, port=0) as front:
-                failed_at = None
-                for requested in _CONN_COUNTS:
-                    count = _usable_connections(requested)
-                    if failed_at is not None:
-                        rows.append(
-                            dict(
-                                frontend=label,
-                                requested=requested,
-                                connections=count,
-                                ok=False,
-                                connect_s=float("nan"),
-                                serve_s=float("nan"),
-                                rps=0.0,
-                                error=f"skipped: failed at {failed_at} connections",
-                            )
-                        )
-                        continue
-                    try:
-                        connect_s, serve_s, mismatches = asyncio.run(
-                            _drive_keepalive_wave(
-                                front.url, request_bodies, expected_b64, count
-                            )
-                        )
-                        rows.append(
-                            dict(
-                                frontend=label,
-                                requested=requested,
-                                connections=count,
-                                ok=mismatches == 0,
-                                connect_s=connect_s,
-                                serve_s=serve_s,
-                                rps=count / serve_s,
-                            )
-                        )
-                    except (OSError, asyncio.TimeoutError) as error:
-                        failed_at = count
-                        rows.append(
-                            dict(
-                                frontend=label,
-                                requested=requested,
-                                connections=count,
-                                ok=False,
-                                connect_s=float("nan"),
-                                serve_s=float("nan"),
-                                rps=0.0,
-                                error=f"{type(error).__name__}: {error}",
-                            )
-                        )
+    server = InferenceServer(
+        network,
+        weights,
+        config,
+        executor="thread:2",
+        max_batch=32,
+        max_wait_s=0.002,
+        queue_capacity=2 * max(_CONN_COUNTS),
+    )
+    with server:
+        server.serve_batch(images)  # warm: program tiles before timing
+        with AsyncServeHTTPServer(server, port=0) as front:
+            for requested in _CONN_COUNTS:
+                count = _usable_connections(requested)
+                connect_s, serve_s, mismatches = asyncio.run(
+                    _drive_keepalive_wave(front.url, request_bodies, expected_b64, count)
+                )
+                rows.append(
+                    dict(
+                        connections=count,
+                        ok=mismatches == 0,
+                        connect_s=connect_s,
+                        serve_s=serve_s,
+                        rps=count / serve_s,
+                    )
+                )
 
     with open(results_dir / "serving_conn_scaling.csv", "w", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(
-            ["frontend", "connections", "all_ok_bitwise", "connect_s", "serve_s", "rps"]
-        )
+        writer.writerow(["connections", "all_ok_bitwise", "connect_s", "serve_s", "rps"])
         for row in rows:
             writer.writerow(
                 [
-                    row["frontend"],
                     row["connections"],
                     row["ok"],
                     f"{row['connect_s']:.2f}",
@@ -529,25 +419,17 @@ def test_async_frontend_scales_keepalive_connections(results_dir):
                 ]
             )
 
-    by_key = {(row["frontend"], row["requested"]): row for row in rows}
-    # The async front-end must clear every count it was actually able to
-    # dial (fd-limit clamping only ever lowers the count), including the
-    # >=500 acceptance bar, with zero non-200s and zero bitwise mismatches.
-    for requested in _CONN_COUNTS:
-        row = by_key[("async", requested)]
-        assert row["ok"], f"async front-end failed at {row['connections']} conns: {row}"
-    # The threaded front-end is only held to the baseline count.
-    assert by_key[("threaded", _CONN_COUNTS[0])]["ok"]
     for row in rows:
         print(
-            f"conn scaling [{row['frontend']:>8}] {row['connections']:>5} clients: "
-            + (
-                f"connect {row['connect_s']:.2f}s, serve {row['serve_s']:.2f}s "
-                f"({row['rps']:.0f} req/s, bitwise {'ok' if row['ok'] else 'FAIL'})"
-                if row["rps"]
-                else f"failed ({row.get('error', 'mismatches')})"
-            )
+            f"conn scaling {row['connections']:>5} clients: connect "
+            f"{row['connect_s']:.2f}s, serve {row['serve_s']:.2f}s "
+            f"({row['rps']:.0f} req/s, bitwise {'ok' if row['ok'] else 'FAIL'})"
         )
+    # Every count it was able to dial (fd-limit clamping only ever lowers
+    # the count), including the >=500 acceptance bar, with zero non-200s and
+    # zero bitwise mismatches.
+    for row in rows:
+        assert row["ok"], f"async front-end failed at {row['connections']} conns: {row}"
 
 
 def test_open_loop_poisson_slo_report(results_dir):

@@ -39,7 +39,6 @@ from repro.serve import (
     LoadGenerator,
     ModelDefinition,
     ModelRegistry,
-    ServeHTTPServer,
 )
 from repro.serve.http import encode_array_b64
 
@@ -169,53 +168,8 @@ def _traced_burst(network, weights, config, images) -> dict:
     }
 
 
-def _ipc_burst(network, weights, config, images) -> dict:
-    """Pickle-vs-shm transport on a ``process:2`` pool (bench_serving smoke).
-
-    The zero-copy trajectory: the identical closed-loop run is served over
-    both tensor transports, and the artifact records throughput, tail
-    latency, the bytes the arena kept off the pickle pipe, and the resulting
-    speedup/p99 delta — so a regression that silently re-introduces
-    serialization on the process dispatch path shows up in the artifact diff.
-    The warm-up burst (replica fork + PCM tile programming) runs before the
-    measurement so both modes are compared on steady-state dispatches only.
-    """
-    direct = FunctionalInferenceEngine(network, weights, config).run_batch(images)
-    modes: dict = {}
-    for mode in ("pickle", "shm"):
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            executor="process:2",
-            ipc=mode,
-            max_batch=8,
-            max_wait_s=0.002,
-            queue_capacity=max(len(images), 8),
-        )
-        with server:
-            server.serve_batch(images)  # warm: fork replicas, program tiles
-            report = LoadGenerator(server).run_closed_loop(images, concurrency=4)
-            ipc_stats = server.stats()["pool"]["ipc"]
-        modes[mode] = {
-            "throughput_rps": report.achieved_rps,
-            "latency_p50_ms": report.client_latency["latency_p50_s"] * 1e3,
-            "latency_p99_ms": report.client_latency["latency_p99_s"] * 1e3,
-            "copy_bytes_avoided": int(ipc_stats.get("copy_bytes_avoided", 0)),
-            "pickle_fallbacks": int(ipc_stats.get("pickle_fallbacks", 0)),
-            "bitwise_match_vs_run_batch": bool(np.array_equal(report.outputs, direct)),
-        }
-    modes["throughput_speedup_shm"] = (
-        modes["shm"]["throughput_rps"] / modes["pickle"]["throughput_rps"]
-    )
-    modes["p99_delta_ms"] = (
-        modes["pickle"]["latency_p99_ms"] - modes["shm"]["latency_p99_ms"]
-    )
-    return modes
-
-
-#: Concurrent keep-alive clients per front-end for the CI-sized scaling sweep
-#: (the full 100/500/2000 comparison lives in ``bench_serving.py``).
+#: Concurrent keep-alive clients for the CI-sized scaling sweep (the full
+#: 100/500/2000 sweep lives in ``bench_serving.py``).
 _CONN_COUNTS = (50, 200, 500)
 
 
@@ -298,12 +252,12 @@ async def _keepalive_wave(url: str, bodies, expected_b64, count: int) -> dict:
 
 
 def _conn_scaling(network, weights, config, images) -> dict:
-    """Threaded vs asyncio front-end under concurrent keep-alive clients.
+    """The asyncio front-end under concurrent keep-alive clients.
 
     The connection-scaling trajectory: every client holds one keep-alive
     connection, sends one single-image infer (checked bitwise against a
     direct ``run_batch`` through the base64 ``.npy`` encoding) plus one
-    healthz on the same socket.  A front-end that stops answering at a count
+    healthz on the same socket.  A count the front-end stops answering at
     records an ``error`` entry instead of silently shrinking the sweep.
     """
     direct = FunctionalInferenceEngine(network, weights, config).run_batch(images)
@@ -312,37 +266,34 @@ def _conn_scaling(network, weights, config, images) -> dict:
         for image in images
     ]
     expected = [encode_array_b64(row) for row in direct]
-    out: dict = {}
-    for label, front_cls in (("threaded", ServeHTTPServer), ("async", AsyncServeHTTPServer)):
-        points = []
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            executor="thread:2",
-            max_batch=32,
-            max_wait_s=0.002,
-            queue_capacity=2 * max(_CONN_COUNTS),
-        )
-        with server:
-            server.serve_batch(images)  # warm: program tiles before timing
-            with front_cls(server, port=0) as front:
-                for count in _CONN_COUNTS:
-                    try:
-                        points.append(
-                            asyncio.run(_keepalive_wave(front.url, bodies, expected, count))
-                        )
-                    except (OSError, asyncio.TimeoutError) as error:
-                        points.append(
-                            {
-                                "connections": count,
-                                "all_ok_bitwise": False,
-                                "error": f"{type(error).__name__}: {error}",
-                            }
-                        )
-                        break  # larger counts would only time out again
-        out[label] = points
-    return out
+    points = []
+    server = InferenceServer(
+        network,
+        weights,
+        config,
+        executor="thread:2",
+        max_batch=32,
+        max_wait_s=0.002,
+        queue_capacity=2 * max(_CONN_COUNTS),
+    )
+    with server:
+        server.serve_batch(images)  # warm: program tiles before timing
+        with AsyncServeHTTPServer(server, port=0) as front:
+            for count in _CONN_COUNTS:
+                try:
+                    points.append(
+                        asyncio.run(_keepalive_wave(front.url, bodies, expected, count))
+                    )
+                except (OSError, asyncio.TimeoutError) as error:
+                    points.append(
+                        {
+                            "connections": count,
+                            "all_ok_bitwise": False,
+                            "error": f"{type(error).__name__}: {error}",
+                        }
+                    )
+                    break  # larger counts would only time out again
+    return {"async": points}
 
 
 def _sharding_timings(network, weights, config, images) -> dict:
@@ -391,7 +342,6 @@ def export(num_images: int) -> dict:
         "robustness": _faulted_burst(network, weights, config, images),
         "observability": _traced_burst(network, weights, config, images),
         "sharding": _sharding_timings(network, weights, config, images),
-        "ipc": _ipc_burst(network, weights, config, images),
         "async_conn_scaling": _conn_scaling(network, weights, config, images),
     }
 
@@ -418,16 +368,13 @@ def main(argv=None) -> int:
         handle.write("\n")
     serving = payload["serving"]
     robustness = payload["robustness"]
-    ipc = payload["ipc"]
     print(
         f"wrote {args.output}: dynamic batching "
         f"{serving['dynamic_batching']['throughput_rps']:.1f} rps "
         f"({serving['batching_speedup']:.2f}x vs batch-1), "
         f"thread sharding {payload['sharding']['speedup_thread_vs_serial']:.2f}x, "
         f"chaos burst recovered {robustness['batches_recovered']} batches "
-        f"over {robustness['replica_restarts']} restarts, "
-        f"shm ipc {ipc['throughput_speedup_shm']:.2f}x vs pickle "
-        f"(p99 {ipc['p99_delta_ms']:+.2f} ms)"
+        f"over {robustness['replica_restarts']} restarts"
     )
     return 0
 

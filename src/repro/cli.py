@@ -91,7 +91,6 @@ from repro.nn import (
 )
 from repro.serve import (
     ARRIVAL_PROCESSES,
-    IPC_MODES,
     POLICY_KINDS,
     AsyncServeHTTPServer,
     AutoscalerPolicy,
@@ -103,7 +102,6 @@ from repro.serve import (
     InferenceServer,
     LoadGenerator,
     ModelRegistry,
-    ServeHTTPServer,
     mixed_model_schedule,
     parse_executor_spec,
     parse_fault_spec,
@@ -331,16 +329,6 @@ def _add_serving_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "engine-replica pool: 'serial', 'thread[:N]' or 'process:N' "
             "(process replicas scale past the GIL)"
-        ),
-    )
-    parser.add_argument(
-        "--ipc",
-        choices=IPC_MODES,
-        default="pickle",
-        help=(
-            "tensor transport for process executors: 'pickle' serializes "
-            "batches across the worker pipe, 'shm' moves them zero-copy "
-            "through a shared-memory slot arena (bitwise-identical outputs)"
         ),
     )
     parser.add_argument(
@@ -580,28 +568,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--host", default="127.0.0.1", help="HTTP bind host (default 127.0.0.1)"
-    )
-    frontend = serve.add_mutually_exclusive_group()
-    frontend.add_argument(
-        "--async-http",
-        dest="async_http",
-        action="store_true",
-        default=True,
-        help=(
-            "HTTP mode: serve on the single-event-loop asyncio front-end "
-            "(the default) — keep-alive multiplexing, streamed NDJSON "
-            "responses and SSE progress events"
-        ),
-    )
-    frontend.add_argument(
-        "--legacy-http",
-        dest="async_http",
-        action="store_false",
-        help=(
-            "HTTP mode: serve on the legacy thread-per-connection front-end "
-            "instead of the asyncio one (kept one release as a fallback; no "
-            "streaming or SSE support)"
-        ),
     )
     serve.add_argument(
         "--duration",
@@ -1007,7 +973,6 @@ def _make_server(args: argparse.Namespace, built_entries) -> InferenceServer:
             max_attempts=getattr(args, "max_retries", 2) + 1,
             breaker=breaker,
             faults=getattr(args, "inject_faults", None),
-            ipc=getattr(args, "ipc", "pickle"),
         )
     trace_sample = getattr(args, "trace_sample", 1.0)
     return InferenceServer(
@@ -1177,9 +1142,8 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     built = _built_entries(args)
     server = _make_server(args, built)
     hosted = ", ".join(name for name, _, _ in built)
-    front_cls = AsyncServeHTTPServer if getattr(args, "async_http", True) else ServeHTTPServer
     with server:
-        with front_cls(
+        with AsyncServeHTTPServer(
             server,
             host=args.host,
             port=args.http,
@@ -1188,20 +1152,17 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             if args.ready_file:
                 with open(args.ready_file, "w") as handle:
                     handle.write(front.url + "\n")
-            frontend_kind = "async" if front_cls is AsyncServeHTTPServer else "legacy threaded"
             print(
                 f"serving {hosted} (executor={args.executor}, "
                 f"policy={args.policy}, autoscale="
-                f"{'on' if args.autoscale else 'off'}, "
-                f"frontend={frontend_kind}) at {front.url}"
+                f"{'on' if args.autoscale else 'off'}) at {front.url}"
             )
             print(f"  POST {front.url}/v1/infer    — single image or batch (optional 'model')")
-            if front_cls is AsyncServeHTTPServer:
-                print(
-                    f"  POST {front.url}/v1/infer    — ... with 'stream': true for "
-                    "NDJSON streaming, 'request_id' for SSE progress"
-                )
-                print(f"  GET  {front.url}/v1/infer/ID/events — SSE progress stream")
+            print(
+                f"  POST {front.url}/v1/infer    — ... with 'stream': true for "
+                "NDJSON streaming, 'request_id' for SSE progress"
+            )
+            print(f"  GET  {front.url}/v1/infer/ID/events — SSE progress stream")
             print(f"  GET  {front.url}/v1/models   — hosted-model listing")
             print(f"  GET  {front.url}/v1/stats    — SLO telemetry snapshot (?model=NAME)")
             print(f"  GET  {front.url}/metrics     — Prometheus text exposition")

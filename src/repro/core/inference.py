@@ -261,6 +261,8 @@ class FunctionalInferenceEngine:
                 f"input batch must have shape (batch, {', '.join(map(str, expected))}), "
                 f"got {images.shape}"
             )
+        if not np.isfinite(images).all():
+            raise SimulationError("input batch has non-finite (NaN/Inf) pixels")
         return images
 
     def _execute(self, images: np.ndarray, optical: bool) -> np.ndarray:

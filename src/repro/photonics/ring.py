@@ -87,7 +87,9 @@ class RingResonatorODAC:
     def modulate(self, values: np.ndarray) -> np.ndarray:
         """Quantise-and-modulate an array of normalised values to E-field amplitudes."""
         values = np.asarray(values, dtype=float)
-        if values.size and (values.min() < -1e-12 or values.max() > 1.0 + 1e-12):
+        # Written as "not inside" so a NaN extreme (every comparison false)
+        # fails the check too.
+        if values.size and not (values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12):
             raise DeviceModelError(
                 f"values must be in [0, 1], got range [{values.min()}, {values.max()}]"
             )

@@ -10,8 +10,8 @@ delivered in submission order with full SLO telemetry (latency percentiles,
 throughput, queue depth, batch-size histogram).
 
 Two front-ends share that pipeline: in-process submission
-(:class:`InferenceServer.submit`) and an HTTP socket
-(:class:`ServeHTTPServer` — ``POST /v1/infer``, ``GET /v1/models``,
+(:class:`InferenceServer.submit`) and an asyncio HTTP socket
+(:class:`AsyncServeHTTPServer` — ``POST /v1/infer``, ``GET /v1/models``,
 ``GET /v1/stats``, ``GET /healthz``) with a matching stdlib
 :class:`HTTPInferenceClient`.  Flush decisions are pluggable
 (:class:`FixedFlushPolicy` / :class:`AdaptiveFlushPolicy` with SLO deadlines
@@ -69,7 +69,6 @@ from repro.serve.registry import ModelDefinition, ModelRegistry
 from repro.serve.http import (
     API_ROUTES,
     HTTPInferenceClient,
-    ServeHTTPServer,
     decode_array_b64,
     encode_array_b64,
 )
@@ -88,14 +87,6 @@ from repro.serve.telemetry import (
     LatencyReservoir,
     ServeTelemetry,
     latency_summary,
-)
-from repro.serve.shm import (
-    DEFAULT_SLOT_BATCH,
-    IPC_MODES,
-    ArenaLayout,
-    ShmSlotArena,
-    SlotDescriptor,
-    parse_ipc_mode,
 )
 from repro.serve.workers import (
     DEFAULT_REPLICAS,
@@ -117,12 +108,9 @@ __all__ = [
     "Autoscaler",
     "AutoscalerPolicy",
     "AutoscalerState",
-    "ArenaLayout",
     "CircuitBreaker",
     "CircuitBreakerPolicy",
     "DEFAULT_REPLICAS",
-    "DEFAULT_SLOT_BATCH",
-    "IPC_MODES",
     "EngineReplicaSpec",
     "EngineWorkerPool",
     "ExecutorSpec",
@@ -142,11 +130,8 @@ __all__ = [
     "ModelDefinition",
     "ModelRegistry",
     "POLICY_KINDS",
-    "ServeHTTPServer",
     "ServeRequest",
     "ServeTelemetry",
-    "ShmSlotArena",
-    "SlotDescriptor",
     "bursty_arrivals",
     "decode_array_b64",
     "encode_array_b64",
@@ -156,7 +141,6 @@ __all__ = [
     "mixed_model_schedule",
     "parse_executor_spec",
     "parse_fault_spec",
-    "parse_ipc_mode",
     "poisson_arrivals",
     "spec_serialization_count",
     "subtract_functional_statistics",

@@ -1,22 +1,14 @@
-"""HTTP front-ends and client for the online inference server.
+"""HTTP wire format, request helpers and client for the inference server.
 
-Two front-ends speak the same ``/v1`` API over one
-:class:`~repro.serve.server.InferenceServer`:
-
-* :class:`~repro.serve.http_async.AsyncServeHTTPServer` (the default) — a
-  single-event-loop asyncio front-end multiplexing thousands of keep-alive
-  connections, with NDJSON streaming responses and SSE progress (see
-  ``repro.serve.http_async``);
-* :class:`ServeHTTPServer` (this module) — the legacy stdlib
-  :class:`~http.server.ThreadingHTTPServer`, one handler thread per
-  connection, kept one release as a ``--legacy-http`` fallback.
-
-Both funnel every request through the *same* ``submit()`` path in-process
-callers use, so in-order delivery and bitwise determinism are preserved:
-the HTTP layer only encodes and decodes payloads.  The shared route table
-(:data:`API_ROUTES`), payload codecs and request/submission helpers in this
-module are what keep the two front-ends byte-for-byte compatible — and what
-``docs/http-api.md`` is checked against by the docs-freshness test.
+The front-end itself is :class:`~repro.serve.http_async.AsyncServeHTTPServer`
+— a single-event-loop asyncio server multiplexing keep-alive connections,
+with NDJSON streaming responses and SSE progress.  It funnels every request
+through the *same* ``submit()`` path in-process callers use, so in-order
+delivery and bitwise determinism are preserved: the HTTP layer only encodes
+and decodes payloads.  This module holds what the front-end and
+:class:`HTTPInferenceClient` share: the route table (:data:`API_ROUTES`,
+which ``docs/http-api.md`` is checked against by the docs-freshness test),
+the payload codecs, request validation and the error → status mapping.
 
 Endpoints
 ---------
@@ -30,13 +22,12 @@ Endpoints
     API); unknown names are a 404.  ``{"block": false}`` turns queue
     overflow into an HTTP 429 with a ``Retry-After`` backpressure hint
     instead of blocking the connection (open-loop shedding over the wire).
-    On the async front-end ``{"stream": true}`` switches the response to
+    ``{"stream": true}`` switches the response to
     chunked newline-delimited JSON (one item per line as the re-order
     buffer releases it) and ``{"request_id": "..."}`` names the request so
     its progress can be followed over SSE.
 ``GET /v1/infer/{request_id}/events``
-    Server-sent-events progress for a named in-flight request (async
-    front-end only; 404 on the legacy server).
+    Server-sent-events progress for a named in-flight request.
 ``GET /v1/models``
     The hosted-model listing: name, network, input shape, executor, current
     replica count and autoscaling bounds per model, plus the default name.
@@ -60,7 +51,8 @@ Endpoints
     with ``allow_shutdown=True`` (404 otherwise, so probes cannot kill a
     server that did not opt in).
 
-Error mapping: malformed payloads → 400, queue overflow → 429, server not
+Error mapping: malformed payloads (including non-finite pixels) → 400,
+queue overflow → 429, server not
 running → 503, unknown path or model → 404, wrong method → 405.  Every
 error body is ``{"error": msg, "type": ExceptionName}``.
 
@@ -77,11 +69,9 @@ import http.client
 import io
 import json
 import random
-import threading
 import time
 import urllib.parse
 from concurrent.futures import Future, ThreadPoolExecutor
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -95,7 +85,6 @@ from repro.errors import (
     ServeError,
     UnknownModelError,
 )
-from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE
 from repro.serve.server import InferenceServer
 
 #: Default bind host; loopback so a bare ``--http`` never exposes a socket.
@@ -107,12 +96,11 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: Payload encodings understood by the client (the server accepts both).
 ENCODINGS = ("json", "npy_b64")
 
-#: The complete serving API: ``(method, route template)`` pairs.  Both
-#: front-ends register exactly these routes, ``docs/http-api.md`` documents
+#: The complete serving API: ``(method, route template)`` pairs.  The
+#: front-end registers exactly these routes, ``docs/http-api.md`` documents
 #: exactly these routes, and ``tests/test_docs.py`` diffs the two — so the
-#: endpoint reference cannot drift from the implementation.  The SSE events
-#: route is answered only by the async front-end (404 on the legacy one);
-#: ``POST /v1/shutdown`` only when the front-end opted in.
+#: endpoint reference cannot drift from the implementation.
+#: ``POST /v1/shutdown`` is answered only when the front-end opted in.
 API_ROUTES = (
     ("GET", "/healthz"),
     ("GET", "/metrics"),
@@ -192,6 +180,8 @@ def decode_infer_payload(
         )
     if batched and array.shape[0] < 1:
         raise BadRequestError("'images' batch must contain at least one image")
+    if not np.isfinite(array).all():
+        raise BadRequestError(f"{field!r} has non-finite (NaN/Inf) pixels")
     return array, batched, encoding
 
 
@@ -205,12 +195,12 @@ def _json_default(value):
 
 
 def dump_json(payload: object) -> bytes:
-    """The one JSON serialization both front-ends use for response bodies."""
+    """The one JSON serialization of every response body."""
     return json.dumps(payload, default=_json_default).encode("utf-8")
 
 
 # ---------------------------------------------------------------------------
-# shared request handling (used by both front-ends)
+# request handling
 # ---------------------------------------------------------------------------
 
 
@@ -239,17 +229,13 @@ class InferRequest:
         self.request_id = request_id
 
 
-def parse_infer_request(
-    payload: object, server: InferenceServer, allow_stream: bool = False
-) -> InferRequest:
+def parse_infer_request(payload: object, server: InferenceServer) -> InferRequest:
     """Validate a ``POST /v1/infer`` payload against ``server``'s models.
 
     Raises :class:`BadRequestError` on malformed fields and
     :class:`UnknownModelError` for unknown model names (the model resolves
     first, so unknown names 404 before shape validation — which depends on
-    the model's input shape).  ``allow_stream`` gates the ``stream`` field:
-    only the async front-end can actually stream, so the legacy server
-    rejects it explicitly instead of silently ignoring it.
+    the model's input shape).
     """
     model = None
     if isinstance(payload, dict) and "model" in payload:
@@ -269,11 +255,6 @@ def parse_infer_request(
     stream = payload.get("stream", False)
     if not isinstance(stream, bool):
         raise BadRequestError(f"'stream' must be a JSON boolean, got {stream!r}")
-    if stream and not allow_stream:
-        raise BadRequestError(
-            "'stream' responses require the async front-end "
-            "(serve --http without --legacy-http)"
-        )
     request_id = payload.get("request_id")
     if request_id is not None and (not isinstance(request_id, str) or not request_id):
         raise BadRequestError(
@@ -329,7 +310,7 @@ def submit_images(server: InferenceServer, request: InferRequest) -> list:
 def infer_response_body(
     outputs: np.ndarray, request: InferRequest, latency_ms: float
 ) -> Dict[str, object]:
-    """The non-streamed ``POST /v1/infer`` response body (both front-ends)."""
+    """The non-streamed ``POST /v1/infer`` response body."""
     body: Dict[str, object] = {"count": int(outputs.shape[0]), "latency_ms": latency_ms}
     if request.model is not None:
         body["model"] = request.model
@@ -358,7 +339,7 @@ def stream_item_body(index: int, output: np.ndarray, encoding: str) -> Dict[str,
 
 
 def status_for_error(error: BaseException) -> int:
-    """The serve exception hierarchy → HTTP status mapping (both front-ends)."""
+    """The serve exception hierarchy → HTTP status mapping."""
     if isinstance(error, QueueOverflowError):
         return 429
     if isinstance(error, BadRequestError):
@@ -430,244 +411,6 @@ def health_payload(server: InferenceServer, uptime_s: float) -> Dict[str, object
         "default_model": server.default_model,
         "uptime_s": uptime_s,
     }
-
-
-# ---------------------------------------------------------------------------
-# server
-# ---------------------------------------------------------------------------
-
-
-class _ServeHTTPHandler(BaseHTTPRequestHandler):
-    """Request handler bound to one :class:`ServeHTTPServer` (its ``front``)."""
-
-    protocol_version = "HTTP/1.1"
-    front: "ServeHTTPServer"  # injected by ServeHTTPServer.start()
-
-    # The stdlib handler logs every request to stderr; a load generator at
-    # 1000 rps would drown the terminal, so logging is off by default.
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        pass
-
-    # ------------------------------------------------------------------ GET
-    def do_GET(self) -> None:
-        parts = urllib.parse.urlsplit(self.path)
-        if parts.path == "/healthz":
-            self._send_json(200, self.front.health())
-        elif parts.path == "/v1/stats":
-            query = urllib.parse.parse_qs(parts.query)
-            model = query.get("model", [None])[0]
-            try:
-                stats = self.front.server.stats(model=model)
-            except UnknownModelError as error:
-                self._send_error(404, error)
-                return
-            self._send_json(200, stats)
-        elif parts.path == "/v1/models":
-            self._send_json(200, models_payload(self.front.server))
-        elif parts.path == "/metrics":
-            registry = getattr(self.front.server, "metrics", None)
-            if registry is None:
-                self._send_error(404, ServeError("metrics registry not available"))
-                return
-            self._send_text(200, registry.render_prometheus(), PROMETHEUS_CONTENT_TYPE)
-        elif parts.path.startswith("/v1/trace/"):
-            trace_id = urllib.parse.unquote(parts.path[len("/v1/trace/") :])
-            try:
-                self._send_json(200, trace_payload(self.front.server, trace_id))
-            except ServeError as error:
-                self._send_error(404, error)
-        else:
-            self._send_error(404, ServeError(f"unknown path {self.path!r}"))
-
-    # ------------------------------------------------------------------ POST
-    def do_POST(self) -> None:
-        if self.path == "/v1/infer":
-            self._infer()
-        elif self.path == "/v1/shutdown" and self.front.allow_shutdown:
-            self._send_json(200, {"status": "shutting-down"})
-            self.front.request_shutdown()
-        else:
-            self._send_error(404, ServeError(f"unknown path {self.path!r}"))
-
-    def _infer(self) -> None:
-        start = time.monotonic()
-        try:
-            payload = self._read_json_body()
-            # allow_stream=False: one thread per connection cannot stream
-            # incrementally without starving the pool, so 'stream' is an
-            # explicit 400 here (the async front-end accepts it).
-            request = parse_infer_request(payload, self.front.server, allow_stream=False)
-            futures = submit_images(self.front.server, request)
-            outputs = np.stack([future.result() for future in futures])
-        except Exception as error:
-            self._send_error(self._status_for(error), error)
-            return
-        latency_ms = (time.monotonic() - start) * 1e3
-        self._send_json(200, infer_response_body(outputs, request, latency_ms))
-
-    # ------------------------------------------------------------------ plumbing
-    def _read_json_body(self) -> object:
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            raise BadRequestError("missing Content-Length header")
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise BadRequestError(
-                f"invalid Content-Length {length_header!r}"
-            ) from None
-        if length < 0 or length > self.front.max_body_bytes:
-            raise BadRequestError(
-                f"request body of {length} bytes exceeds the "
-                f"{self.front.max_body_bytes}-byte limit"
-            )
-        raw = self.rfile.read(length)
-        try:
-            return json.loads(raw)
-        except json.JSONDecodeError as error:
-            raise BadRequestError(f"request body is not valid JSON: {error}") from error
-
-    _status_for = staticmethod(status_for_error)
-
-    def _send_json(
-        self,
-        status: int,
-        payload: Dict[str, object],
-        headers: Optional[Dict[str, str]] = None,
-    ) -> None:
-        body = dump_json(payload)
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_text(self, status: int, text: str, content_type: str) -> None:
-        body = text.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def _send_error(self, status: int, error: BaseException) -> None:
-        self._send_json(status, error_body(error), headers=retry_after_headers(error))
-
-
-class ServeHTTPServer:
-    """Threaded HTTP front-end over a running :class:`InferenceServer`.
-
-    Parameters
-    ----------
-    server:
-        The inference server requests are submitted to.  Its lifecycle is
-        *not* owned by the front-end: start/stop it separately (or let the
-        CLI do both).
-    host, port:
-        Bind address; ``port=0`` picks a free ephemeral port (see
-        :attr:`port` after :meth:`start`).
-    allow_shutdown:
-        Enable the ``POST /v1/shutdown`` endpoint.
-    max_body_bytes:
-        Reject request bodies larger than this with HTTP 400.
-    """
-
-    def __init__(
-        self,
-        server: InferenceServer,
-        host: str = DEFAULT_HOST,
-        port: int = 0,
-        allow_shutdown: bool = False,
-        max_body_bytes: int = MAX_BODY_BYTES,
-    ) -> None:
-        self.server = server
-        self.host = host
-        self.allow_shutdown = bool(allow_shutdown)
-        self.max_body_bytes = int(max_body_bytes)
-        self._requested_port = int(port)
-        self._httpd: Optional[ThreadingHTTPServer] = None
-        self._thread: Optional[threading.Thread] = None
-        self._started_ts: Optional[float] = None
-        self._shutdown_event = threading.Event()
-
-    # ------------------------------------------------------------------ lifecycle
-    def start(self) -> "ServeHTTPServer":
-        """Bind the socket and start answering requests on a daemon thread."""
-        if self._httpd is not None:
-            raise ServeError("HTTP front-end already started")
-        handler = type("BoundServeHTTPHandler", (_ServeHTTPHandler,), {"front": self})
-        # The socketserver default listen backlog (5) refuses bursts of
-        # concurrent dials long before the thread-per-connection model is the
-        # bottleneck; match the asyncio front-end's backlog instead.
-        server_cls = type(
-            "BoundServeHTTPServer", (ThreadingHTTPServer,), {"request_queue_size": 128}
-        )
-        self._httpd = server_cls((self.host, self._requested_port), handler)
-        self._httpd.daemon_threads = True
-        self._thread = threading.Thread(
-            target=self._httpd.serve_forever, name="serve-http", daemon=True
-        )
-        self._started_ts = time.monotonic()
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        """Stop accepting connections and join the serving thread (idempotent)."""
-        if self._httpd is None:
-            return
-        self._httpd.shutdown()
-        assert self._thread is not None
-        self._thread.join()
-        self._httpd.server_close()
-        self._httpd = None
-        self._shutdown_event.set()
-
-    def __enter__(self) -> "ServeHTTPServer":
-        return self.start() if self._httpd is None else self
-
-    def __exit__(self, *exc_info) -> None:
-        self.stop()
-
-    # ------------------------------------------------------------------ state
-    @property
-    def port(self) -> int:
-        """The bound port (resolves ``port=0`` to the ephemeral choice)."""
-        if self._httpd is None:
-            return self._requested_port
-        return int(self._httpd.server_address[1])
-
-    @property
-    def url(self) -> str:
-        """Base URL clients should target.
-
-        Wildcard binds (``0.0.0.0`` / ``::``) are rewritten to loopback —
-        the wildcard address is where the socket listens, not an address a
-        client can connect to.
-        """
-        host = "127.0.0.1" if self.host in ("0.0.0.0", "::", "") else self.host
-        return f"http://{host}:{self.port}"
-
-    def health(self) -> Dict[str, object]:
-        """The ``/healthz`` body (see :func:`health_payload`)."""
-        uptime = (
-            time.monotonic() - self._started_ts if self._started_ts is not None else 0.0
-        )
-        return health_payload(self.server, uptime)
-
-    def request_shutdown(self) -> None:
-        """Signal whoever owns the front-end (see :meth:`wait`) to stop it.
-
-        Handlers must not call :meth:`stop` themselves — joining the serving
-        thread from inside one of its handlers would deadlock — so shutdown
-        is a flag the owning thread observes.
-        """
-        self._shutdown_event.set()
-
-    def wait(self, timeout: Optional[float] = None) -> bool:
-        """Block until a shutdown is requested (or ``timeout`` elapses)."""
-        return self._shutdown_event.wait(timeout)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,9 @@
 """Single-event-loop asyncio HTTP front-end for the inference server.
 
-:class:`AsyncServeHTTPServer` is the default ``serve --http`` front-end.  It
-multiplexes every client on one event loop (thread ``serve-async-http``)
-instead of the legacy one-thread-per-connection
-:class:`~repro.serve.http.ServeHTTPServer`, which is what lifts the
-connection ceiling from "a few hundred OS threads" to "as many keep-alive
-sockets as the fd limit allows".  The wire features only this front-end has:
+:class:`AsyncServeHTTPServer` is the ``serve --http`` front-end.  It
+multiplexes every client on one event loop (thread ``serve-http-loop``)
+rather than one thread per connection, so the connection ceiling is the fd
+limit, not the OS thread budget.  Its wire features:
 
 * **keep-alive + pipelining** — requests on one connection are answered
   in order; a client may write several before reading the first response;
@@ -22,12 +20,11 @@ sockets as the fd limit allows".  The wire features only this front-end has:
   observed service time, instead of tying up an accept thread.
 
 The engine side is unchanged: requests funnel through the *same*
-``InferenceServer.submit()`` path as in-process callers and the legacy
-front-end, bridged with ``loop.run_in_executor`` (admission may block) and
+``InferenceServer.submit()`` path as in-process callers, bridged with ``loop.run_in_executor`` (admission may block) and
 ``asyncio.wrap_future`` (results are plain ``concurrent.futures`` futures
 resolved by engine threads).  That is why outputs stay bitwise identical to
-a direct ``run_batch`` for every executor spec and IPC transport — the
-async layer only encodes and decodes bytes.
+a direct ``run_batch`` for every executor spec — the async layer only
+encodes and decodes bytes.
 """
 
 from __future__ import annotations
@@ -157,16 +154,14 @@ class _ProgressRegistry:
 class AsyncServeHTTPServer:
     """Asyncio HTTP front-end over a running :class:`InferenceServer`.
 
-    Public surface matches :class:`~repro.serve.http.ServeHTTPServer`
-    (``start/stop/port/url/health/request_shutdown/wait`` plus context
-    management), so the CLI and tests swap the two classes freely.  The
-    event loop runs on a dedicated daemon thread; ``start()`` returns once
-    the socket is bound, and binding failures raise :class:`ServeError`
-    from ``start()`` itself.
+    Public surface: ``start/stop/port/url/health/request_shutdown/wait``
+    plus context management.  The event loop runs on a dedicated daemon
+    thread; ``start()`` returns once the socket is bound, and binding
+    failures raise :class:`ServeError` from ``start()`` itself.
 
-    Parameters mirror the threaded front-end: ``server`` (lifecycle not
-    owned), ``host``/``port`` (``port=0`` → ephemeral), ``allow_shutdown``
-    (enables ``POST /v1/shutdown``), ``max_body_bytes`` (400 above it).
+    Parameters: ``server`` (lifecycle not owned), ``host``/``port``
+    (``port=0`` → ephemeral), ``allow_shutdown`` (enables
+    ``POST /v1/shutdown``), ``max_body_bytes`` (400 above it).
     """
 
     def __init__(
@@ -208,10 +203,12 @@ class AsyncServeHTTPServer:
         # The admission bridge: submit() may block on a full queue, which
         # must never happen on the event loop.  Sized well above the replica
         # count so slow admissions queue here, not in the loop.
-        self._bridge = ThreadPoolExecutor(max_workers=32, thread_name_prefix="async-http")
+        self._bridge = ThreadPoolExecutor(
+            max_workers=32, thread_name_prefix="serve-http-bridge"
+        )
         self._started_ts = time.monotonic()
         self._thread = threading.Thread(
-            target=self._run_loop, name="serve-async-http", daemon=True
+            target=self._run_loop, name="serve-http-loop", daemon=True
         )
         self._thread.start()
         self._ready.wait()
@@ -259,8 +256,7 @@ class AsyncServeHTTPServer:
 
         Handlers must not call :meth:`stop` themselves — joining the serving
         thread from inside one of its handlers would deadlock — so shutdown
-        is a flag the owning thread observes, exactly as on the threaded
-        front-end.
+        is a flag the owning thread observes.
         """
         self._shutdown_event.set()
 
@@ -539,7 +535,7 @@ class AsyncServeHTTPServer:
         loop = asyncio.get_running_loop()
         try:
             payload = self._parse_json(body)
-            request = parse_infer_request(payload, self.server, allow_stream=True)
+            request = parse_infer_request(payload, self.server)
             futures = await loop.run_in_executor(
                 self._bridge, submit_images, self.server, request
             )

@@ -39,7 +39,6 @@ from repro.serve.faults import (
     FaultRule,
     parse_fault_spec,
 )
-from repro.serve.shm import parse_ipc_mode
 from repro.serve.workers import (
     EngineReplicaSpec,
     ExecutorSpec,
@@ -88,10 +87,6 @@ class ModelDefinition:
     faults: Optional[Union[FaultInjector, Sequence[Union[str, FaultRule]]]] = field(
         default=None
     )
-    #: Tensor transport across the ``process`` replica boundary: ``"pickle"``
-    #: (default) or ``"shm"`` (zero-copy shared-memory arena, see
-    #: :mod:`repro.serve.shm`).  No effect on in-process executors.
-    ipc: str = "pickle"
 
     def __post_init__(self) -> None:
         if not isinstance(self.name, str) or not self.name.strip():
@@ -100,7 +95,6 @@ class ModelDefinition:
             )
         self.name = self.name.strip()
         self.executor = parse_executor_spec(self.executor)
-        self.ipc = parse_ipc_mode(self.ipc)
         for bound_name in ("min_replicas", "max_replicas"):
             bound = getattr(self, bound_name)
             if bound is not None and int(bound) < 1:

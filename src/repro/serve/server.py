@@ -49,7 +49,7 @@ import numpy as np
 from repro.concurrency import make_lock
 from repro.config.chip import ChipConfig
 from repro.crossbar.noise import CrossbarNoiseModel
-from repro.errors import CircuitOpenError, ServeError
+from repro.errors import BadRequestError, CircuitOpenError, ServeError
 from repro.nn.network import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowRequestLog
@@ -133,11 +133,6 @@ class _ModelRuntime:
             backoff_base_s=self.definition.backoff_base_s,
             backoff_max_s=self.definition.backoff_max_s,
             fault_injector=self.definition.build_fault_injector(),
-            ipc=self.definition.ipc,
-            # Size arena slots to the batcher's ceiling: every micro-batch
-            # this model can ever form fits one slot, so the shm path never
-            # needs its pickle fallback.
-            slot_batch=self.definition.max_batch,
         )
         self._inflight = threading.BoundedSemaphore(2 * self.max_replicas)
         self._dispatcher = threading.Thread(
@@ -260,9 +255,7 @@ class _ModelRuntime:
                 continue
             submitted_ts = time.monotonic()
             for request in traced:
-                request.trace.add_span(
-                    "dispatch", dispatch_ts, submitted_ts, ipc=self.pool.ipc
-                )
+                request.trace.add_span("dispatch", dispatch_ts, submitted_ts)
             future.add_done_callback(
                 lambda done,
                 batch=batch,
@@ -448,10 +441,6 @@ class InferenceServer:
     warmup:
         Run one zero image through every replica at :meth:`start` so the
         one-time PCM tile programming does not land on the first request.
-    ipc:
-        Tensor transport for ``process`` executors: ``"pickle"`` (default)
-        or ``"shm"`` — the zero-copy shared-memory arena of
-        :mod:`repro.serve.shm`.  Outputs are bitwise identical either way.
     registry:
         A pre-built :class:`ModelRegistry` hosting one model per definition.
     autoscaler:
@@ -494,7 +483,6 @@ class InferenceServer:
         policy: Union[str, FlushPolicy] = "fixed",
         slo_s: float = 0.05,
         warmup: bool = True,
-        ipc: str = "pickle",
         registry: Optional[ModelRegistry] = None,
         autoscaler: Optional[AutoscalerPolicy] = None,
         on_response: Optional[Callable[[int, np.ndarray], None]] = None,
@@ -525,7 +513,6 @@ class InferenceServer:
                         policy=policy,
                         slo_s=slo_s,
                         warmup=warmup,
-                        ipc=ipc,
                     )
                 ]
             )
@@ -722,12 +709,26 @@ class InferenceServer:
         ``model`` routes to a hosted model by name (``None`` = default).
         Raises :class:`~repro.errors.UnknownModelError` for unknown names,
         :class:`~repro.errors.QueueOverflowError` on a full queue when
-        ``block=False`` (or after ``timeout``), and :class:`ServeError` for
-        wrong image shapes or a stopped server.
+        ``block=False`` (or after ``timeout``), :class:`BadRequestError` for
+        a wrong image shape or a non-finite (NaN/Inf) pixel, and
+        :class:`ServeError` for a stopped server.  Bad input is rejected here,
+        before the breaker or a batch sees it, so one client's garbage can
+        never fail a replica or the requests batched with it.
         """
         if not self._started or self._stopped:
             raise ServeError("server is not running (call start() before submit())")
         runtime = self._runtime(model)
+        image = np.asarray(image, dtype=float)
+        if image.shape != runtime.input_shape:
+            raise BadRequestError(
+                f"request image for model {runtime.name!r} must have shape "
+                f"{runtime.input_shape}, got {image.shape}"
+            )
+        if not np.isfinite(image).all():
+            raise BadRequestError(
+                f"request image for model {runtime.name!r} has non-finite "
+                "(NaN/Inf) pixels"
+            )
         if runtime.breaker is not None and not runtime.breaker.allow():
             runtime.telemetry.record_shed()
             raise CircuitOpenError(
@@ -735,12 +736,6 @@ class InferenceServer:
                 "open after repeated batch failures",
                 retry_after_s=max(1.0, runtime.breaker.retry_after_s()),
                 model=runtime.name,
-            )
-        image = np.asarray(image, dtype=float)
-        if image.shape != runtime.input_shape:
-            raise ServeError(
-                f"request image for model {runtime.name!r} must have shape "
-                f"{runtime.input_shape}, got {image.shape}"
             )
         trace = (
             runtime.tracer.start_trace(model=runtime.name)

@@ -60,14 +60,6 @@ from repro.errors import (
 from repro.nn.network import Network
 from repro.obs.tracing import DispatchTraceRecorder, replica_span_records
 from repro.serve.faults import FaultAction, FaultInjector
-from repro.serve.shm import (
-    DEFAULT_SLOT_BATCH,
-    ArenaLayout,
-    ShmSlotArena,
-    SlotDescriptor,
-    attach_untracked,
-    parse_ipc_mode,
-)
 
 #: Executor kinds understood by :func:`parse_executor_spec`.
 EXECUTOR_KINDS = ("serial", "thread", "process")
@@ -221,9 +213,6 @@ class EngineReplicaSpec:
 
 _WORKER_ENGINE: Optional[FunctionalInferenceEngine] = None
 _WORKER_BASELINE: Dict[str, object] = {}
-#: ``(ArenaLayout, SharedMemory)`` when this worker serves an shm-mode pool;
-#: attached once at initialization, untracked (the parent owns the segment).
-_WORKER_SEGMENT: Optional[Tuple[ArenaLayout, object]] = None
 
 #: Per-process uniquifier for replica span ids: a batch retried on the same
 #: worker (or two batches on one worker) must not reuse span ids.
@@ -245,29 +234,21 @@ def subtract_functional_statistics(
     return delta
 
 
-def _process_worker_init(
-    payload: Union[bytes, EngineReplicaSpec],
-    arena_layout: Optional[ArenaLayout] = None,
-) -> None:
+def _process_worker_init(payload: Union[bytes, EngineReplicaSpec]) -> None:
     """Build this worker process's private engine replica (runs once).
 
     ``payload`` is normally the pool's cached ``pickle.dumps(spec)`` bytes —
     decoded here so the executor machinery never re-pickles the spec itself —
-    but a raw spec is still accepted for direct use.  In shm mode
-    ``arena_layout`` describes the pool's shared segment; the worker attaches
-    *untracked* (the parent owns the segment's lifetime) and keeps the
-    mapping for every later dispatch.
+    but a raw spec is still accepted for direct use.
 
     The post-build statistics snapshot (which includes any warmup batch) is
     kept as this replica's baseline, so the counters reported back to the
     parent describe served traffic only.
     """
-    global _WORKER_ENGINE, _WORKER_BASELINE, _WORKER_SEGMENT
+    global _WORKER_ENGINE, _WORKER_BASELINE
     spec = pickle.loads(payload) if isinstance(payload, bytes) else payload
     _WORKER_ENGINE = spec.build()
     _WORKER_BASELINE = _WORKER_ENGINE.accelerator.functional_statistics()
-    if arena_layout is not None:
-        _WORKER_SEGMENT = (arena_layout, attach_untracked(arena_layout.name))
 
 
 def _poison_outputs(outputs: np.ndarray) -> np.ndarray:
@@ -325,51 +306,6 @@ def _process_worker_run(
             batch=int(np.asarray(images).shape[0]),
         )
     return os.getpid(), outputs, stats, records
-
-
-def _process_worker_run_shm(
-    slot: SlotDescriptor,
-    fault: Optional[FaultAction] = None,
-    trace_contexts: Optional[List[Tuple[str, str]]] = None,
-) -> Tuple[int, int, Dict[str, object], List[Dict[str, object]]]:
-    """Run one micro-batch whose tensors live in the shared-memory arena.
-
-    The zero-copy twin of :func:`_process_worker_run`: inputs are read in
-    place from the slot's numpy view, outputs are written back into the same
-    slot, and only ``(pid, rows, stats, trace_records)`` crosses the pipe.
-    Fault semantics are identical — an injected ``crash`` SIGKILLs this
-    process *before* the slot is read, which is exactly what proves the
-    supervision contract: the parent still owns the slot, the input bytes are
-    still live, and the retry re-dispatches them bitwise to the replacement.
-    """
-    if _WORKER_ENGINE is None or _WORKER_SEGMENT is None:  # pragma: no cover
-        raise ServeError("shm process worker used before initialization")
-    entry_s = time.monotonic()
-    if fault is not None:
-        if fault.kind == "crash":
-            os.kill(os.getpid(), signal.SIGKILL)
-        elif fault.kind in ("hang", "slow"):
-            time.sleep(fault.delay_s)
-    layout, segment = _WORKER_SEGMENT
-    inputs, out_view = layout.slot_views(segment.buf, slot.index)
-    outputs = _WORKER_ENGINE.run_batch(inputs[: slot.batch])
-    if fault is not None and fault.kind == "corrupt":
-        outputs = _poison_outputs(outputs)
-    out_view[: slot.batch] = outputs
-    stats = subtract_functional_statistics(
-        _WORKER_ENGINE.accelerator.functional_statistics(), _WORKER_BASELINE
-    )
-    records: List[Dict[str, object]] = []
-    if trace_contexts:
-        records = replica_span_records(
-            trace_contexts,
-            os.getpid(),
-            next(_WORKER_SPAN_TOKEN),
-            0.0,
-            time.monotonic() - entry_s,
-            batch=int(slot.batch),
-        )
-    return os.getpid(), int(slot.batch), stats, records
 
 
 def merge_functional_statistics(snapshots: List[Dict[str, object]]) -> Dict[str, object]:
@@ -465,24 +401,14 @@ class _ProcessReplica:
 
     ``payload`` is the pool's cached ``pickle.dumps(spec)`` — serialized once
     per pool, not once per replica build, so supervision restarts do not
-    re-pickle the (weight-laden) spec.  In shm mode ``arena`` is the pool's
-    shared slot arena: dispatches carrying a :class:`SlotDescriptor` take the
-    zero-copy path, and results are read back out of the slot on this side.
+    re-pickle the (weight-laden) spec.
     """
 
-    def __init__(
-        self,
-        payload: Union[bytes, EngineReplicaSpec],
-        stats_sink,
-        arena: Optional[ShmSlotArena] = None,
-    ) -> None:
+    def __init__(self, payload: Union[bytes, EngineReplicaSpec], stats_sink) -> None:
         self._executor = ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_process_worker_init,
-            initargs=(payload, arena.layout if arena is not None else None),
+            max_workers=1, initializer=_process_worker_init, initargs=(payload,)
         )
         self._stats_sink = stats_sink
-        self._arena = arena
 
     def run(
         self,
@@ -490,7 +416,6 @@ class _ProcessReplica:
         timeout_s: Optional[float] = None,
         fault: Optional[FaultAction] = None,
         recorder: Optional[DispatchTraceRecorder] = None,
-        slot: Optional[SlotDescriptor] = None,
     ) -> np.ndarray:
         contexts = list(recorder.contexts) if recorder is not None else None
         # Worker span records carry times relative to the worker's own entry;
@@ -498,14 +423,7 @@ class _ProcessReplica:
         # monotonic timeline (the small pickle/IPC lead is absorbed into the
         # replica_run span rather than appearing as an unexplained gap).
         base_s = time.monotonic()
-        if slot is not None:
-            future = self._executor.submit(
-                _process_worker_run_shm, slot, fault, contexts
-            )
-        else:
-            future = self._executor.submit(
-                _process_worker_run, images, fault, contexts
-            )
+        future = self._executor.submit(_process_worker_run, images, fault, contexts)
         try:
             pid, outputs, stats, records = future.result(timeout=timeout_s)
         except FuturesTimeoutError:
@@ -518,11 +436,6 @@ class _ProcessReplica:
         self._stats_sink(pid, stats)
         if recorder is not None and records:
             recorder.add_replica_records(records, base_s)
-        if slot is not None:
-            # The worker wrote the result rows into the slot before its
-            # control message resolved the future (the happens-before edge),
-            # so this read can never be torn.
-            return self._arena.read_outputs(slot)
         return outputs
 
     def statistics_delta(self) -> Optional[Dict[str, object]]:
@@ -586,21 +499,6 @@ class EngineWorkerPool:
     sleep:
         Injectable backoff sleeper (tests pass a recorder to assert the
         exponential schedule without waiting it out).
-    ipc:
-        Tensor transport across the ``process`` replica boundary:
-        ``"pickle"`` (the default) serializes batches through the executor
-        pipe; ``"shm"`` routes them through a preallocated shared-memory
-        slot arena (:class:`~repro.serve.shm.ShmSlotArena`) so only a tiny
-        slot descriptor is pickled per dispatch.  Local (``serial`` /
-        ``thread``) replicas already share the caller's address space, so
-        the knob is accepted but has no effect there.  Outputs are bitwise
-        identical in both modes.
-    slot_batch:
-        Per-slot batch capacity in shm mode (rows of the arena's input and
-        output regions).  Defaults to
-        :data:`~repro.serve.shm.DEFAULT_SLOT_BATCH`; the server passes its
-        ``max_batch`` so every micro-batch fits one slot.  Oversized batches
-        transparently fall back to the pickle path (and are counted).
 
     :meth:`submit` dispatches one micro-batch to one free replica and returns
     a future of the (batch, num_outputs) result; :meth:`run_batch_sharded`
@@ -631,12 +529,9 @@ class EngineWorkerPool:
         fault_injector: Optional[FaultInjector] = None,
         validate_outputs: bool = True,
         sleep: Callable[[float], None] = time.sleep,
-        ipc: str = "pickle",
-        slot_batch: Optional[int] = None,
     ) -> None:
         self.replica = replica
         self.spec = parse_executor_spec(executor)
-        self.ipc = parse_ipc_mode(ipc)
         self.count = self.spec.resolved_count()
         self.max_count = (
             self.count if max_count is None else max(self.count, int(max_count))
@@ -685,18 +580,8 @@ class EngineWorkerPool:
         # double-pickle fix — the weight-laden spec used to be re-pickled by
         # ProcessPoolExecutor on each restart).
         self._replica_payload: Optional[bytes] = None
-        self._arena: Optional[ShmSlotArena] = None
         if self.spec.kind == "process":
             self._replica_payload = pickle.dumps(self.replica)
-            if self.ipc == "shm":
-                # One slot per potential dispatch thread: admission can
-                # never deadlock, and resize() never outgrows the segment.
-                self._arena = ShmSlotArena(
-                    slot_batch=int(slot_batch) if slot_batch else DEFAULT_SLOT_BATCH,
-                    input_shape=self.replica.network.input_shape.as_tuple(),
-                    output_size=self.replica.network.output_shape.num_elements,
-                    slots=self.max_count,
-                )
 
         for _ in range(self.count):
             handle = self._build_replica()
@@ -712,9 +597,7 @@ class EngineWorkerPool:
 
     def _build_replica(self):
         if self.spec.kind == "process":
-            return _ProcessReplica(
-                self._replica_payload, self._record_process_stats, arena=self._arena
-            )
+            return _ProcessReplica(self._replica_payload, self._record_process_stats)
         return _LocalReplica(self.replica)
 
     def _record_process_stats(self, pid: int, stats: Dict[str, object]) -> None:
@@ -750,33 +633,6 @@ class EngineWorkerPool:
         images: np.ndarray,
         trace: Optional[DispatchTraceRecorder] = None,
     ) -> np.ndarray:
-        slot: Optional[SlotDescriptor] = None
-        if self._arena is not None:
-            if self._arena.fits(images):
-                # Acquire a slot and write the inputs ONCE, before the retry
-                # loop: a replica SIGKILLed mid-batch never touches slot
-                # bookkeeping, so the retry re-dispatches the identical
-                # still-live bytes to the replacement replica.
-                index = self._arena.acquire(timeout_s=self.dispatch_timeout_s)
-                if index is not None:
-                    slot = self._arena.write_inputs(index, images)
-            if slot is None:
-                # Oversized batch (or slot admission timed out): the pickle
-                # path is always available and bitwise identical.
-                self._arena.record_fallback()
-        try:
-            return self._checkout_run_attempts(images, trace, slot)
-        finally:
-            if slot is not None:
-                self._arena.release(slot.index)
-
-    def _checkout_run_attempts(
-        self,
-        images: np.ndarray,
-        trace: Optional[DispatchTraceRecorder],
-        slot: Optional[SlotDescriptor],
-    ) -> np.ndarray:
-        run_kwargs = {} if slot is None else {"slot": slot}
         attempt = 0
         while True:
             handle = self._free.get()
@@ -788,7 +644,6 @@ class EngineWorkerPool:
                     timeout_s=self.dispatch_timeout_s,
                     fault=action,
                     recorder=trace,
-                    **run_kwargs,
                 )
                 if self.validate_outputs and not np.all(np.isfinite(outputs)):
                     raise CorruptResultError(
@@ -1055,18 +910,7 @@ class EngineWorkerPool:
         merged["replicas"] = self.count
         merged["executor"] = str(self.spec)
         merged["faults"] = self.fault_statistics()
-        merged["ipc"] = self.ipc_statistics()
         return merged
-
-    def ipc_statistics(self) -> Dict[str, object]:
-        """Transport telemetry: mode, slot occupancy, bytes kept off pickle."""
-        stats: Dict[str, object] = {
-            "mode": self.ipc,
-            "zero_copy_active": self._arena is not None,
-        }
-        if self._arena is not None:
-            stats.update(self._arena.snapshot())
-        return stats
 
     def register_metrics(self, registry, labels: Optional[Dict[str, str]] = None) -> None:
         """Export pool state into a :class:`repro.obs.MetricsRegistry`.
@@ -1105,38 +949,6 @@ class EngineWorkerPool:
                     [(base, float(faults.get("batches_recovered", 0)))],
                 ),
             ]
-            ipc = stats.get("ipc") or {}
-            if ipc.get("zero_copy_active"):
-                families.extend(
-                    [
-                        _family(
-                            "repro_ipc_copy_bytes_avoided_total",
-                            "counter",
-                            "Tensor bytes moved through shared memory instead "
-                            "of the pickle pipe.",
-                            [({**base, "ipc": "shm"}, float(ipc.get("copy_bytes_avoided", 0)))],
-                        ),
-                        _family(
-                            "repro_ipc_slots_in_use",
-                            "gauge",
-                            "Shared-memory arena slots currently checked out.",
-                            [(base, float(ipc.get("slots_in_use", 0)))],
-                        ),
-                        _family(
-                            "repro_ipc_slot_high_water",
-                            "gauge",
-                            "Peak concurrent shared-memory slot occupancy.",
-                            [(base, float(ipc.get("slot_high_water", 0)))],
-                        ),
-                        _family(
-                            "repro_ipc_pickle_fallbacks_total",
-                            "counter",
-                            "Dispatches that fell back to the pickle path "
-                            "(oversized batch or slot admission timeout).",
-                            [(base, float(ipc.get("pickle_fallbacks", 0)))],
-                        ),
-                    ]
-                )
             failures = faults.get("replica_failures") or {}
             if failures:
                 families.append(
@@ -1234,10 +1046,6 @@ class EngineWorkerPool:
             self._dispatch.shutdown(wait=True)
         for handle in self._replicas:
             handle.close()
-        if self._arena is not None:
-            # Workers have exited (their attachments die with them); the pool
-            # is the segment's sole owner, so this unlink is the one and only.
-            self._arena.close()
 
     def __enter__(self) -> "EngineWorkerPool":
         return self

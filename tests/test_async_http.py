@@ -2,13 +2,11 @@
 
 Covered: NDJSON streaming responses (in-order delivery, byte-for-byte
 equality with the non-streamed body item-wise, bitwise equality vs a direct
-``run_batch`` across executors and both IPC transports), SSE progress
-events, raw-socket keep-alive + pipelining, client connection-pool reuse,
-queue-overflow backpressure as ``429 + Retry-After``, the wire-side
-telemetry counters, and the chaos subset replayed against the asyncio
-front-end (replica SIGKILL mid-batch with zero lost requests, breaker shed
-as 503, ``--legacy-http`` CLI fallback).  The legacy front-end's explicit
-rejection of ``stream`` is pinned here too.
+``run_batch`` across executors), SSE progress events, raw-socket keep-alive
++ pipelining, client connection-pool reuse, queue-overflow backpressure as
+``429 + Retry-After``, the wire-side telemetry counters, and the chaos
+subset replayed against the asyncio front-end (replica SIGKILL mid-batch
+with zero lost requests, breaker shed as 503).
 """
 
 from __future__ import annotations
@@ -23,10 +21,9 @@ import urllib.parse
 import numpy as np
 import pytest
 
-from repro.cli import main
 from repro.config import small_test_chip
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
-from repro.errors import BadRequestError, CircuitOpenError, ServeError
+from repro.errors import CircuitOpenError, ServeError
 from repro.nn import build_lenet5
 from repro.serve import (
     AsyncServeHTTPServer,
@@ -36,7 +33,6 @@ from repro.serve import (
     LoadGenerator,
     ModelDefinition,
     ModelRegistry,
-    ServeHTTPServer,
     encode_array_b64,
 )
 
@@ -134,20 +130,12 @@ class TestStreaming:
         items = [json.loads(line) for line in streamed.splitlines() if line][:-1]
         assert [item["output"] for item in items] == outputs
 
-    @pytest.mark.parametrize(
-        "executor, ipc",
-        [("serial", None), ("thread:2", None), ("process:2", "pickle"), ("process:2", "shm")],
-    )
-    def test_streamed_bitwise_vs_run_batch_all_executors(
-        self, lenet_workload, executor, ipc
-    ):
+    @pytest.mark.parametrize("executor", ["serial", "thread:2", "process:2"])
+    def test_streamed_bitwise_vs_run_batch_all_executors(self, lenet_workload, executor):
         """Acceptance: bitwise-identical outputs through the async front-end
-        for every executor spec and both IPC transports."""
+        for every executor spec."""
         _, _, _, images, direct = lenet_workload
-        overrides = dict(executor=executor)
-        if ipc is not None:
-            overrides["ipc"] = ipc
-        with _server(lenet_workload, **overrides) as server:
+        with _server(lenet_workload, executor=executor) as server:
             with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url, encoding="npy_b64") as client:
                     plain = client.infer_batch(images)
@@ -163,19 +151,6 @@ class TestStreaming:
                     pairs = list(client.infer_stream(images))
         assert [index for index, _ in pairs] == list(range(len(images)))
         assert np.array_equal(np.stack([row for _, row in pairs]), direct)
-
-    def test_legacy_front_end_rejects_stream_with_400(self, lenet_workload):
-        _, _, _, images, _ = lenet_workload
-        with _server(lenet_workload) as server:
-            with ServeHTTPServer(server) as front:
-                status, _, body = _raw_post(
-                    front.url, {"images": images.tolist(), "stream": True}
-                )
-                assert status == 400
-                assert json.loads(body)["type"] == "BadRequestError"
-                with HTTPInferenceClient(front.url) as client:
-                    with pytest.raises(BadRequestError, match="stream"):
-                        client.infer_batch(images, stream=True)
 
 
 class TestSSEProgress:
@@ -372,13 +347,12 @@ class TestBackpressure:
 
 
 class TestAsyncChaos:
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
     def test_replica_sigkill_mid_run_zero_lost_bitwise_over_async_http(
-        self, lenet_workload, ipc
+        self, lenet_workload
     ):
         """Chaos acceptance: process replicas crash every few batches while a
         closed-loop client drives the async front-end — nothing is lost and
-        every output stays bitwise identical, over both IPC transports."""
+        every output stays bitwise identical."""
         _, _, _, images, direct = lenet_workload
         server = _faulty_server(
             lenet_workload,
@@ -388,7 +362,6 @@ class TestAsyncChaos:
             dispatch_timeout_s=120.0,
             max_attempts=3,
             backoff_base_s=0.01,
-            ipc=ipc,
         )
         flood = np.concatenate([images, images])
         with server:
@@ -443,52 +416,3 @@ class TestAsyncChaos:
                 server.stop()
                 with pytest.raises(ServeError, match="HTTP 503"):
                     client.infer(images[0])
-
-
-class TestLegacyCliFallback:
-    def test_serve_legacy_http_round_trip(self, tmp_path):
-        """``--legacy-http`` keeps the threaded front-end reachable (and
-        stream-free) for one release."""
-        ready_file = tmp_path / "serve-url.txt"
-        result = {}
-
-        def run():
-            result["code"] = main(
-                [
-                    "serve", "--network", "lenet5", "--rows", "32", "--columns", "32",
-                    "--http", "0", "--legacy-http",
-                    "--allow-remote-shutdown", "--ready-file", str(ready_file),
-                ]
-            )
-
-        thread = threading.Thread(target=run, daemon=True)
-        thread.start()
-        deadline = time.monotonic() + 60.0
-        url = None
-        while time.monotonic() < deadline:
-            if ready_file.exists():
-                url = ready_file.read_text().strip()
-                if url:
-                    break
-            time.sleep(0.1)
-        assert url, "serve --http 0 --legacy-http never published its URL"
-        client = HTTPInferenceClient(url, timeout_s=30.0)
-        try:
-            health = None
-            while time.monotonic() < deadline:
-                try:
-                    health = client.healthz()
-                    break
-                except ServeError:
-                    time.sleep(0.1)
-            assert health is not None, "legacy HTTP front-end never came up"
-            image = np.random.default_rng(7).uniform(0.0, 1.0, (28, 28, 1))
-            with pytest.raises(BadRequestError, match="stream"):
-                client.infer_batch(image[None], stream=True)
-            assert client.infer(image).shape[-1] == 10
-            client.shutdown_remote()
-        finally:
-            client.close()
-        thread.join(timeout=60.0)
-        assert not thread.is_alive()
-        assert result["code"] == 0

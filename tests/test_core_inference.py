@@ -162,6 +162,15 @@ class TestBatchedInference:
         with pytest.raises(SimulationError):
             engine.run_batch(np.zeros((8, 8, 2)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_run_batch_rejects_non_finite_pixels(self, engine, bad):
+        images = np.random.default_rng(5).uniform(0, 1, (2, 8, 8, 2))
+        images[1, 3, 3, 0] = bad
+        with pytest.raises(SimulationError, match="non-finite"):
+            engine.run_batch(images)
+        with pytest.raises(SimulationError, match="non-finite"):
+            engine.run_batch_reference(images)
+
 
 class TestAgreementMetrics:
     def test_zero_reference_and_zero_optical_agree_exactly(self):

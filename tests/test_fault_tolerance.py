@@ -28,6 +28,7 @@ import pytest
 from repro.config import small_test_chip
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.errors import (
+    BadRequestError,
     CircuitOpenError,
     QueueOverflowError,
     ReplicaCrashError,
@@ -38,6 +39,7 @@ from repro.errors import (
 )
 from repro.nn import build_lenet5
 from repro.serve import (
+    AsyncServeHTTPServer,
     CircuitBreaker,
     CircuitBreakerPolicy,
     EngineReplicaSpec,
@@ -49,8 +51,8 @@ from repro.serve import (
     LoadGenerator,
     ModelDefinition,
     ModelRegistry,
-    ServeHTTPServer,
     parse_fault_spec,
+    spec_serialization_count,
 )
 from repro.serve.faults import (
     BREAKER_CLOSED,
@@ -488,13 +490,32 @@ class TestProcessReplicaFaults:
         assert faults["replica_restarts"] == 1
         assert elapsed >= 1.5  # the timeout, not the 60 s hang, bounded it
 
-    @pytest.mark.parametrize("ipc", ["pickle", "shm"])
-    def test_periodic_kills_full_run_zero_lost_bitwise(self, lenet_workload, ipc):
-        """The PR's acceptance run: crash a process replica every K batches,
-        drive a full closed-loop load run, lose nothing, stay bitwise — over
-        both tensor transports (in shm mode a kill lands while the batch's
-        inputs live in the shared arena, so the retry must re-dispatch the
-        still-live slot bytes)."""
+    def test_spec_pickled_once_across_replica_restarts(self, lenet_workload):
+        """Restarts reuse the cached payload: one serialization per pool, ever.
+
+        Two injected crashes force two supervision restarts; before the fix
+        every restart re-pickled the weight-laden spec through the fresh
+        ``ProcessPoolExecutor`` initializer.
+        """
+        _, _, _, images, direct = lenet_workload
+        before = spec_serialization_count()
+        with _pool(
+            lenet_workload,
+            "process:1",
+            fault_injector=FaultInjector(["crash:at=1", "crash:at=3"]),
+            dispatch_timeout_s=120.0,
+            max_attempts=3,
+            backoff_base_s=0.0,
+        ) as pool:
+            for _ in range(3):
+                assert np.array_equal(pool.run_batch(images), direct)
+            restarts = pool.fault_statistics()["replica_restarts"]
+        assert restarts == 2
+        assert spec_serialization_count() - before == 1
+
+    def test_periodic_kills_full_run_zero_lost_bitwise(self, lenet_workload):
+        """Crash a process replica every K batches, drive a full closed-loop
+        load run, lose nothing, stay bitwise."""
         _, _, _, images, direct = lenet_workload
         server = _faulty_server(
             lenet_workload,
@@ -504,7 +525,6 @@ class TestProcessReplicaFaults:
             dispatch_timeout_s=120.0,
             max_attempts=3,
             backoff_base_s=0.01,
-            ipc=ipc,
         )
         flood = np.concatenate([images, images])
         with server:
@@ -517,12 +537,6 @@ class TestProcessReplicaFaults:
         assert faults["replica_restarts"] >= 1
         assert faults["batches_failed"] == 0
         assert stats["telemetry"]["requests_failed"] == 0
-        ipc_stats = stats["pool"]["ipc"]
-        assert ipc_stats["mode"] == ipc
-        if ipc == "shm":
-            assert ipc_stats["zero_copy_active"]
-            assert ipc_stats["copy_bytes_avoided"] > 0
-            assert ipc_stats["slots_in_use"] == 0
 
 
 # ---------------------------------------------------------------------------
@@ -601,6 +615,42 @@ class TestServerDegradation:
         assert stats["pool"]["faults"]["batches_recovered"] >= 1
         assert stats["telemetry"]["requests_failed"] == 0
         assert stats["telemetry"]["requests_shed"] == 0
+        assert stats["breaker"]["state"] == BREAKER_CLOSED
+
+    def test_nan_pixel_is_rejected_at_submit_not_blamed_on_a_replica(
+        self, lenet_workload
+    ):
+        """One NaN pixel among four requests on ``thread:1``: only that
+        request fails, at admission.  It must never reach a batch, where the
+        pool's output check would count it as replica corruption (restarting
+        the replica and failing every request batched with it)."""
+        _, _, _, images, direct = lenet_workload
+        poisoned = images[:4].copy()
+        poisoned[2].flat[100] = np.nan
+        server = _faulty_server(
+            lenet_workload,
+            executor="thread:1",
+            max_batch=4,
+            max_wait_s=0.05,
+            backoff_base_s=0.0,
+            breaker=CircuitBreakerPolicy(failure_threshold=0.5, window=4, min_samples=1),
+        )
+        with server:
+            futures = {}
+            for index, image in enumerate(poisoned):
+                if index == 2:
+                    with pytest.raises(BadRequestError, match="non-finite"):
+                        server.submit(image)
+                else:
+                    futures[index] = server.submit(image)
+            served = {index: f.result(timeout=60) for index, f in futures.items()}
+            stats = server.stats()
+        for index, output in served.items():
+            assert np.array_equal(output, direct[index])
+        faults = stats["pool"]["faults"]
+        assert faults["replica_restarts"] == 0
+        assert faults["replica_failures"] == {}
+        assert stats["telemetry"]["requests_failed"] == 0
         assert stats["breaker"]["state"] == BREAKER_CLOSED
 
 
@@ -771,7 +821,7 @@ class TestHTTPDegradedSurface:
             lenet_workload, executor="thread:1",
             faults=["crash:at=1"], max_attempts=2, backoff_base_s=0.0,
         )
-        with server, ServeHTTPServer(server, port=0) as front:
+        with server, AsyncServeHTTPServer(server, port=0) as front:
             client = HTTPInferenceClient(front.url, timeout_s=120.0)
             try:
                 assert np.array_equal(client.infer(images[0]), direct[0])
@@ -795,7 +845,7 @@ class TestHTTPDegradedSurface:
                 failure_threshold=0.5, window=4, min_samples=1, recovery_s=60.0,
             ),
         )
-        with server, ServeHTTPServer(server, port=0) as front:
+        with server, AsyncServeHTTPServer(server, port=0) as front:
             client = HTTPInferenceClient(front.url, timeout_s=120.0, max_retries=0)
             try:
                 with pytest.raises(ServeError):

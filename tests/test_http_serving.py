@@ -1,9 +1,10 @@
-"""Tests for the HTTP front-end (``repro.serve.http``).
+"""Tests for the HTTP front-end (``repro.serve.http`` + ``repro.serve.http_async``).
 
 Part of the ``serving`` lane.  Covered: bitwise equivalence of HTTP-served
 outputs against a direct ``run_batch`` for every executor spec (the PR's
 acceptance criterion), both payload encodings (JSON lists and base64 ``.npy``),
-the stats/health endpoints, the HTTP error mapping (400/404/405/429/503),
+the stats/health endpoints, the HTTP error mapping (400/404/405/429/503,
+non-finite pixels included),
 queue-overflow shedding over the wire, driving an HTTP server with the load
 generator, and the ``serve --http`` CLI round trip.
 """
@@ -29,7 +30,6 @@ from repro.serve import (
     HTTPInferenceClient,
     InferenceServer,
     LoadGenerator,
-    ServeHTTPServer,
     decode_array_b64,
     encode_array_b64,
     poisson_arrivals,
@@ -59,12 +59,6 @@ def _server(lenet_workload, **overrides) -> InferenceServer:
     return InferenceServer(network, weights, config, **options)
 
 
-@pytest.fixture(params=["threaded", "async"])
-def front_cls(request):
-    """Both front-ends answer the same wire API; every test runs against each."""
-    return ServeHTTPServer if request.param == "threaded" else AsyncServeHTTPServer
-
-
 def _post_raw(url: str, body: bytes, content_type="application/json"):
     """POST raw bytes; returns (status, parsed JSON body)."""
     request = urllib.request.Request(
@@ -92,20 +86,20 @@ class TestPayloadCodec:
 class TestHTTPInference:
     @pytest.mark.parametrize("executor", ["serial", "thread:2", "process:2"])
     def test_http_batch_bitwise_equal_run_batch_for_every_executor(
-        self, lenet_workload, front_cls, executor
+        self, lenet_workload, executor
     ):
         """Acceptance: HTTP responses are bitwise identical to run_batch."""
         _, _, _, images, direct = lenet_workload
         with _server(lenet_workload, executor=executor) as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url) as client:
                     served = client.infer_batch(images)
         assert np.array_equal(served, direct)
 
-    def test_single_image_json_and_npy_bitwise(self, lenet_workload, front_cls):
+    def test_single_image_json_and_npy_bitwise(self, lenet_workload):
         _, _, _, images, direct = lenet_workload
         with _server(lenet_workload) as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url) as json_client:
                     json_out = json_client.infer(images[0])
                 with HTTPInferenceClient(front.url, encoding="npy_b64") as npy_client:
@@ -115,10 +109,10 @@ class TestHTTPInference:
         assert np.array_equal(npy_out, direct[0])
         assert np.array_equal(npy_batch, direct)
 
-    def test_stats_and_healthz_endpoints(self, lenet_workload, front_cls):
+    def test_stats_and_healthz_endpoints(self, lenet_workload):
         _, _, _, images, _ = lenet_workload
         with _server(lenet_workload, policy="adaptive", slo_s=0.5) as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url) as client:
                     health = client.healthz()
                     client.infer_batch(images)
@@ -131,7 +125,7 @@ class TestHTTPInference:
         assert stats["telemetry"]["requests_completed"] == len(images)
         assert stats["telemetry"]["latency_p99_s"] > 0
 
-    def test_block_and_timeout_plumb_through_to_submit(self, lenet_workload, front_cls):
+    def test_block_and_timeout_plumb_through_to_submit(self, lenet_workload):
         """The wire carries InferenceServer.submit's admission semantics."""
         _, _, _, images, direct = lenet_workload
         captured = []
@@ -143,23 +137,23 @@ class TestHTTPInference:
                 return original(image, block=block, timeout=timeout)
 
             server.submit = spy
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url) as client:
                     output = client.infer(images[0], timeout=0.75)
         assert np.array_equal(output, direct[0])
         assert captured == [(True, 0.75)]
 
-    def test_wildcard_bind_url_is_reachable(self, lenet_workload, front_cls):
+    def test_wildcard_bind_url_is_reachable(self, lenet_workload):
         with _server(lenet_workload) as server:
-            with front_cls(server, host="0.0.0.0") as front:
+            with AsyncServeHTTPServer(server, host="0.0.0.0") as front:
                 assert front.url.startswith("http://127.0.0.1:")
                 with HTTPInferenceClient(front.url) as client:
                     assert client.healthz()["status"] == "ok"
 
-    def test_submit_futures_resolve_in_order(self, lenet_workload, front_cls):
+    def test_submit_futures_resolve_in_order(self, lenet_workload):
         _, _, _, images, direct = lenet_workload
         with _server(lenet_workload) as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url) as client:
                     futures = [client.submit(image) for image in images]
                     served = np.stack([future.result(timeout=30) for future in futures])
@@ -167,10 +161,14 @@ class TestHTTPInference:
 
 
 class TestHTTPErrorMapping:
-    def test_malformed_payloads_get_400(self, lenet_workload, front_cls):
+    def test_malformed_payloads_get_400(self, lenet_workload):
         _, _, _, images, _ = lenet_workload
+        nan_image = images[0].copy()
+        nan_image.flat[5] = np.nan
+        inf_batch = images[:2].copy()
+        inf_batch[1].flat[7] = np.inf
         with _server(lenet_workload) as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 infer = front.url + "/v1/infer"
                 cases = [
                     b"not json at all",
@@ -188,15 +186,17 @@ class TestHTTPErrorMapping:
                     json.dumps(
                         {"image": np.zeros((28, 28, 1)).tolist(), "timeout_s": "soon"}
                     ).encode(),  # non-numeric timeout
+                    json.dumps({"image": nan_image.tolist()}).encode(),  # NaN literal
+                    json.dumps({"images_npy_b64": encode_array_b64(inf_batch)}).encode(),
                 ]
                 for body in cases:
                     status, payload = _post_raw(infer, body)
                     assert status == 400, body[:40]
                     assert payload["type"] == "BadRequestError"
 
-    def test_unknown_path_404_wrong_method_405(self, lenet_workload, front_cls):
+    def test_unknown_path_404_wrong_method_405(self, lenet_workload):
         with _server(lenet_workload) as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 status, payload = _post_raw(front.url + "/v1/nope", b"{}")
                 assert status == 404
                 # shutdown endpoint is hidden unless explicitly enabled
@@ -207,23 +207,23 @@ class TestHTTPErrorMapping:
                     urllib.request.urlopen(request, timeout=10.0)
                 assert excinfo.value.code in (404, 405, 501)
 
-    def test_stopped_server_maps_to_503(self, lenet_workload, front_cls):
+    def test_stopped_server_maps_to_503(self, lenet_workload):
         _, _, _, images, _ = lenet_workload
         server = _server(lenet_workload).start()
-        with front_cls(server) as front:
+        with AsyncServeHTTPServer(server) as front:
             server.stop()
             with HTTPInferenceClient(front.url) as client:
                 with pytest.raises(ServeError, match="HTTP 503"):
                     client.infer(images[0])
 
-    def test_queue_overflow_sheds_as_429(self, lenet_workload, front_cls):
+    def test_queue_overflow_sheds_as_429(self, lenet_workload):
         _, _, _, images, direct = lenet_workload
         many = np.concatenate([images] * 4)
         server = _server(
             lenet_workload, max_batch=2, max_wait_s=0.0, queue_capacity=2
         )
         with server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url, max_connections=16) as client:
                     futures = [
                         client.submit(image, block=False) for image in many
@@ -241,10 +241,10 @@ class TestHTTPErrorMapping:
 
 
 class TestHTTPLoadGeneration:
-    def test_open_loop_over_http_bitwise_and_stats(self, lenet_workload, front_cls):
+    def test_open_loop_over_http_bitwise_and_stats(self, lenet_workload):
         _, _, _, images, direct = lenet_workload
         with _server(lenet_workload, executor="thread:2") as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url) as client:
                     report = LoadGenerator(client).run_open_loop(
                         images, poisson_arrivals(500.0, len(images), seed=2)
@@ -253,10 +253,10 @@ class TestHTTPLoadGeneration:
         assert report.requests == len(images)
         assert report.server["telemetry"]["requests_completed"] == len(images)
 
-    def test_closed_loop_over_http(self, lenet_workload, front_cls):
+    def test_closed_loop_over_http(self, lenet_workload):
         _, _, _, images, direct = lenet_workload
         with _server(lenet_workload) as server:
-            with front_cls(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url) as client:
                     report = LoadGenerator(client).run_closed_loop(
                         images, concurrency=2
@@ -265,9 +265,9 @@ class TestHTTPLoadGeneration:
 
 
 class TestServeHTTPLifecycle:
-    def test_port_zero_resolves_and_double_start_rejected(self, lenet_workload, front_cls):
+    def test_port_zero_resolves_and_double_start_rejected(self, lenet_workload):
         with _server(lenet_workload) as server:
-            front = front_cls(server, port=0)
+            front = AsyncServeHTTPServer(server, port=0)
             assert front.port == 0
             with front:
                 assert front.port > 0
@@ -275,9 +275,9 @@ class TestServeHTTPLifecycle:
                     front.start()
             front.stop()  # idempotent
 
-    def test_shutdown_endpoint_signals_owner(self, lenet_workload, front_cls):
+    def test_shutdown_endpoint_signals_owner(self, lenet_workload):
         with _server(lenet_workload) as server:
-            with front_cls(server, allow_shutdown=True) as front:
+            with AsyncServeHTTPServer(server, allow_shutdown=True) as front:
                 with HTTPInferenceClient(front.url) as client:
                     assert not front.wait(0.0)
                     response = client.shutdown_remote()

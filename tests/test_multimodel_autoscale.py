@@ -28,6 +28,7 @@ from repro.core.inference import FunctionalInferenceEngine, generate_random_weig
 from repro.errors import ServeError, SimulationError, UnknownModelError
 from repro.nn import build_lenet5, build_mlp
 from repro.serve import (
+    AsyncServeHTTPServer,
     Autoscaler,
     AutoscalerPolicy,
     AutoscalerState,
@@ -39,7 +40,6 @@ from repro.serve import (
     LoadGenerator,
     ModelDefinition,
     ModelRegistry,
-    ServeHTTPServer,
     ServeTelemetry,
     mixed_model_schedule,
     poisson_arrivals,
@@ -552,7 +552,7 @@ class TestMultiModelHTTP:
         names = ["lenet-a", "lenet-b", "mlp"]
         registry = _registry(config, zoo, names)
         with InferenceServer.hosting(registry) as server:
-            with ServeHTTPServer(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url, timeout_s=60.0) as client:
                     for name in names:
                         served = client.infer_batch(zoo[name][2], model=name)
@@ -565,7 +565,7 @@ class TestMultiModelHTTP:
         config, zoo = model_zoo
         registry = _registry(config, zoo, ["lenet-a", "mlp"])
         with InferenceServer.hosting(registry) as server:
-            with ServeHTTPServer(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(
                     front.url, timeout_s=60.0, model="mlp"
                 ) as client:
@@ -579,7 +579,7 @@ class TestMultiModelHTTP:
         config, zoo = model_zoo
         registry = _registry(config, zoo, ["lenet-a", "mlp"])
         with InferenceServer.hosting(registry) as server:
-            with ServeHTTPServer(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url, timeout_s=60.0) as client:
                     client.infer_batch(zoo["mlp"][2], model="mlp")
                     listing = client.models()
@@ -595,7 +595,7 @@ class TestMultiModelHTTP:
         config, zoo = model_zoo
         registry = _registry(config, zoo, ["lenet-a"])
         with InferenceServer.hosting(registry) as server:
-            with ServeHTTPServer(server) as front:
+            with AsyncServeHTTPServer(server) as front:
                 with HTTPInferenceClient(front.url, timeout_s=60.0) as client:
                     with pytest.raises(UnknownModelError, match="HTTP 404"):
                         client.infer(zoo["lenet-a"][2][0], model="nope")

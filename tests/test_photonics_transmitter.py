@@ -34,6 +34,9 @@ class TestRingResonatorODAC:
         odac = RingResonatorODAC()
         with pytest.raises(DeviceModelError):
             odac.modulate(np.array([1.5]))
+        for bad in ([np.nan], [0.5, np.nan], [np.nan, 0.5], [np.inf], [-np.inf, 0.5]):
+            with pytest.raises(DeviceModelError):
+                odac.modulate(np.array(bad))
 
     def test_driver_power_matches_paper_number(self):
         odac = RingResonatorODAC(driver_energy_per_sample_j=168e-15, sample_rate_hz=10e9)
