@@ -7,8 +7,9 @@ the figure benchmarks these use multiple rounds, since they are cheap.
 
 The batched-inference benchmarks guard the vectorized GEMM datapath: the
 64-vector ``CrossbarArray.matmul`` must stay at least 10x faster than the
-seed's per-vector Python loop, and a full LeNet ``run_batch`` exercises the
-programmed-tile cache end to end.
+seed's per-vector Python loop, a full LeNet ``run_batch`` exercises the
+programmed-tile cache end to end, and the warm per-image cost of LeNet-5 on
+the paper's 128x128 chip must fall as the batch grows.
 """
 
 from __future__ import annotations
@@ -117,3 +118,29 @@ def test_functional_lenet_run_batch_speed(benchmark):
 
     outputs = benchmark(lambda: engine.run_batch(images))
     assert outputs.shape == (8, 10)
+
+
+def test_lenet_per_image_cost_falls_with_batch_size():
+    """Warm host time per image of LeNet-5 on the paper's 128x128 chip.
+
+    Batching amortises per-read work, so each step B = 1 -> 8 -> 32 must
+    cost at most 0.9x the previous step per image.  Each sample runs the
+    same 32 images as 32/B batches of B; the best of 5 samples counts, with
+    the batch sizes interleaved so host-speed drift hits all three alike.
+    """
+    network = build_lenet5()
+    weights = generate_random_weights(network, seed=1, scale=0.3)
+    engine = FunctionalInferenceEngine(network, weights, optimal_chip())
+    images = np.random.default_rng(2).uniform(0, 1, (32,) + network.input_shape.as_tuple())
+    engine.run_batch(images)  # program every tile
+
+    best = {1: float("inf"), 8: float("inf"), 32: float("inf")}
+    for _ in range(5):
+        for batch in best:
+            start = time.perf_counter()
+            for first in range(0, len(images), batch):
+                engine.run_batch(images[first : first + batch])
+            best[batch] = min(best[batch], (time.perf_counter() - start) / len(images))
+    print("\nwarm ms/image at B=1/8/32: " + " / ".join(f"{best[b] * 1e3:.2f}" for b in best))
+    assert best[8] <= 0.9 * best[1]
+    assert best[32] <= 0.9 * best[8]

@@ -19,17 +19,30 @@ programs one :class:`~repro.crossbar.signed.SignedCrossbarEngine` per tile,
 and every later call with the same weights — every image of a batch, every
 repeated inference — reuses the programmed engines without touching the PCM
 again.  Programming statistics survive cache eviction and are reported by
-:meth:`functional_statistics`.  Inputs stream through the cached tiles as
-batched GEMMs (:meth:`SignedCrossbarEngine.matmul`), so a whole batch of
-vectors per tile costs one BLAS call instead of a Python loop.
+:meth:`functional_statistics`.
+
+Fused row-tile reads
+--------------------
+The plan is built together with its reads.  Without field noise, every row
+tile gets one read: a
+:meth:`~repro.crossbar.signed.SignedCrossbarEngine.side_by_side` engine over
+the ``[K+ | K-]`` codes of all column tiles that share that slice of the
+input, trimmed to the real rows and columns, with each tile's ADC full scale
+and weight scale broadcast per column.  A batch's inputs are therefore
+normalised and ODAC-quantised once per row tile, and a layer costs one exact
+code GEMM per row tile whatever its width.  Every ADC code is the exact
+round-half-even code of :mod:`repro.crossbar.array`, so the output does not
+depend on the batch, BLAS or the platform.  With field noise each physical
+tile is read on its own, so its noise draws keep their shapes and order.
 
 Multi-core sharded execution
 ----------------------------
-The per-tile GEMMs of a plan are dispatched through a
-:class:`~repro.core.sharding.ShardedExecutionEngine`, which assigns tile ``i``
-to crossbar core ``i % num_cores`` (the same static round-robin the analytical
+The reads of a plan are dispatched through a
+:class:`~repro.core.sharding.ShardedExecutionEngine`, which accounts
+physical tile ``i`` to crossbar core ``i % num_cores`` (the same static
+round-robin the analytical
 :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule uses) and can run
-the shards on a thread pool (``execution="thread"`` or an integer worker
+the reads on a thread pool (``execution="thread"`` or an integer worker
 count).  Each tile's noise generator is derived from an independent
 ``SeedSequence`` child keyed by the weight content and tile index, so sharded
 execution is bitwise identical to serial execution even with a noise model,
@@ -84,11 +97,16 @@ class _ProgrammedTile:
 
 @dataclass
 class _TilePlan:
-    """The full programmed tiling of one weight matrix."""
+    """The full programmed tiling of one weight matrix.
+
+    ``tiles`` are the physical tiles, which carry the programming history;
+    ``reads`` are what a dispatch reads, in plan order (see module docstring).
+    """
 
     k: int
     n: int
     tiles: List[_ProgrammedTile]
+    reads: List[_ProgrammedTile]
 
 
 @thread_shared
@@ -109,7 +127,7 @@ class OpticalCrossbarAccelerator:
         programmed tile plans are kept alive (LRU eviction beyond it).
     execution:
         Worker-pool specification for multi-core sharded execution of the
-        per-tile GEMMs: ``"serial"`` (default, inline), ``"thread"`` (one
+        plan's reads: ``"serial"`` (default, inline), ``"thread"`` (one
         worker thread per crossbar core) or a positive integer worker count.
         Results are bitwise identical across all settings.
     """
@@ -230,7 +248,19 @@ class OpticalCrossbarAccelerator:
                 "programming_time_s"
             ]
             tiles.append(_ProgrammedTile(engine, k_start, k_end, n_start, n_end))
-        return _TilePlan(k=k, n=n, tiles=tiles)
+        if self.noise_model is not None and not self.noise_model.is_field_deterministic:
+            return _TilePlan(k=k, n=n, tiles=tiles, reads=tiles)
+        per_row_tile = -(-n // columns)
+        reads = []
+        for first in range(0, len(tiles), per_row_tile):
+            row_tile = tiles[first : first + per_row_tile]
+            engine = SignedCrossbarEngine.side_by_side(
+                [tile.engine for tile in row_tile],
+                row_tile[0].tile_rows,
+                [tile.tile_cols for tile in row_tile],
+            )
+            reads.append(_ProgrammedTile(engine, row_tile[0].k_start, row_tile[0].k_end, 0, n))
+        return _TilePlan(k=k, n=n, tiles=tiles, reads=reads)
 
     def _programmed_tile_plan(self, weights: np.ndarray) -> _TilePlan:
         """Fetch (or build and cache) the programmed tile plan for ``weights``."""
@@ -413,8 +443,8 @@ class OpticalCrossbarAccelerator:
             computed with INT6 quantisation of weights, inputs and outputs.
 
         The weight matrix is programmed at most once (see module docstring);
-        the input batch streams through the cached tiles as GEMMs, sharded
-        across the chip's crossbar cores by the configured ``execution``
+        the input batch streams through the plan's reads, one exact code GEMM
+        per row tile without noise, run by the configured ``execution``
         policy (bitwise identical results for every policy).
         """
         weights = np.asarray(weights, dtype=float)
@@ -431,7 +461,7 @@ class OpticalCrossbarAccelerator:
             )
 
         plan = self._programmed_tile_plan(weights)
-        result, report = self.sharding.execute(plan, inputs, self.config.rows)
+        result, report = self.sharding.execute(plan, inputs)
         with self._stats_lock:
             self._functional_stats["sharded_dispatches"] += 1
             for core in range(self.config.num_cores):

@@ -5,18 +5,28 @@ crossbar chip: a dual-core design keeps two copies of the photonic datapath so
 one core computes while the other is reprogrammed.
 :class:`~repro.crossbar.dual_core.DualCoreCrossbar` models that schedule
 analytically; this module makes the *functional* datapath follow the same
-schedule.  :class:`ShardedExecutionEngine` partitions the per-tile GEMMs of a
-programmed tile plan (see :mod:`repro.core.accelerator`) across the chip's
+schedule.  :class:`ShardedExecutionEngine` accounts the physical tiles of a
+programmed tile plan (see :mod:`repro.core.accelerator`) to the chip's
 ``num_cores`` crossbar cores with the same static round-robin assignment the
 analytical scheduler uses — tile ``i`` computes on core ``i % num_cores`` —
-and optionally executes the shards on a thread pool.
+and executes the plan's reads, optionally on a thread pool.
+
+Reads
+-----
+A noiseless plan has one read per row tile: one
+:class:`~repro.crossbar.signed.SignedCrossbarEngine` over every column tile
+that shares that slice of the input, trimmed to the real rows and columns.
+A noisy plan reads each physical tile on its own, with its input slice
+zero-padded to the array's rows, so every tile keeps its own noise draws.
+The per-core accounting is per physical tile either way.
 
 Determinism
 -----------
-Result assembly is decoupled from shard completion order: every tile's partial
+Result assembly is decoupled from read completion order: every read's partial
 product is collected into a slot indexed by its position in the plan, and the
-final accumulation into the output matrix walks the tiles in plan order on the
-calling thread.  Together with per-tile noise generators (each
+final accumulation into the output matrix walks the reads in plan order on
+the calling thread, so each output element sums its row-tile partials in row
+order.  Together with per-tile noise generators (each physical
 :class:`~repro.crossbar.signed.SignedCrossbarEngine` owns an independent
 ``SeedSequence``-derived generator), this makes sharded execution bitwise
 identical to serial execution — with or without a noise model — regardless of
@@ -191,20 +201,18 @@ class ShardedExecutionEngine:
         return ShardReport(tuple(counts), tuple(busy))
 
     # ------------------------------------------------------------------ execute
-    def execute(self, plan, inputs: np.ndarray, rows: int):
-        """Run ``inputs`` through every tile of ``plan`` and assemble the result.
+    def execute(self, plan, inputs: np.ndarray):
+        """Run ``inputs`` through every read of ``plan`` and assemble the result.
 
         Parameters
         ----------
         plan:
             A programmed tile plan (``repro.core.accelerator._TilePlan``): an
-            object with ``n`` (output width) and ``tiles``, where each tile
-            carries a programmed engine plus its ``k_start``/``k_end``/
-            ``n_start``/``n_end`` spans.
+            object with ``n`` (output width), the physical ``tiles`` and the
+            ``reads`` to execute, where each tile or read carries a programmed
+            engine plus its ``k_start``/``k_end``/``n_start``/``n_end`` spans.
         inputs:
             Input matrix of shape (num_vectors, k).
-        rows:
-            Physical crossbar row count (tile input padding width).
 
         Returns
         -------
@@ -212,25 +220,28 @@ class ShardedExecutionEngine:
             The (num_vectors, plan.n) result and the per-core accounting of
             this dispatch.  Partial products are accumulated in plan order on
             the calling thread, so the result is bitwise independent of the
-            worker pool and of shard completion order.
+            worker pool and of read completion order.
         """
         num_vectors = inputs.shape[0]
-        tiles = plan.tiles
+        reads = plan.reads
 
-        def run_tile(index: int) -> np.ndarray:
-            tile = tiles[index]
-            padded = np.zeros((num_vectors, rows))
-            padded[:, : tile.tile_rows] = inputs[:, tile.k_start : tile.k_end]
-            return tile.engine.matmul(padded)
+        def run_read(index: int) -> np.ndarray:
+            read = reads[index]
+            tile_inputs = inputs[:, read.k_start : read.k_end]
+            if read.engine.rows != read.tile_rows:
+                padded = np.zeros((num_vectors, read.engine.rows))
+                padded[:, : read.tile_rows] = tile_inputs
+                tile_inputs = padded
+            return read.engine.matmul(tile_inputs)
 
-        if self._worker_count == 0 or len(tiles) <= 1:
-            partials = [run_tile(index) for index in range(len(tiles))]
+        if self._worker_count == 0 or len(reads) <= 1:
+            partials = [run_read(index) for index in range(len(reads))]
         else:
-            partials = list(self._ensure_pool().map(run_tile, range(len(tiles))))
+            partials = list(self._ensure_pool().map(run_read, range(len(reads))))
 
         result = np.zeros((num_vectors, plan.n))
-        for tile, partial in zip(tiles, partials):
-            result[:, tile.n_start : tile.n_end] += partial[:, : tile.tile_cols]
+        for read, partial in zip(reads, partials):
+            result[:, read.n_start : read.n_end] += partial[:, : read.tile_cols]
         return result, self._report(plan, num_vectors)
 
 

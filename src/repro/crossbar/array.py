@@ -16,40 +16,77 @@ single-wavelength operation.
 array); phase errors and their calibration are modelled separately in
 :mod:`repro.crossbar.noise` and :mod:`repro.crossbar.calibration`.
 
-Batched execution model
+Exact integer-code read
 -----------------------
-:meth:`CrossbarArray.matmul` is the compute primitive: a whole batch of input
-vectors is ODAC-modulated, multiplied against the programmed weight matrix in
-a single BLAS GEMM (``modulated @ weights``), and detected/quantised as one
-2-D field matrix.  :meth:`matvec` is a thin single-row wrapper around it.
+Both quantisers on the read path are affine in integer codes.  The ODAC
+drives row ``i`` with the field ``T·c[i]/L_a``, where ``c[i]`` is an integer
+in ``0..L_a``, ``L_a = 2**activation_bits - 1`` and ``T`` is the ODAC's
+full-scale transmission (1 inside the array).  A PCM cell at level ``k``
+transmits ``t_min + (t_max - t_min)·k/L_w`` with ``L_w = pcm_levels - 1``.
+:meth:`CrossbarArray.program_weights` keeps the integer level codes ``k``
+next to the quantised transmissions, so a read (:meth:`CrossbarArray.matmul`)
+is one GEMM of integer codes, ``c @ k``.  Every partial sum is an integer no
+larger than ``L_a·L_w·rows``: the GEMM runs in float32 while that bound is
+below 2**24 and in float64 above it, and is exact either way.  The dtype is
+chosen, and the float64 bound checked, when the weights are programmed.  No
+result depends on BLAS, the platform or how the vectors are batched.
 
-In noiseless (deterministic) operation the batched path is guaranteed to
-produce ADC output codes bitwise-identical to streaming the vectors one at a
-time: BLAS GEMM and GEMV kernels can disagree in the last ulp, so after the
-batched detection any output whose quantiser argument lands within ``1e-6``
-LSB of a rounding boundary has its row recomputed with the per-vector GEMV
-kernel before the ADC code is emitted (see ``_detect_codes``).  The analog
-(``quantize_output=False``) results may still differ from the per-vector path
-at the last-ulp level — only the quantised datapath carries the bitwise
-guarantee, which is what the functional INT6 network execution uses.
+The TIA gain is calibrated per tile so that the largest dot product the tile
+can produce maps to the ADC's full scale.  With ``t_min = 0`` the ADC code of
+column ``j`` is therefore
+
+    round_half_even(L_o · (c @ k)[j] / (L_a · S))
+
+where ``L_o = 2**output_bits - 1`` and ``S`` is the tile's largest integer
+column code sum (the whole physical tile, padding included).  The quotient is
+a correctly rounded float64 division of two exact integers, which lands on
+``m + 0.5`` only when the exact value does, so ``np.round`` applies the
+round-half-even rule to the exact value.  This is the datapath's one tie
+rule.  The output value is ``code / L_o · adc_full_scale``, with the float
+full scale that programming sets.
+
+With a non-zero ``t_min`` (no preset sets one) the affine term ``t_min·Σc``
+is added elementwise in float64 to the exact integer sums and the code is
+rounded from that float value.  This is deterministic, but a tie is no longer
+decided on the exact value.  A noise model with field impairments perturbs
+the analog column fields the same way before the ADC.
+
+Several programmed arrays can be read as one (:meth:`CrossbarArray.side_by_side`):
+the same input vectors drive all their columns, and each column keeps its
+own array's codes and full scale.  The signed engine reads its positive and
+negative arrays that way, and the accelerator reads every column tile that
+shares one input slice in a single call.  A read may also carry per-vector
+input scales, which the digital front end divides out just before the ODAC.
+The exact read walks the batch one block of vectors at a time
+(:func:`vector_blocks`), so its temporaries stay cache-sized at any batch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
 from repro.config.technology import TechnologyConfig
 from repro.errors import ProgrammingError, SimulationError
-from repro.photonics.pcm import quantize_weight_matrix
+from repro.photonics.pcm import levels_to_transmission, quantize_weight_codes
 from repro.photonics.ring import RingResonatorODAC
 
-#: Half-LSB window (in ADC-code units) around a rounding boundary inside
-#: which a batched GEMM result is re-derived with the per-vector GEMV kernel.
-#: BLAS GEMM-vs-GEMV discrepancies are ~1e-11 code units, far below this.
-_ADC_BOUNDARY_WINDOW = 1e-6
+#: Elements of one block of input vectors in the exact read (see
+#: :func:`vector_blocks`).
+_BLOCK_ELEMENTS = 1 << 17
+
+
+def vector_blocks(num_vectors: int, rows: int):
+    """Consecutive slices of at most ``_BLOCK_ELEMENTS // rows`` vectors.
+
+    The exact read and the signed engine's per-vector scales work one block
+    of vectors at a time, so their temporaries stay small and are reused
+    instead of being allocated (and page-faulted) at batch size.
+    """
+    step = max(1, _BLOCK_ELEMENTS // rows)
+    return [slice(start, start + step) for start in range(0, num_vectors, step)]
 
 
 def design_input_coupling(columns: int) -> np.ndarray:
@@ -61,7 +98,7 @@ def design_input_coupling(columns: int) -> np.ndarray:
     """
     if columns < 1:
         raise SimulationError(f"columns must be >= 1, got {columns}")
-    return np.array([1.0 / (columns - j) for j in range(columns)])
+    return 1.0 / np.arange(columns, 0, -1, dtype=float)
 
 
 def design_output_coupling(rows: int) -> np.ndarray:
@@ -76,7 +113,7 @@ def design_output_coupling(rows: int) -> np.ndarray:
     """
     if rows < 1:
         raise SimulationError(f"rows must be >= 1, got {rows}")
-    return np.array([1.0 / (i + 1) for i in range(rows)])
+    return 1.0 / np.arange(1, rows + 1, dtype=float)
 
 
 class CrossbarArray:
@@ -125,6 +162,8 @@ class CrossbarArray:
             bits=self.technology.activation_bits,
             oma_penalty_db=0.0,  # The OMA penalty is carried by the link budget.
         )
+        self._activation_max = self.odac.num_levels - 1
+        self._output_max = (1 << self.technology.output_bits) - 1
 
         self._weights = np.zeros((rows, columns))
         self._programmed = False
@@ -132,6 +171,12 @@ class CrossbarArray:
         self._programming_energy_j = 0.0
         self._programming_time_s = 0.0
         self._adc_full_scale = float(rows)
+        # Read state, set by program_weights (or side_by_side): the integer
+        # PCM level codes in the GEMM dtype, and per column the ADC full scale
+        # and the exact-code denominator L_a·S.
+        self._codes: Optional[np.ndarray] = None
+        self._column_full_scale: Optional[np.ndarray] = None
+        self._column_code_scale: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------ laser
     @property
@@ -168,8 +213,16 @@ class CrossbarArray:
         return self._programmed
 
     @property
+    def is_deterministic(self) -> bool:
+        """True when a read draws no noise: no noise model, or no field impairments."""
+        return self.noise_model is None or self.noise_model.is_field_deterministic
+
+    @property
     def adc_full_scale(self) -> float:
-        """Dot-product value mapped to the ADC's full-scale code."""
+        """Dot-product value mapped to the ADC's full-scale code.
+
+        For a :meth:`side_by_side` array, the largest of its parts' values.
+        """
         return self._adc_full_scale
 
     @property
@@ -187,12 +240,23 @@ class CrossbarArray:
         """Total PCM programming time spent so far (s)."""
         return self._programming_time_s
 
+    def _gemm_dtype(self, rows: int) -> type:
+        """Smallest float dtype in which a ``rows``-deep code GEMM is exact."""
+        bound = self._activation_max * (self.technology.pcm_levels - 1) * rows
+        # The ADC quotient L_o·sum / (L_a·S) decides ties exactly only while
+        # 2·L_o·bound stays below float64's 2**53 integer range.
+        if 2 * self._output_max * bound >= 2**53:
+            raise ProgrammingError(
+                f"a {rows}-row array at these precisions exceeds float64's exact range"
+            )
+        return np.float32 if bound < 2**24 else np.float64
+
     def program_weights(self, weights: np.ndarray) -> np.ndarray:
         """Quantise ``weights`` to the PCM levels and store them in the array.
 
         ``weights`` must have shape (rows, columns) with entries in [0, 1]
         (the PCM can only absorb).  Returns the quantised matrix actually
-        stored.
+        stored; the integer level codes are kept for the exact read.
         """
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.rows, self.columns):
@@ -200,11 +264,13 @@ class CrossbarArray:
                 f"weight matrix must have shape ({self.rows}, {self.columns}), "
                 f"got {weights.shape}"
             )
-        quantised = quantize_weight_matrix(
-            weights,
-            levels=self.technology.pcm_levels,
-            min_transmission=self.technology.pcm_min_transmission,
-            max_transmission=self.technology.pcm_max_transmission,
+        technology = self.technology
+        codes = quantize_weight_codes(weights, technology.pcm_levels)
+        quantised = levels_to_transmission(
+            codes,
+            technology.pcm_levels,
+            technology.pcm_min_transmission,
+            technology.pcm_max_transmission,
         )
         self._weights = quantised
         self._programmed = True
@@ -213,11 +279,18 @@ class CrossbarArray:
         # can produce (all inputs at full scale), instead of the worst-case
         # value N.  This keeps the 6-bit ADC's quantisation step proportional
         # to the tile's actual signal range.
-        largest_column_sum = float(np.max(np.sum(quantised, axis=0)))
+        largest_column_sum = float(quantised.sum(axis=0).max())
         self._adc_full_scale = max(largest_column_sum, 1e-9)
+        largest_code_sum = float(codes.sum(axis=0).max())
+        self._codes = codes.astype(self._gemm_dtype(self.rows))
+        self._column_full_scale = np.full(self.columns, self._adc_full_scale)
+        # An all-dark tile (S = 0) reads exact zeros; any denominator will do.
+        self._column_code_scale = np.full(
+            self.columns, self._activation_max * max(largest_code_sum, 1.0)
+        )
         self._programming_events += 1
         cells = self.rows * self.columns
-        self._programming_energy_j += cells * self.technology.pcm_programming_energy_j
+        self._programming_energy_j += cells * technology.pcm_programming_energy_j
         self._programming_time_s += self._single_pass_time_s()
         return quantised.copy()
 
@@ -231,16 +304,77 @@ class CrossbarArray:
             return self.rows * write
         return self.rows * self.columns * write
 
-    # ------------------------------------------------------------------ compute
-    def _products(self, modulated: np.ndarray) -> np.ndarray:
-        """``modulated @ weights`` for a (num_vectors, rows) batch.
+    @classmethod
+    def side_by_side(
+        cls,
+        arrays: Sequence["CrossbarArray"],
+        rows: Optional[int] = None,
+        columns: Optional[Sequence[int]] = None,
+    ) -> "CrossbarArray":
+        """One noiseless read array made of the programmed ``arrays``' columns.
 
-        A single-row batch uses the 1-D GEMV kernel so that per-vector results
-        are reproduced exactly; larger batches use one GEMM call.
+        A read drives every part with the same input vectors, and each column
+        keeps its part's integer codes and ADC full scale, so it equals
+        reading each part alone.  ``rows`` keeps only the parts' leading rows
+        and ``columns[i]`` only the leading columns of ``arrays[i]`` (default:
+        all of them).  Zero-driven rows add nothing to a read, so dropping a
+        tile's padding rows changes no output.  The result has no programming
+        history of its own.
         """
-        if modulated.shape[0] == 1:
-            return (modulated[0] @ self._weights)[None, :]
-        return modulated @ self._weights
+        first = arrays[0]
+        if not all(array.is_programmed for array in arrays):
+            raise SimulationError("every array must be programmed before it is read")
+        rows = first.rows if rows is None else rows
+        columns = [array.columns for array in arrays] if columns is None else columns
+        combined = cls(rows, sum(columns), first.technology, rng=first.rng)
+        combined._codes = np.concatenate(
+            [array._codes[:rows, :width] for array, width in zip(arrays, columns)], axis=1
+        )
+        combined._weights = np.concatenate(
+            [array._weights[:rows, :width] for array, width in zip(arrays, columns)], axis=1
+        )
+        combined._column_full_scale = np.concatenate(
+            [array._column_full_scale[:width] for array, width in zip(arrays, columns)]
+        )
+        combined._column_code_scale = np.concatenate(
+            [array._column_code_scale[:width] for array, width in zip(arrays, columns)]
+        )
+        combined._adc_full_scale = max(array.adc_full_scale for array in arrays)
+        combined._programmed = True
+        return combined
+
+    # ------------------------------------------------------------------ compute
+    def _check_batch(self, inputs: np.ndarray) -> np.ndarray:
+        """``inputs`` as a float (num_vectors, rows) batch of a programmed array."""
+        if not self._programmed:
+            raise SimulationError("the array must be programmed before computing")
+        inputs = np.asarray(inputs, dtype=float)
+        if inputs.ndim != 2 or inputs.shape[1] != self.rows:
+            raise SimulationError(
+                f"inputs must have shape (num_vectors, {self.rows}), got {inputs.shape}"
+            )
+        return inputs
+
+    def _code_sums(self, inputs: np.ndarray):
+        """ODAC drive codes ``c`` of a checked batch and ``c @ k``.
+
+        Both are integer-valued: the ODAC emits fields ``T·c/L_a``, so scaling
+        by ``L_a/T`` and rounding recovers ``c`` exactly, and the code GEMM is
+        exact in its dtype (see module docstring).
+        """
+        drive = self.odac.modulate(inputs)
+        drive *= self._activation_max / self.odac.max_field_transmission
+        np.rint(drive, out=drive)
+        return drive, drive.astype(self._codes.dtype, copy=False) @ self._codes
+
+    def _analog(self, drive: np.ndarray, sums: np.ndarray) -> np.ndarray:
+        """``sum_i v[i] * w[i, j]`` in float64 from the exact integer sums."""
+        technology = self.technology
+        span = technology.pcm_max_transmission - technology.pcm_min_transmission
+        analog = np.multiply(sums, span / (technology.pcm_levels - 1), dtype=np.float64)
+        if technology.pcm_min_transmission:
+            analog += technology.pcm_min_transmission * drive.sum(axis=1, keepdims=True)
+        return analog * (self.odac.max_field_transmission / self._activation_max)
 
     def column_fields(self, inputs: np.ndarray) -> np.ndarray:
         """Column output E-fields for normalised ``inputs`` (Eq. (1)).
@@ -249,44 +383,17 @@ class CrossbarArray:
         shape (num_vectors, rows), with entries in [0, 1]; each element is
         quantised by the ODAC before modulation.
         """
-        if not self._programmed:
-            raise SimulationError("the array must be programmed before computing")
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim == 1:
             if inputs.shape != (self.rows,):
                 raise SimulationError(
                     f"input vector must have shape ({self.rows},), got {inputs.shape}"
                 )
-            modulated = self.odac.modulate(inputs)
-            fields = self.field_scale * (modulated @ self._weights)
-        elif inputs.ndim == 2 and inputs.shape[1] == self.rows:
-            modulated = self.odac.modulate(inputs)
-            fields = self.field_scale * self._products(modulated)
-        else:
-            raise SimulationError(
-                f"inputs must have shape ({self.rows},) or (num_vectors, {self.rows}), "
-                f"got {inputs.shape}"
-            )
-        if self.noise_model is not None:
+            return self.column_fields(inputs[None, :])[0]
+        fields = self.field_scale * self._analog(*self._code_sums(self._check_batch(inputs)))
+        if not self.is_deterministic:
             fields = self.noise_model.apply_to_fields(fields, self.rng)
         return fields
-
-    def detect(self, fields: np.ndarray) -> np.ndarray:
-        """Coherent detection of column fields into normalised dot products.
-
-        The balanced photocurrent is proportional to ``|E_laser| * |E_c|``;
-        dividing by the known architectural scale factor recovers
-        ``sum_i v[i] * w[i, j]`` up to quantisation/noise, and the result is
-        then quantised to the ADC resolution (``output_bits``) relative to the
-        per-tile full scale established when the weights were programmed.
-        ``fields`` may be 1-D (one vector's columns) or a 2-D batch.
-        """
-        fields = np.asarray(fields, dtype=float)
-        raw = fields / self.field_scale
-        full_scale = self._adc_full_scale
-        levels = (1 << self.technology.output_bits) - 1
-        codes = np.clip(np.round(raw / full_scale * levels), 0, levels)
-        return codes / levels * full_scale
 
     def matvec(self, inputs: np.ndarray, quantize_output: bool = True) -> np.ndarray:
         """Compute ``weights.T @ inputs`` optically for one input vector.
@@ -310,68 +417,56 @@ class CrossbarArray:
             )
         return self.matmul(inputs[None, :], quantize_output=quantize_output)[0]
 
-    def matmul(self, inputs: np.ndarray, quantize_output: bool = True) -> np.ndarray:
-        """Stream a batch of input vectors through the array in one GEMM.
+    def matmul(
+        self,
+        inputs: np.ndarray,
+        quantize_output: bool = True,
+        scales: Optional[np.ndarray] = None,
+    ) -> np.ndarray:
+        """Read a batch of input vectors through the array as a code GEMM.
 
         Parameters
         ----------
         inputs:
-            Normalised input vectors in [0, 1], shape (num_vectors, rows).
+            Input vectors, shape (num_vectors, rows), with entries in [0, 1]
+            or, when ``scales`` is given, in [0, scales[v]].
         quantize_output:
             Apply the ADC quantisation (default).  Disable to inspect the
-            analog result.
+            analog result ``sum_i v[i] * w[i, j]``.
+        scales:
+            Optional positive per-vector scales, shape (num_vectors,).  The
+            digital front end then divides vector ``v`` by ``scales[v]``
+            before the ODAC.
 
-        The whole batch is modulated, multiplied and detected with whole-array
-        numpy operations; in noiseless mode the quantised outputs are bitwise
-        identical to streaming the vectors one at a time (see module
-        docstring).
+        Without noise and with ``t_min = 0`` each ADC code is the exact
+        round-half-even code of the module docstring, computed one block of
+        vectors at a time; every vector's output is independent of the rest
+        of the batch.
         """
-        if not self._programmed:
-            raise SimulationError("the array must be programmed before computing")
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[1] != self.rows:
-            raise SimulationError(
-                f"inputs must have shape (num_vectors, {self.rows}), got {inputs.shape}"
-            )
-        modulated = self.odac.modulate(inputs)
-        fields = self.field_scale * self._products(modulated)
-        if self.noise_model is not None:
-            fields = self.noise_model.apply_to_fields(fields, self.rng)
+        inputs = self._check_batch(inputs)
+        levels = self._output_max
+        full_scale = self._column_full_scale
+        if quantize_output and self.is_deterministic and not self.technology.pcm_min_transmission:
+            output = np.empty((inputs.shape[0], self.columns))
+            for block in vector_blocks(inputs.shape[0], self.rows):
+                normalised = inputs[block] if scales is None else inputs[block] / scales[block, None]
+                codes = np.multiply(
+                    self._code_sums(normalised)[1], levels, out=output[block], dtype=np.float64
+                )
+                codes /= self._column_code_scale
+                np.round(codes, out=codes)
+                codes /= levels
+                codes *= full_scale
+            return output
+        if scales is not None:
+            inputs = inputs / scales[:, None]
+        analog = self._analog(*self._code_sums(inputs))
+        if not self.is_deterministic:
+            fields = self.noise_model.apply_to_fields(self.field_scale * analog, self.rng)
+            analog = fields / self.field_scale
         if not quantize_output:
-            return fields / self.field_scale
-        return self._detect_codes(fields, modulated)
-
-    def _detect_codes(self, fields: np.ndarray, modulated: np.ndarray) -> np.ndarray:
-        """Batched ADC detection with per-vector boundary repair.
-
-        When the field datapath is deterministic (no noise model, or one whose
-        field impairments are all zero), any element whose quantiser argument falls within
-        ``_ADC_BOUNDARY_WINDOW`` of a rounding boundary has its whole row
-        recomputed with the per-vector GEMV kernel, guaranteeing the emitted
-        ADC codes match the per-vector path bitwise.
-        """
-        scale = self.field_scale
-        raw = fields / scale
-        full_scale = self._adc_full_scale
-        levels = (1 << self.technology.output_bits) - 1
-        quantiser_arg = raw / full_scale * levels
-        codes = np.clip(np.round(quantiser_arg), 0, levels)
-        deterministic = (
-            self.noise_model is None or self.noise_model.is_field_deterministic
-        )
-        if deterministic and fields.shape[0] > 1:
-            boundary_distance = np.abs(
-                quantiser_arg - np.floor(quantiser_arg) - 0.5
-            )
-            risky_rows = np.unique(
-                np.nonzero(boundary_distance < _ADC_BOUNDARY_WINDOW)[0]
-            )
-            for i in risky_rows:
-                row_fields = scale * (modulated[i] @ self._weights)
-                if self.noise_model is not None:
-                    row_fields = self.noise_model.apply_to_fields(row_fields, self.rng)
-                row_raw = row_fields / scale
-                codes[i] = np.clip(np.round(row_raw / full_scale * levels), 0, levels)
+            return analog
+        codes = np.clip(np.round(analog / full_scale * levels), 0, levels)
         return codes / levels * full_scale
 
     # ------------------------------------------------------------------ report

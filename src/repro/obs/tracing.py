@@ -474,12 +474,22 @@ class DispatchTraceRecorder:
     the parent's clock.
     """
 
-    __slots__ = ("contexts", "events", "replica_records")
+    __slots__ = ("contexts", "events", "replica_records", "replica_start_s")
 
     def __init__(self, contexts: Sequence[Tuple[str, str]]) -> None:
         self.contexts: List[Tuple[str, str]] = list(contexts)
         self.events: List[Dict[str, object]] = []
         self.replica_records: List[Dict[str, object]] = []
+        self.replica_start_s: Optional[float] = None
+
+    def mark_replica_start(self, at_s: float) -> None:
+        """Stamp when the first dispatch attempt hands the batch to a replica.
+
+        The ``dispatch`` stage ends and ``replica_execute`` starts at this
+        stamp; retries keep the first one.
+        """
+        if self.replica_start_s is None:
+            self.replica_start_s = float(at_s)
 
     def add_event(self, name: str, start_s: float, end_s: float, **meta: object) -> None:
         """Record one batch-level interval (e.g. a retry attempt)."""

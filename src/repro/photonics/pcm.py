@@ -152,6 +152,35 @@ class PCMCell:
         return abs(self.level_to_transmission(level) - target_transmission)
 
 
+def quantize_weight_codes(weights: np.ndarray, levels: int = 64) -> np.ndarray:
+    """Nearest PCM level index (0 .. ``levels - 1``) of each normalised weight.
+
+    ``weights`` must already be normalised to [0, 1] (the PCM can only
+    absorb).  Values outside [0, 1] raise :class:`ProgrammingError`.  The
+    indices are returned as integer-valued floats.
+    """
+    weights = np.asarray(weights, dtype=float)
+    if weights.size and (weights.min() < -1e-12 or weights.max() > 1.0 + 1e-12):
+        raise ProgrammingError(
+            "PCM weights must be in [0, 1]; normalise/shift the matrix first "
+            f"(got range [{weights.min()}, {weights.max()}])"
+        )
+    return np.round(np.clip(weights, 0.0, 1.0) * (levels - 1))
+
+
+def levels_to_transmission(
+    level_indices: np.ndarray,
+    levels: int = 64,
+    min_transmission: float = 0.0,
+    max_transmission: float = 1.0,
+) -> np.ndarray:
+    """E-field transmission of each PCM level index (elementwise)."""
+    span = max_transmission - min_transmission
+    if span <= 0:
+        raise ProgrammingError("max_transmission must exceed min_transmission")
+    return min_transmission + span * level_indices / (levels - 1)
+
+
 def quantize_weight_matrix(
     weights: np.ndarray,
     levels: int = 64,
@@ -163,15 +192,6 @@ def quantize_weight_matrix(
     ``weights`` must already be normalised to [0, 1] (the PCM can only
     absorb).  Values outside [0, 1] raise :class:`ProgrammingError`.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.size and (weights.min() < -1e-12 or weights.max() > 1.0 + 1e-12):
-        raise ProgrammingError(
-            "PCM weights must be in [0, 1]; normalise/shift the matrix first "
-            f"(got range [{weights.min()}, {weights.max()}])"
-        )
-    clipped = np.clip(weights, 0.0, 1.0)
-    span = max_transmission - min_transmission
-    if span <= 0:
-        raise ProgrammingError("max_transmission must exceed min_transmission")
-    level_indices = np.round(clipped * (levels - 1))
-    return min_transmission + span * level_indices / (levels - 1)
+    return levels_to_transmission(
+        quantize_weight_codes(weights, levels), levels, min_transmission, max_transmission
+    )

@@ -93,8 +93,12 @@ class RingResonatorODAC:
             raise DeviceModelError(
                 f"values must be in [0, 1], got range [{values.min()}, {values.max()}]"
             )
-        codes = np.round(np.clip(values, 0.0, 1.0) * (self.num_levels - 1))
-        return self.max_field_transmission * codes / (self.num_levels - 1)
+        fields = np.clip(values, 0.0, 1.0)
+        fields *= self.num_levels - 1
+        np.round(fields, out=fields)  # the integer drive codes
+        fields *= self.max_field_transmission
+        fields /= self.num_levels - 1
+        return fields
 
     # ------------------------------------------------------------------ costs
     @property

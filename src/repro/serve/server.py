@@ -251,24 +251,19 @@ class _ModelRuntime:
                 future = self.pool.submit(images, trace=recorder)
             except BaseException as error:
                 self._inflight.release()
-                self._complete_batch(batch, error, dispatch_ts, dispatch_ts, recorder)
+                self._complete_batch(batch, error, dispatch_ts, recorder)
                 continue
-            submitted_ts = time.monotonic()
-            for request in traced:
-                request.trace.add_span("dispatch", dispatch_ts, submitted_ts)
             future.add_done_callback(
                 lambda done,
                 batch=batch,
                 ts=dispatch_ts,
-                sub=submitted_ts,
-                rec=recorder: self._on_batch_done(batch, ts, sub, rec, done)
+                rec=recorder: self._on_batch_done(batch, ts, rec, done)
             )
 
     def _on_batch_done(
         self,
         batch: List[ServeRequest],
         dispatch_ts: float,
-        submitted_ts: float,
         recorder: Optional[DispatchTraceRecorder],
         future: Future,
     ) -> None:
@@ -276,14 +271,13 @@ class _ModelRuntime:
         self._inflight.release()
         error = future.exception()
         outcome = error if error is not None else future.result()
-        self._complete_batch(batch, outcome, dispatch_ts, submitted_ts, recorder)
+        self._complete_batch(batch, outcome, dispatch_ts, recorder)
 
     def _complete_batch(
         self,
         batch: List[ServeRequest],
         outcome: object,
         dispatch_ts: float,
-        submitted_ts: Optional[float] = None,
         recorder: Optional[DispatchTraceRecorder] = None,
     ) -> None:
         now = time.monotonic()
@@ -299,7 +293,7 @@ class _ModelRuntime:
             # wall-clock service-time scale from real dispatches.
             self.batcher.observe_batch(len(batch), now - dispatch_ts)
         if recorder is not None:
-            self._record_execution_spans(batch, outcome, submitted_ts or dispatch_ts, now, recorder)
+            self._record_execution_spans(batch, outcome, dispatch_ts, now, recorder)
         slow_entries: List[Dict[str, object]] = []
         with self._delivery_lock:
             if isinstance(outcome, BaseException):
@@ -320,12 +314,22 @@ class _ModelRuntime:
         self,
         batch: List[ServeRequest],
         outcome: object,
-        start_ts: float,
+        dispatch_ts: float,
         end_ts: float,
         recorder: DispatchTraceRecorder,
     ) -> None:
-        """Close every traced request's ``replica_execute`` span and splice in
-        the pool's retry/restart events plus replica-side child spans."""
+        """Close every traced request's ``dispatch`` and ``replica_execute``
+        spans and splice in the pool's retry/restart events plus replica-side
+        child spans.
+
+        ``dispatch`` ends, and ``replica_execute`` starts, when the pool handed
+        the batch to a replica (:meth:`DispatchTraceRecorder.mark_replica_start`)
+        — also for the serial executor, whose ``submit`` runs the batch inline.
+        A batch that never reached a replica spends no time in ``dispatch``.
+        """
+        start_ts = recorder.replica_start_s
+        if start_ts is None:
+            start_ts = dispatch_ts
         records_by_trace: Dict[str, List[Dict[str, object]]] = {}
         for record in recorder.replica_records:
             records_by_trace.setdefault(str(record["trace_id"]), []).append(record)
@@ -336,6 +340,7 @@ class _ModelRuntime:
             meta: Dict[str, object] = {"batch": len(batch)}
             if failed:
                 meta["error"] = type(outcome).__name__
+            trace.add_span("dispatch", dispatch_ts, start_ts)
             trace.add_span("replica_execute", start_ts, end_ts, span_id=span_id, **meta)
             for event in recorder.events:
                 trace.add_span(

@@ -638,6 +638,8 @@ class EngineWorkerPool:
             handle = self._free.get()
             attempt_start = time.monotonic()
             action = self._injector.next_action() if self._injector is not None else None
+            if trace is not None:
+                trace.mark_replica_start(attempt_start)
             try:
                 outputs = handle.run(
                     images,

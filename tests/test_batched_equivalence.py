@@ -1,53 +1,69 @@
-"""Deterministic equivalence guard for the vectorized functional datapath.
+"""Exact-arithmetic equivalence guard for the functional datapath.
 
-The crossbar datapath was rebuilt around batched GEMM semantics (PR 1); this
-module keeps a *slow reference* copy of the seed's per-vector / per-patch
-implementations and asserts that, in noiseless mode, the vectorized
-``matmul`` / ``linear`` / ``conv2d`` / pooling paths produce **bitwise
-identical** outputs.  Any future ulp-level drift in the batched kernels that
-leaks through the ADC quantiser fails these tests.
+The reference here is an oracle that reads one vector at a time in Python
+integers: ODAC codes ``c`` and PCM codes ``k``, the integer sum ``c @ k`` and
+an ADC code ``round_half_even(L_o·(c @ k) / (L_a·S))`` evaluated as a
+``Fraction``.  The tiled ``linear``/``conv2d`` references re-program every
+tile per call and read per vector, and im2col and pooling keep the seed's
+per-patch / per-window loops.  In noiseless mode the batched ``matmul`` /
+``linear`` / ``conv2d`` / pooling paths must equal them **bitwise**, and a
+network's output for an image must not depend on the batch it runs in.
 """
 
-import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from repro.config import small_test_chip
+from repro.config import TechnologyConfig, optimal_chip, small_test_chip
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.crossbar import CrossbarArray, SignedCrossbarEngine
 from repro.nn import build_lenet5
 from repro.nn.im2col import conv_weights_matrix, im2col_matrix
 
-
 # ---------------------------------------------------------------------------
-# Seed (pre-vectorization) reference implementations, kept verbatim in spirit:
-# one input vector / output pixel / pooling window at a time, GEMV kernels only.
+# Exact per-vector oracle and the seed's per-call tiling / per-patch loops.
 # ---------------------------------------------------------------------------
 
 
-def seed_array_matvec(array: CrossbarArray, vector: np.ndarray, quantize: bool = True):
-    """The seed's CrossbarArray.matvec: modulate, GEMV, detect."""
-    modulated = array.odac.modulate(np.asarray(vector, dtype=float))
-    scale = array.laser_field / (array.rows * math.sqrt(array.columns))
-    fields = scale * (modulated @ array.weights)
-    raw = fields / scale
+def exact_array_matvec(array: CrossbarArray, vector, quantize: bool = True) -> np.ndarray:
+    """One vector through ``array`` in exact integer arithmetic.
+
+    Quantised, column ``j`` is ``round_half_even(L_o·dot_j / (L_a·S))`` times
+    ``adc_full_scale / L_o``; ``S`` is the largest column code sum.  Analog,
+    it is ``sum_i (c_i/L_a)·(k_ij/L_w)`` rounded once to float.
+    """
+    technology = array.technology
+    activation_max = (1 << technology.activation_bits) - 1
+    weight_max = technology.pcm_levels - 1
+    output_max = (1 << technology.output_bits) - 1
+    drive = [round(min(max(float(v), 0.0), 1.0) * activation_max) for v in vector]
+    codes = [[round(float(w) * weight_max) for w in row] for row in array.weights]
+    columns = range(array.columns)
+    dots = [sum(c * row[j] for c, row in zip(drive, codes)) for j in columns]
     if not quantize:
-        return raw
-    full_scale = array.adc_full_scale
-    levels = (1 << array.technology.output_bits) - 1
-    codes = np.clip(np.round(raw / full_scale * levels), 0, levels)
-    return codes / levels * full_scale
+        return np.array([float(Fraction(dot, activation_max * weight_max)) for dot in dots])
+    largest = max(max(sum(row[j] for row in codes) for j in columns), 1)
+    return np.array(
+        [
+            round(Fraction(output_max * dot, activation_max * largest))
+            / output_max
+            * array.adc_full_scale
+            for dot in dots
+        ]
+    )
 
 
-def seed_array_matmul(array: CrossbarArray, inputs: np.ndarray, quantize: bool = True):
-    """The seed's CrossbarArray.matmul: a Python loop of matvec calls."""
-    return np.stack([seed_array_matvec(array, vector, quantize) for vector in inputs])
+def exact_array_matmul(array: CrossbarArray, inputs: np.ndarray, quantize: bool = True):
+    return np.stack([exact_array_matvec(array, vector, quantize) for vector in inputs])
 
 
-def seed_signed_matvec(engine: SignedCrossbarEngine, inputs: np.ndarray) -> np.ndarray:
-    """The seed's SignedCrossbarEngine.matvec (per-vector scale, 4 passes)."""
+def exact_signed_matvec(engine: SignedCrossbarEngine, inputs: np.ndarray) -> np.ndarray:
+    """The seed's SignedCrossbarEngine.matvec (per-vector scale, 4 exact reads)."""
     inputs = np.asarray(inputs, dtype=float)
     input_scale = float(np.max(np.abs(inputs)))
     if input_scale == 0.0:
@@ -55,22 +71,25 @@ def seed_signed_matvec(engine: SignedCrossbarEngine, inputs: np.ndarray) -> np.n
     normalised = inputs / input_scale
     positive_in = np.clip(normalised, 0.0, None)
     negative_in = np.clip(-normalised, 0.0, None)
-    result = seed_array_matvec(engine.positive_array, positive_in) - seed_array_matvec(
+    result = exact_array_matvec(engine.positive_array, positive_in) - exact_array_matvec(
         engine.negative_array, positive_in
     )
     if np.any(negative_in > 0):
-        result -= seed_array_matvec(engine.positive_array, negative_in) - seed_array_matvec(
+        result -= exact_array_matvec(engine.positive_array, negative_in) - exact_array_matvec(
             engine.negative_array, negative_in
         )
     return result * engine.weight_scale * input_scale
 
 
-def seed_signed_matmul(engine: SignedCrossbarEngine, inputs: np.ndarray) -> np.ndarray:
-    return np.stack([seed_signed_matvec(engine, vector) for vector in inputs])
+def exact_signed_matmul(engine: SignedCrossbarEngine, inputs: np.ndarray) -> np.ndarray:
+    return np.stack([exact_signed_matvec(engine, vector) for vector in inputs])
 
 
 def seed_linear(config, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """The seed's OpticalCrossbarAccelerator.linear: re-program every tile per call."""
+    """The seed's OpticalCrossbarAccelerator.linear, read by the exact oracle.
+
+    Every tile is re-programmed per call and read one vector at a time.
+    """
     weights = np.asarray(weights, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
     single_vector = inputs.ndim == 1
@@ -92,7 +111,7 @@ def seed_linear(config, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
             engine.program(tile)
             padded_inputs = np.zeros((num_vectors, rows))
             padded_inputs[:, :tile_rows] = inputs[:, k_start:k_end]
-            partial = seed_signed_matmul(engine, padded_inputs)
+            partial = exact_signed_matmul(engine, padded_inputs)
             result[:, n_start:n_end] += partial[:, :tile_cols]
     return result[0] if single_vector else result
 
@@ -162,7 +181,7 @@ class TestArrayEquivalence:
         array.program_weights(rng.uniform(0, 1, (64, 64)))
         inputs = rng.uniform(0, 1, (64, 64))
         batched = array.matmul(inputs)
-        reference = seed_array_matmul(array, inputs)
+        reference = exact_array_matmul(array, inputs)
         assert batched.dtype == reference.dtype
         assert np.array_equal(batched, reference)
 
@@ -172,15 +191,43 @@ class TestArrayEquivalence:
             array = CrossbarArray(rows, columns)
             array.program_weights(rng.uniform(0, 1, (rows, columns)))
             inputs = rng.uniform(0, 1, (num, rows))
-            assert np.array_equal(array.matmul(inputs), seed_array_matmul(array, inputs))
+            assert np.array_equal(array.matmul(inputs), exact_array_matmul(array, inputs))
 
-    def test_matvec_bitwise_matches_seed_matvec(self):
+    def test_matvec_bitwise_matches_exact_oracle(self):
         rng = np.random.default_rng(2)
         array = CrossbarArray(32, 24)
         array.program_weights(rng.uniform(0, 1, (32, 24)))
         for _ in range(10):
             vector = rng.uniform(0, 1, 32)
-            assert np.array_equal(array.matvec(vector), seed_array_matvec(array, vector))
+            assert np.array_equal(array.matvec(vector), exact_array_matvec(array, vector))
+
+    def test_exact_tie_rounds_half_to_even(self):
+        # Found by a seeded search over 2..8-row tiles.  Column 0 reads
+        # 58·0 + 1·49 = 49 against S = 44 + 54 = 98: the ADC argument is
+        # exactly 0.5, so the code is 0.  Summing the float products instead
+        # rounds it up to 1.
+        codes = np.array([[0, 13, 44], [49, 57, 54]])
+        drive = np.array([58, 1])
+        array = CrossbarArray(2, 3)
+        array.program_weights(codes / 63)
+        assert Fraction(63 * int(drive @ codes[:, 0]), 63 * 98) == Fraction(1, 2)
+        expected = np.array([0.0, 8.0, 27.0]) / 63 * array.adc_full_scale
+        assert np.array_equal(array.matvec(drive / 63), expected)
+        assert np.array_equal(array.matmul(np.tile(drive / 63, (3, 1))), np.tile(expected, (3, 1)))
+
+    def test_gemm_dtype_follows_exactness_bound(self):
+        # 63·63·128 < 2**24 reads in float32; 255·255·300 >= 2**24 needs
+        # float64, and both stay exact.
+        rng = np.random.default_rng(21)
+        small = CrossbarArray(128, 4)
+        small.program_weights(rng.uniform(0, 1, (128, 4)))
+        assert small._codes.dtype == np.float32
+        wide = _technology(8, 8, 8)
+        tall = CrossbarArray(300, 2, wide)
+        tall.program_weights(rng.uniform(0, 1, (300, 2)))
+        assert tall._codes.dtype == np.float64
+        inputs = rng.uniform(0, 1, (3, 300))
+        assert np.array_equal(tall.matmul(inputs), exact_array_matmul(tall, inputs))
 
     def test_weights_only_noise_model_keeps_bitwise_guarantee(self):
         # weight_programming_std does not enter the field datapath, so the
@@ -197,15 +244,15 @@ class TestArrayEquivalence:
         assert np.array_equal(batched, per_vector)
 
     def test_analog_path_close_to_per_vector(self):
-        # The unquantised (analog inspection) path only promises ulp-level
-        # agreement between GEMM and GEMV kernels, not bitwise identity.
+        # The unquantised (analog inspection) path scales the exact integer
+        # sums in float64, so it agrees with the exact value to a few ulp.
         rng = np.random.default_rng(3)
         array = CrossbarArray(48, 48)
         array.program_weights(rng.uniform(0, 1, (48, 48)))
         inputs = rng.uniform(0, 1, (16, 48))
         batched = array.matmul(inputs, quantize_output=False)
-        reference = seed_array_matmul(array, inputs, quantize=False)
-        np.testing.assert_allclose(batched, reference, rtol=1e-12, atol=1e-15)
+        reference = exact_array_matmul(array, inputs, quantize=False)
+        np.testing.assert_allclose(batched, reference, rtol=1e-14, atol=0)
 
 
 class TestSignedEquivalence:
@@ -216,14 +263,88 @@ class TestSignedEquivalence:
         inputs = rng.normal(size=(40, 24))
         inputs[5] = 0.0  # zero vector inside a mixed batch
         inputs[11] = np.abs(inputs[11])  # all-positive vector inside a mixed batch
-        assert np.array_equal(engine.matmul(inputs), seed_signed_matmul(engine, inputs))
+        assert np.array_equal(engine.matmul(inputs), exact_signed_matmul(engine, inputs))
 
     def test_nonnegative_batch_bitwise(self):
         rng = np.random.default_rng(5)
         engine = SignedCrossbarEngine(16, 16)
         engine.program(rng.normal(size=(16, 16)))
         inputs = rng.uniform(0, 1, (20, 16))
-        assert np.array_equal(engine.matmul(inputs), seed_signed_matmul(engine, inputs))
+        assert np.array_equal(engine.matmul(inputs), exact_signed_matmul(engine, inputs))
+
+
+_BITS = st.sampled_from([4, 6, 8])
+
+
+def _technology(weight_bits: int, activation_bits: int, output_bits: int) -> TechnologyConfig:
+    return TechnologyConfig(
+        weight_bits=weight_bits,
+        pcm_levels=1 << weight_bits,
+        activation_bits=activation_bits,
+        output_bits=output_bits,
+    )
+
+
+def _matrix(data, shape, low: float):
+    """A random matrix in [low, 1] with some all-zero rows, or an all-zero one."""
+    values = data.draw(
+        arrays(float, shape, elements=st.floats(low, 1.0, allow_nan=False))
+        | st.just(np.zeros(shape))
+    )
+    zero_rows = data.draw(st.lists(st.integers(0, shape[0] - 1), max_size=2))
+    values[zero_rows] = 0.0
+    return values
+
+
+class TestExactOracleProperties:
+    @given(
+        rows=st.integers(1, 12),
+        columns=st.integers(1, 12),
+        num_vectors=st.integers(1, 6),
+        weight_bits=_BITS,
+        activation_bits=_BITS,
+        output_bits=_BITS,
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_array_and_signed_reads_equal_oracle(
+        self, rows, columns, num_vectors, weight_bits, activation_bits, output_bits, data
+    ):
+        technology = _technology(weight_bits, activation_bits, output_bits)
+        array = CrossbarArray(rows, columns, technology)
+        array.program_weights(_matrix(data, (rows, columns), 0.0))
+        inputs = _matrix(data, (num_vectors, rows), 0.0)
+        assert np.array_equal(array.matmul(inputs), exact_array_matmul(array, inputs))
+
+        engine = SignedCrossbarEngine(rows, columns, technology)
+        engine.program(_matrix(data, (rows, columns), -1.0))
+        signed_inputs = _matrix(data, (num_vectors, rows), -1.0)
+        assert np.array_equal(
+            engine.matmul(signed_inputs), exact_signed_matmul(engine, signed_inputs)
+        )
+
+    @given(
+        k=st.integers(1, 20),
+        n=st.integers(1, 20),
+        num_vectors=st.integers(1, 5),
+        weight_bits=_BITS,
+        activation_bits=_BITS,
+        output_bits=_BITS,
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_tiled_linear_equals_oracle(
+        self, k, n, num_vectors, weight_bits, activation_bits, output_bits, data
+    ):
+        config = small_test_chip(
+            technology=_technology(weight_bits, activation_bits, output_bits)
+        )
+        weights = _matrix(data, (k, n), -1.0)
+        inputs = _matrix(data, (num_vectors, k), -1.0)
+        accelerator = OpticalCrossbarAccelerator(config)
+        assert np.array_equal(
+            accelerator.linear(weights, inputs), seed_linear(config, weights, inputs)
+        )
 
 
 class TestAcceleratorEquivalence:
@@ -299,7 +420,10 @@ class TestPoolingAndIm2colEquivalence:
 
 class TestEndToEndEquivalence:
     def test_noiseless_lenet_bitwise_identical_to_seed_execution(self):
-        """Full noiseless functional LeNet: batched engine == seed per-step loops."""
+        """Full noiseless functional LeNet: batched engine == seed per-step loops.
+
+        The seed loops read every tile through the exact per-vector oracle.
+        """
         network = build_lenet5(input_size=12)
         weights = generate_random_weights(network, seed=6, scale=0.3)
         config = small_test_chip(rows=64, columns=64)
@@ -341,3 +465,27 @@ class TestEndToEndEquivalence:
         reference_batched = engine.run_batch_reference(images)
         reference_per_image = np.stack([engine.run_reference(image) for image in images])
         assert np.array_equal(reference_batched, reference_per_image)
+
+
+class TestBatchComposition:
+    @pytest.mark.parametrize(
+        "config", [optimal_chip(), small_test_chip(rows=32, columns=32)], ids=["128x128", "32x32"]
+    )
+    def test_each_image_output_independent_of_its_batch(self, config):
+        """Every row of ``run_batch(images)`` equals ``run_batch`` of any subset
+        holding that image, byte for byte (the serving path's bitwise check
+        batches requests as they arrive)."""
+        network = build_lenet5(input_size=12)
+        weights = generate_random_weights(network, seed=13, scale=0.3)
+        engine = FunctionalInferenceEngine(network, weights, config)
+        images = np.random.default_rng(14).uniform(0, 1, (6, 12, 12, 1))
+        full = engine.run_batch(images)
+        rng = np.random.default_rng(15)
+        subsets = [[index] for index in range(len(images))] + [
+            sorted(rng.choice(len(images), size=size, replace=False)) for size in (2, 3, 4, 5)
+        ]
+        subsets.append(list(reversed(range(len(images)))))
+        for subset in subsets:
+            partial = engine.run_batch(images[subset])
+            for row, index in enumerate(subset):
+                assert partial[row].tobytes() == full[index].tobytes(), (subset, index)

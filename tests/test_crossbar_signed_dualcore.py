@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.crossbar import DualCoreCrossbar, ProgrammingJob, SignedCrossbarEngine
+from repro.crossbar import CrossbarArray, DualCoreCrossbar, ProgrammingJob, SignedCrossbarEngine
 from repro.errors import SimulationError
 
 
@@ -112,20 +112,24 @@ class TestSignedBatchedMatmul:
         assert np.array_equal(batched[0], engine.matvec(small))
         assert np.array_equal(batched[1], engine.matvec(large))
 
-    def test_nonnegative_batch_skips_negative_passes(self):
+    def test_nonnegative_batch_skips_negative_passes(self, monkeypatch):
         engine, rng = self._programmed_engine(seed=4)
         inputs = rng.uniform(0, 1, (8, 16))
-        counting = {"calls": 0}
-        original = engine.positive_array.matmul
+        read_sizes = []
+        original = CrossbarArray.matmul
 
-        def spy(batch, **kwargs):
-            counting["calls"] += 1
-            return original(batch, **kwargs)
+        def spy(array, batch, *args, **kwargs):
+            read_sizes.append(len(batch))
+            return original(array, batch, *args, **kwargs)
 
-        engine.positive_array.matmul = spy
+        monkeypatch.setattr(CrossbarArray, "matmul", spy)
         engine.matmul(inputs)
-        # One positive pass only (plus the matching negative-array pass).
-        assert counting["calls"] == 1
+        # One read of the side-by-side [K+ | K-] codes, positive inputs only.
+        assert read_sizes == [8]
+        inputs[0, 0] = -0.5
+        engine.matmul(inputs)
+        # A negative entry stacks the negative inputs into the same read.
+        assert read_sizes == [8, 16]
 
 
 class TestDualCoreScheduler:

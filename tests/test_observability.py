@@ -405,6 +405,25 @@ class TestTracedServing:
         mean_sum = sum(breakdown[stage]["mean_s"] for stage in STAGES)
         assert abs(mean_sum - breakdown["e2e"]["mean_s"]) < 1e-3
 
+    def test_serial_executor_bills_compute_to_replica_execute(self, lenet_workload):
+        network, weights, config, images, direct = lenet_workload
+        with InferenceServer(
+            network, weights, config, max_batch=4, max_wait_s=0.005, executor="serial"
+        ) as server:
+            outputs = _serve_all(server, images)
+            traces = _wait_for_traces(server.tracer, len(images))
+        assert np.array_equal(outputs, direct)
+        for trace in traces:
+            spans = {span.name: span for span in trace.spans()}
+            dispatch = spans["dispatch"]
+            execute = spans["replica_execute"]
+            run = spans["replica_run"]
+            # The serial pool runs the batch inside submit(); that compute
+            # belongs to replica_execute, which starts where dispatch ends.
+            assert dispatch.end_s == execute.start_s
+            assert execute.start_s <= run.start_s and run.end_s <= execute.end_s
+            assert dispatch.duration_s < run.duration_s
+
     def test_trace_propagates_across_process_boundary(self, lenet_workload):
         network, weights, config, images, direct = lenet_workload
         with InferenceServer(
