@@ -14,26 +14,34 @@ PCM programming is the expensive, non-volatile step of the functional path:
 each weight tile costs a quantisation pass plus per-cell programming energy
 and time.  ``linear`` therefore keeps an LRU cache of *programmed tile
 plans*, keyed by the weight matrix's content (shape + byte digest).  The
-first call with a given weight matrix derives the tile grid, pads and
-programs one :class:`~repro.crossbar.signed.SignedCrossbarEngine` per tile,
-and every later call with the same weights — every image of a batch, every
-repeated inference — reuses the programmed engines without touching the PCM
-again.  Programming statistics survive cache eviction and are reported by
+first call with a given weight matrix programs it onto the chip's tile grid
+with one :class:`~repro.crossbar.signed.SignedCrossbarEngine` for the whole
+layer, whose :meth:`~repro.crossbar.signed.SignedCrossbarEngine.program`
+pads the matrix once, scales, splits and quantises every tile in one
+vectorised pass, and sets each tile's ADC full scale from one column-sum
+reduction.  Every later call with the same weights — every image of a
+batch, every repeated inference — reuses the programmed plan without
+touching the PCM again.  Programming is accounted per physical tile, in plan
+order: two programming events, both arrays' ``cells ×
+pcm_programming_energy_j`` and one pass of programming time each.  These
+statistics survive cache eviction and are reported by
 :meth:`functional_statistics`.
 
-Fused row-tile reads
---------------------
-The plan is built together with its reads.  Without field noise, every row
-tile gets one read: a
-:meth:`~repro.crossbar.signed.SignedCrossbarEngine.side_by_side` engine over
-the ``[K+ | K-]`` codes of all column tiles that share that slice of the
-input, trimmed to the real rows and columns, with each tile's ADC full scale
-and weight scale broadcast per column.  A batch's inputs are therefore
-normalised and ODAC-quantised once per row tile, and a layer costs one exact
-code GEMM per row tile whatever its width.  Every ADC code is the exact
-round-half-even code of :mod:`repro.crossbar.array`, so the output does not
-depend on the batch, BLAS or the platform.  With field noise each physical
-tile is read on its own, so its noise draws keep their shapes and order.
+Row-tile reads
+--------------
+Without field noise, every row tile gets one read: the layer engine's
+:meth:`~repro.crossbar.signed.SignedCrossbarEngine.matmul` of that row tile,
+over the ``[K+ | K-]`` codes of all column tiles that share that slice of
+the input (slices of the layer's code array), trimmed to the real rows and
+columns, with each tile's ADC full scale and weight scale broadcast per
+column.  A batch's inputs are therefore normalised and ODAC-quantised once
+per row tile, and a layer costs one exact code GEMM per row tile whatever
+its width.  Every ADC code is the exact round-half-even code of
+:mod:`repro.crossbar.array`, so the output does not depend on the batch,
+BLAS or the platform.  With field noise the same programming pass is split
+into one engine per physical tile
+(:meth:`~repro.crossbar.signed.SignedCrossbarEngine.tile`), each read on its
+own with its inputs padded, so its noise draws keep their shapes and order.
 
 Multi-core sharded execution
 ----------------------------
@@ -43,8 +51,9 @@ physical tile ``i`` to crossbar core ``i % num_cores`` (the same static
 round-robin the analytical
 :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule uses) and can run
 the reads on a thread pool (``execution="thread"`` or an integer worker
-count).  Each tile's noise generator is derived from an independent
-``SeedSequence`` child keyed by the weight content and tile index, so sharded
+count).  Under field noise each tile's generator is derived from an
+independent ``SeedSequence`` child keyed by the weight content and tile
+index (a noiseless plan spawns none), so sharded
 execution is bitwise identical to serial execution even with a noise model,
 and noisy outputs do not depend on the order in which tile plans were built.
 Per-core tile counts and busy-time estimates are accumulated into
@@ -77,36 +86,42 @@ from repro.scalesim.simulator import CrossbarDataflowSimulator
 
 
 @dataclass
-class _ProgrammedTile:
-    """One programmed crossbar tile of a larger weight matrix."""
+class _Tile:
+    """One physical crossbar tile of a weight matrix and its programming time."""
 
-    engine: SignedCrossbarEngine
     k_start: int
     k_end: int
     n_start: int
     n_end: int
+    programming_time_s: float
 
-    @property
-    def tile_rows(self) -> int:
-        return self.k_end - self.k_start
 
-    @property
-    def tile_cols(self) -> int:
-        return self.n_end - self.n_start
+@dataclass
+class _Read:
+    """One read of a plan: ``engine.matmul`` of ``row_tile`` over these spans."""
+
+    engine: SignedCrossbarEngine
+    row_tile: int
+    k_start: int
+    k_end: int
+    n_start: int
+    n_end: int
 
 
 @dataclass
 class _TilePlan:
     """The full programmed tiling of one weight matrix.
 
-    ``tiles`` are the physical tiles, which carry the programming history;
-    ``reads`` are what a dispatch reads, in plan order (see module docstring).
+    ``engine`` holds the programmed layer, ``tiles`` are the physical tiles
+    and ``reads`` are what a dispatch reads, in plan order (see module
+    docstring).
     """
 
     k: int
     n: int
-    tiles: List[_ProgrammedTile]
-    reads: List[_ProgrammedTile]
+    engine: SignedCrossbarEngine
+    tiles: List[_Tile]
+    reads: List[_Read]
 
 
 @thread_shared
@@ -214,53 +229,49 @@ class OpticalCrossbarAccelerator:
         return plan_sequence.spawn(num_tiles)
 
     def _build_tile_plan_locked(self, weights: np.ndarray, key: Tuple) -> _TilePlan:
-        """Derive the tile grid for ``weights`` and program every tile once."""
+        """Program ``weights`` onto the tile grid in one pass and plan its reads."""
         k, n = weights.shape
         rows, columns = self.config.rows, self.config.columns
-        spans = [
-            (k_start, min(k_start + rows, k), n_start, min(n_start + columns, n))
+        engine = SignedCrossbarEngine(
+            k,
+            n,
+            technology=self.config.technology,
+            noise_model=self.noise_model,
+            tile_shape=(rows, columns),
+        )
+        engine.program(weights)
+        energy_j, time_s = engine.tile_programming_cost()
+        tiles = [
+            _Tile(k_start, min(k_start + rows, k), n_start, min(n_start + columns, n), time_s)
             for k_start in range(0, k, rows)
             for n_start in range(0, n, columns)
         ]
-        tile_seeds = self._tile_seed_sequences(key, len(spans))
-        tiles: List[_ProgrammedTile] = []
-        for (k_start, k_end, n_start, n_end), tile_seed in zip(spans, tile_seeds):
-            tile = np.zeros((rows, columns))
-            tile[: k_end - k_start, : n_end - n_start] = weights[
-                k_start:k_end, n_start:n_end
+        stats = self._functional_stats
+        for _ in tiles:
+            stats["programming_events"] += 2
+            stats["programming_energy_j"] += energy_j
+            stats["programming_time_s"] += time_s
+        if engine.is_deterministic:
+            reads = [
+                _Read(engine, index, k_start, min(k_start + rows, k), 0, n)
+                for index, k_start in enumerate(range(0, k, rows))
             ]
-            engine = SignedCrossbarEngine(
-                rows,
-                columns,
-                technology=self.config.technology,
-                noise_model=self.noise_model,
-                rng=np.random.default_rng(tile_seed),
-            )
-            engine.program(tile)
-            stats = engine.statistics()
-            self._functional_stats["programming_events"] += int(
-                stats["programming_events"]
-            )
-            self._functional_stats["programming_energy_j"] += stats[
-                "programming_energy_j"
+        else:
+            grid_columns = engine.grid[1]
+            reads = [
+                _Read(
+                    engine.tile(*divmod(index, grid_columns), rng=np.random.default_rng(seed)),
+                    0,
+                    tile.k_start,
+                    tile.k_end,
+                    tile.n_start,
+                    tile.n_end,
+                )
+                for index, (tile, seed) in enumerate(
+                    zip(tiles, self._tile_seed_sequences(key, len(tiles)))
+                )
             ]
-            self._functional_stats["programming_time_s"] += stats[
-                "programming_time_s"
-            ]
-            tiles.append(_ProgrammedTile(engine, k_start, k_end, n_start, n_end))
-        if self.noise_model is not None and not self.noise_model.is_field_deterministic:
-            return _TilePlan(k=k, n=n, tiles=tiles, reads=tiles)
-        per_row_tile = -(-n // columns)
-        reads = []
-        for first in range(0, len(tiles), per_row_tile):
-            row_tile = tiles[first : first + per_row_tile]
-            engine = SignedCrossbarEngine.side_by_side(
-                [tile.engine for tile in row_tile],
-                row_tile[0].tile_rows,
-                [tile.tile_cols for tile in row_tile],
-            )
-            reads.append(_ProgrammedTile(engine, row_tile[0].k_start, row_tile[0].k_end, 0, n))
-        return _TilePlan(k=k, n=n, tiles=tiles, reads=reads)
+        return _TilePlan(k=k, n=n, engine=engine, tiles=tiles, reads=reads)
 
     def _programmed_tile_plan(self, weights: np.ndarray) -> _TilePlan:
         """Fetch (or build and cache) the programmed tile plan for ``weights``."""
@@ -287,10 +298,10 @@ class OpticalCrossbarAccelerator:
     def functional_statistics(self) -> Dict[str, object]:
         """Aggregate PCM programming, tile-cache and sharding statistics.
 
-        ``programming_events`` counts full-array programming passes across
-        every engine ever created by :meth:`linear` (eviction does not erase
-        history), so repeated inference with the same weights leaves the
-        count unchanged.  ``per_core_tile_dispatches`` and
+        ``programming_events`` counts full-array programming passes, two per
+        physical tile of every plan ever built by :meth:`linear` (eviction
+        does not erase history), so repeated inference with the same weights
+        leaves the count unchanged.  ``per_core_tile_dispatches`` and
         ``per_core_busy_time_s`` accumulate, per crossbar core, the number of
         tile GEMMs dispatched and the modelled program+compute busy time —
         consistent with the analytical

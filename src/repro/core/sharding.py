@@ -13,12 +13,13 @@ and executes the plan's reads, optionally on a thread pool.
 
 Reads
 -----
-A noiseless plan has one read per row tile: one
-:class:`~repro.crossbar.signed.SignedCrossbarEngine` over every column tile
+A noiseless plan has one read per row tile: the layer's
+:class:`~repro.crossbar.signed.SignedCrossbarEngine` reads every column tile
 that shares that slice of the input, trimmed to the real rows and columns.
-A noisy plan reads each physical tile on its own, with its input slice
-zero-padded to the array's rows, so every tile keeps its own noise draws.
-The per-core accounting is per physical tile either way.
+A noisy plan reads each physical tile on its own engine, which zero-pads its
+input slice to the array's rows, so every tile keeps its own noise draws.
+The per-core accounting is per physical tile either way, from the
+programming time each tile record of the plan carries.
 
 Determinism
 -----------
@@ -26,7 +27,7 @@ Result assembly is decoupled from read completion order: every read's partial
 product is collected into a slot indexed by its position in the plan, and the
 final accumulation into the output matrix walks the reads in plan order on
 the calling thread, so each output element sums its row-tile partials in row
-order.  Together with per-tile noise generators (each physical
+order.  Together with per-tile noise generators (each noisy physical tile's
 :class:`~repro.crossbar.signed.SignedCrossbarEngine` owns an independent
 ``SeedSequence``-derived generator), this makes sharded execution bitwise
 identical to serial execution — with or without a noise model — regardless of
@@ -163,8 +164,8 @@ class ShardedExecutionEngine:
     def programming_jobs(self, plan, num_vectors: int) -> List[ProgrammingJob]:
         """Analytical :class:`ProgrammingJob` sequence for ``plan``.
 
-        Each tile contributes one job: its accumulated PCM programming time
-        and ``num_vectors`` MAC cycles of compute.  Feeding the result to
+        Each tile contributes one job: its PCM programming time and
+        ``num_vectors`` MAC cycles of compute.  Feeding the result to
         :class:`~repro.crossbar.dual_core.DualCoreCrossbar` reproduces the
         core assignment used by :meth:`execute` (job ``i`` computes on core
         ``i % 2`` in the dual-core schedule).
@@ -172,17 +173,14 @@ class ShardedExecutionEngine:
         if num_vectors < 1:
             raise SimulationError(f"num_vectors must be >= 1, got {num_vectors}")
         compute_time_s = num_vectors / self.mac_clock_hz
-        jobs: List[ProgrammingJob] = []
-        for index, tile in enumerate(plan.tiles):
-            stats = tile.engine.statistics()
-            jobs.append(
-                ProgrammingJob(
-                    name=f"tile{index}",
-                    programming_time_s=float(stats["programming_time_s"]),
-                    compute_time_s=compute_time_s,
-                )
+        return [
+            ProgrammingJob(
+                name=f"tile{index}",
+                programming_time_s=tile.programming_time_s,
+                compute_time_s=compute_time_s,
             )
-        return jobs
+            for index, tile in enumerate(plan.tiles)
+        ]
 
     def schedule_summary(self, plan, num_vectors: int) -> Dict[str, float]:
         """:meth:`DualCoreCrossbar.summarize` over the plan's tile jobs."""
@@ -196,8 +194,7 @@ class ShardedExecutionEngine:
         for index, tile in enumerate(plan.tiles):
             core = index % self.num_cores
             counts[core] += 1
-            stats = tile.engine.statistics()
-            busy[core] += float(stats["programming_time_s"]) + compute_time_s
+            busy[core] += tile.programming_time_s + compute_time_s
         return ShardReport(tuple(counts), tuple(busy))
 
     # ------------------------------------------------------------------ execute
@@ -208,9 +205,11 @@ class ShardedExecutionEngine:
         ----------
         plan:
             A programmed tile plan (``repro.core.accelerator._TilePlan``): an
-            object with ``n`` (output width), the physical ``tiles`` and the
-            ``reads`` to execute, where each tile or read carries a programmed
-            engine plus its ``k_start``/``k_end``/``n_start``/``n_end`` spans.
+            object with ``n`` (output width), the physical ``tiles`` (each
+            with its ``programming_time_s``) and the ``reads`` to execute,
+            where each read carries a programmed engine, the ``row_tile`` of
+            it to read and its ``k_start``/``k_end``/``n_start``/``n_end``
+            spans.
         inputs:
             Input matrix of shape (num_vectors, k).
 
@@ -227,12 +226,7 @@ class ShardedExecutionEngine:
 
         def run_read(index: int) -> np.ndarray:
             read = reads[index]
-            tile_inputs = inputs[:, read.k_start : read.k_end]
-            if read.engine.rows != read.tile_rows:
-                padded = np.zeros((num_vectors, read.engine.rows))
-                padded[:, : read.tile_rows] = tile_inputs
-                tile_inputs = padded
-            return read.engine.matmul(tile_inputs)
+            return read.engine.matmul(inputs[:, read.k_start : read.k_end], read.row_tile)
 
         if self._worker_count == 0 or len(reads) <= 1:
             partials = [run_read(index) for index in range(len(reads))]
@@ -241,7 +235,7 @@ class ShardedExecutionEngine:
 
         result = np.zeros((num_vectors, plan.n))
         for read, partial in zip(reads, partials):
-            result[:, read.n_start : read.n_end] += partial[:, : read.tile_cols]
+            result[:, read.n_start : read.n_end] += partial
         return result, self._report(plan, num_vectors)
 
 

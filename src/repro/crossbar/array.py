@@ -24,12 +24,13 @@ in ``0..L_a``, ``L_a = 2**activation_bits - 1`` and ``T`` is the ODAC's
 full-scale transmission (1 inside the array).  A PCM cell at level ``k``
 transmits ``t_min + (t_max - t_min)·k/L_w`` with ``L_w = pcm_levels - 1``.
 :meth:`CrossbarArray.program_weights` keeps the integer level codes ``k``
-next to the quantised transmissions, so a read (:meth:`CrossbarArray.matmul`)
-is one GEMM of integer codes, ``c @ k``.  Every partial sum is an integer no
-larger than ``L_a·L_w·rows``: the GEMM runs in float32 while that bound is
-below 2**24 and in float64 above it, and is exact either way.  The dtype is
-chosen, and the float64 bound checked, when the weights are programmed.  No
-result depends on BLAS, the platform or how the vectors are batched.
+(the quantised transmissions follow from them), so a read
+(:meth:`CrossbarArray.matmul`) is one GEMM of integer codes, ``c @ k``.
+Every partial sum is an integer no larger than ``L_a·L_w·rows``: the GEMM
+runs in float32 while that bound is below 2**24 and in float64 above it, and
+is exact either way.  The dtype is chosen, and the float64 bound checked,
+when the weights are programmed.  No result depends on BLAS, the platform or
+how the vectors are batched.
 
 The TIA gain is calibrated per tile so that the largest dot product the tile
 can produce maps to the ADC's full scale.  With ``t_min = 0`` the ADC code of
@@ -51,20 +52,22 @@ rounded from that float value.  This is deterministic, but a tie is no longer
 decided on the exact value.  A noise model with field impairments perturbs
 the analog column fields the same way before the ADC.
 
-Several programmed arrays can be read as one (:meth:`CrossbarArray.side_by_side`):
-the same input vectors drive all their columns, and each column keeps its
-own array's codes and full scale.  The signed engine reads its positive and
-negative arrays that way, and the accelerator reads every column tile that
-shares one input slice in a single call.  A read may also carry per-vector
-input scales, which the digital front end divides out just before the ODAC.
-The exact read walks the batch one block of vectors at a time
-(:func:`vector_blocks`), so its temporaries stay cache-sized at any batch.
+Many tiles are programmed at once (:func:`program_tiles`): a layer's PCM
+tiles are quantised in one pass, and each tile's ADC full scale and ``L_a·S``
+come from one column-sum reduction over the stack.  An array can also be made
+from codes programmed that way (:meth:`CrossbarArray.from_codes`), with its
+own full scale and denominator per column.  The signed engine reads a row
+tile's ``[K+ | K-]`` codes of every column tile as one such array.  A read
+may also carry per-vector input scales, which the digital front end divides
+out just before the ODAC.  The exact read walks the batch one block of
+vectors at a time (:func:`vector_blocks`), so its temporaries stay
+cache-sized at any batch.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Sequence
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -116,6 +119,65 @@ def design_output_coupling(rows: int) -> np.ndarray:
     return 1.0 / np.arange(1, rows + 1, dtype=float)
 
 
+def _gemm_dtype(technology: TechnologyConfig, rows: int) -> type:
+    """Smallest float dtype in which a ``rows``-deep code GEMM is exact."""
+    output_max = (1 << technology.output_bits) - 1
+    bound = ((1 << technology.activation_bits) - 1) * (technology.pcm_levels - 1) * rows
+    # The ADC quotient L_o·sum / (L_a·S) decides ties exactly only while
+    # 2·L_o·bound stays below float64's 2**53 integer range.
+    if 2 * output_max * bound >= 2**53:
+        raise ProgrammingError(
+            f"a {rows}-row array at these precisions exceeds float64's exact range"
+        )
+    return np.float32 if bound < 2**24 else np.float64
+
+
+def programming_pass_time_s(technology: TechnologyConfig, rows: int, columns: int) -> float:
+    """Wall-clock time of one programming pass under the configured parallelism."""
+    write = technology.pcm_programming_time_s
+    parallelism = technology.pcm_program_parallelism
+    if parallelism == "array":
+        return write
+    if parallelism == "row":
+        return rows * write
+    return rows * columns * write
+
+
+def program_tiles(weights: np.ndarray, technology: TechnologyConfig):
+    """Quantise a stack of PCM tiles in one pass.
+
+    ``weights`` has shape (R, rows, P, cols): ``R·P`` tiles of rows × cols,
+    with entries in [0, 1]; it is overwritten (the pass works in place).
+    Returns the integer level codes in the GEMM dtype (same shape) and, per
+    tile, shape (R, P), the ADC full scale (the largest column sum of the
+    quantised transmissions) and the exact-code denominator ``L_a·S``.  Both
+    are computed over the whole tile, and each tile's values are bitwise
+    those of programming it alone.
+    """
+    levels = technology.pcm_levels
+    codes = quantize_weight_codes(weights, levels, out=weights)
+    # An all-dark tile (S = 0) reads exact zeros; any denominator will do.
+    code_scale = ((1 << technology.activation_bits) - 1) * np.maximum(
+        codes.sum(axis=1).max(axis=2), 1.0
+    )
+    gemm_codes = codes.astype(_gemm_dtype(technology, weights.shape[1]))
+    transmissions = levels_to_transmission(
+        codes,
+        levels,
+        technology.pcm_min_transmission,
+        technology.pcm_max_transmission,
+        out=codes,
+    )
+    # numpy adds a tile's columns row after row, but a one-column tile
+    # pairwise; sum each tile here the way it is summed alone.
+    if weights.shape[3] == 1:
+        column_sums = np.ascontiguousarray(np.moveaxis(transmissions, 1, 3)).sum(axis=3)
+    else:
+        column_sums = transmissions.sum(axis=1)
+    full_scale = np.maximum(column_sums.max(axis=2), 1e-9)
+    return gemm_codes, full_scale, code_scale
+
+
 class CrossbarArray:
     """Functional N×M coherent PCM crossbar core.
 
@@ -165,15 +227,14 @@ class CrossbarArray:
         self._activation_max = self.odac.num_levels - 1
         self._output_max = (1 << self.technology.output_bits) - 1
 
-        self._weights = np.zeros((rows, columns))
         self._programmed = False
         self._programming_events = 0
         self._programming_energy_j = 0.0
         self._programming_time_s = 0.0
         self._adc_full_scale = float(rows)
-        # Read state, set by program_weights (or side_by_side): the integer
-        # PCM level codes in the GEMM dtype, and per column the ADC full scale
-        # and the exact-code denominator L_a·S.
+        # Read state, set by program_weights (or from_codes): the integer PCM
+        # level codes in the GEMM dtype, and per column the ADC full scale and
+        # the exact-code denominator L_a·S.
         self._codes: Optional[np.ndarray] = None
         self._column_full_scale: Optional[np.ndarray] = None
         self._column_code_scale: Optional[np.ndarray] = None
@@ -205,7 +266,15 @@ class CrossbarArray:
     @property
     def weights(self) -> np.ndarray:
         """The currently programmed (quantised) weight matrix, shape (N, M)."""
-        return self._weights.copy()
+        if self._codes is None:
+            return np.zeros((self.rows, self.columns))
+        technology = self.technology
+        return levels_to_transmission(
+            self._codes.astype(np.float64),
+            technology.pcm_levels,
+            technology.pcm_min_transmission,
+            technology.pcm_max_transmission,
+        )
 
     @property
     def is_programmed(self) -> bool:
@@ -221,7 +290,7 @@ class CrossbarArray:
     def adc_full_scale(self) -> float:
         """Dot-product value mapped to the ADC's full-scale code.
 
-        For a :meth:`side_by_side` array, the largest of its parts' values.
+        For an array made :meth:`from_codes`, the largest of its columns' values.
         """
         return self._adc_full_scale
 
@@ -240,17 +309,6 @@ class CrossbarArray:
         """Total PCM programming time spent so far (s)."""
         return self._programming_time_s
 
-    def _gemm_dtype(self, rows: int) -> type:
-        """Smallest float dtype in which a ``rows``-deep code GEMM is exact."""
-        bound = self._activation_max * (self.technology.pcm_levels - 1) * rows
-        # The ADC quotient L_o·sum / (L_a·S) decides ties exactly only while
-        # 2·L_o·bound stays below float64's 2**53 integer range.
-        if 2 * self._output_max * bound >= 2**53:
-            raise ProgrammingError(
-                f"a {rows}-row array at these precisions exceeds float64's exact range"
-            )
-        return np.float32 if bound < 2**24 else np.float64
-
     def program_weights(self, weights: np.ndarray) -> np.ndarray:
         """Quantise ``weights`` to the PCM levels and store them in the array.
 
@@ -264,84 +322,52 @@ class CrossbarArray:
                 f"weight matrix must have shape ({self.rows}, {self.columns}), "
                 f"got {weights.shape}"
             )
-        technology = self.technology
-        codes = quantize_weight_codes(weights, technology.pcm_levels)
-        quantised = levels_to_transmission(
-            codes,
-            technology.pcm_levels,
-            technology.pcm_min_transmission,
-            technology.pcm_max_transmission,
-        )
-        self._weights = quantised
-        self._programmed = True
         # The receiver's programmable TIA gain is recalibrated per weight tile
         # so that the ADC full scale matches the largest dot product the tile
         # can produce (all inputs at full scale), instead of the worst-case
         # value N.  This keeps the 6-bit ADC's quantisation step proportional
         # to the tile's actual signal range.
-        largest_column_sum = float(quantised.sum(axis=0).max())
-        self._adc_full_scale = max(largest_column_sum, 1e-9)
-        largest_code_sum = float(codes.sum(axis=0).max())
-        self._codes = codes.astype(self._gemm_dtype(self.rows))
-        self._column_full_scale = np.full(self.columns, self._adc_full_scale)
-        # An all-dark tile (S = 0) reads exact zeros; any denominator will do.
-        self._column_code_scale = np.full(
-            self.columns, self._activation_max * max(largest_code_sum, 1.0)
+        codes, full_scale, code_scale = program_tiles(
+            weights.reshape(1, self.rows, 1, self.columns).copy(), self.technology
         )
+        self._set_codes(codes.reshape(self.rows, self.columns), full_scale[0, 0], code_scale[0, 0])
         self._programming_events += 1
         cells = self.rows * self.columns
-        self._programming_energy_j += cells * technology.pcm_programming_energy_j
-        self._programming_time_s += self._single_pass_time_s()
-        return quantised.copy()
-
-    def _single_pass_time_s(self) -> float:
-        """Wall-clock time of one programming pass under the configured parallelism."""
-        write = self.technology.pcm_programming_time_s
-        parallelism = self.technology.pcm_program_parallelism
-        if parallelism == "array":
-            return write
-        if parallelism == "row":
-            return self.rows * write
-        return self.rows * self.columns * write
+        self._programming_energy_j += cells * self.technology.pcm_programming_energy_j
+        self._programming_time_s += programming_pass_time_s(
+            self.technology, self.rows, self.columns
+        )
+        return self.weights
 
     @classmethod
-    def side_by_side(
+    def from_codes(
         cls,
-        arrays: Sequence["CrossbarArray"],
-        rows: Optional[int] = None,
-        columns: Optional[Sequence[int]] = None,
+        codes: np.ndarray,
+        full_scale,
+        code_scale,
+        technology: Optional[TechnologyConfig] = None,
+        noise_model=None,
+        rng: Optional[np.random.Generator] = None,
     ) -> "CrossbarArray":
-        """One noiseless read array made of the programmed ``arrays``' columns.
+        """A programmed array holding integer level codes from :func:`program_tiles`.
 
-        A read drives every part with the same input vectors, and each column
-        keeps its part's integer codes and ADC full scale, so it equals
-        reading each part alone.  ``rows`` keeps only the parts' leading rows
-        and ``columns[i]`` only the leading columns of ``arrays[i]`` (default:
-        all of them).  Zero-driven rows add nothing to a read, so dropping a
-        tile's padding rows changes no output.  The result has no programming
-        history of its own.
+        ``codes`` has shape (rows, columns) in the GEMM dtype; ``full_scale``
+        and ``code_scale`` are each column's ADC full scale and ``L_a·S``
+        (scalars apply to every column).  Nothing is quantised and no
+        programming pass is counted: the codes were programmed elsewhere,
+        such as one row tile's ``[K+ | K-]`` codes of a whole layer.
         """
-        first = arrays[0]
-        if not all(array.is_programmed for array in arrays):
-            raise SimulationError("every array must be programmed before it is read")
-        rows = first.rows if rows is None else rows
-        columns = [array.columns for array in arrays] if columns is None else columns
-        combined = cls(rows, sum(columns), first.technology, rng=first.rng)
-        combined._codes = np.concatenate(
-            [array._codes[:rows, :width] for array, width in zip(arrays, columns)], axis=1
-        )
-        combined._weights = np.concatenate(
-            [array._weights[:rows, :width] for array, width in zip(arrays, columns)], axis=1
-        )
-        combined._column_full_scale = np.concatenate(
-            [array._column_full_scale[:width] for array, width in zip(arrays, columns)]
-        )
-        combined._column_code_scale = np.concatenate(
-            [array._column_code_scale[:width] for array, width in zip(arrays, columns)]
-        )
-        combined._adc_full_scale = max(array.adc_full_scale for array in arrays)
-        combined._programmed = True
-        return combined
+        rows, columns = codes.shape
+        array = cls(rows, columns, technology, noise_model=noise_model, rng=rng)
+        array._set_codes(codes, full_scale, code_scale)
+        return array
+
+    def _set_codes(self, codes: np.ndarray, full_scale, code_scale) -> None:
+        self._codes = codes
+        self._column_full_scale = np.full(self.columns, full_scale)
+        self._column_code_scale = np.full(self.columns, code_scale)
+        self._adc_full_scale = float(self._column_full_scale.max())
+        self._programmed = True
 
     # ------------------------------------------------------------------ compute
     def _check_batch(self, inputs: np.ndarray) -> np.ndarray:

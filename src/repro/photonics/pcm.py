@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import Optional
 
 
 import numpy as np
@@ -152,12 +153,15 @@ class PCMCell:
         return abs(self.level_to_transmission(level) - target_transmission)
 
 
-def quantize_weight_codes(weights: np.ndarray, levels: int = 64) -> np.ndarray:
+def quantize_weight_codes(
+    weights: np.ndarray, levels: int = 64, out: Optional[np.ndarray] = None
+) -> np.ndarray:
     """Nearest PCM level index (0 .. ``levels - 1``) of each normalised weight.
 
     ``weights`` must already be normalised to [0, 1] (the PCM can only
     absorb).  Values outside [0, 1] raise :class:`ProgrammingError`.  The
-    indices are returned as integer-valued floats.
+    indices are returned as integer-valued floats, in ``out`` when given
+    (which may be ``weights`` itself).
     """
     weights = np.asarray(weights, dtype=float)
     if weights.size and (weights.min() < -1e-12 or weights.max() > 1.0 + 1e-12):
@@ -165,7 +169,9 @@ def quantize_weight_codes(weights: np.ndarray, levels: int = 64) -> np.ndarray:
             "PCM weights must be in [0, 1]; normalise/shift the matrix first "
             f"(got range [{weights.min()}, {weights.max()}])"
         )
-    return np.round(np.clip(weights, 0.0, 1.0) * (levels - 1))
+    codes = np.clip(weights, 0.0, 1.0, out=out)
+    codes *= levels - 1
+    return np.round(codes, out=codes)
 
 
 def levels_to_transmission(
@@ -173,12 +179,19 @@ def levels_to_transmission(
     levels: int = 64,
     min_transmission: float = 0.0,
     max_transmission: float = 1.0,
+    out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """E-field transmission of each PCM level index (elementwise)."""
+    """E-field transmission of each PCM level index (elementwise).
+
+    Written into ``out`` when given (which may be ``level_indices`` itself).
+    """
     span = max_transmission - min_transmission
     if span <= 0:
         raise ProgrammingError("max_transmission must exceed min_transmission")
-    return min_transmission + span * level_indices / (levels - 1)
+    transmission = np.multiply(span, np.asarray(level_indices, dtype=float), out=out)
+    transmission /= levels - 1
+    transmission += min_transmission
+    return transmission
 
 
 def quantize_weight_matrix(

@@ -1,0 +1,295 @@
+"""Layer-wise PCM programming: oracles against one-tile programming.
+
+A tile plan programs a whole weight matrix in one vectorised pass.  These
+tests pin that pass to programming every physical tile on its own: each
+tile's weight scale, level codes, ADC full scale and code denominator must
+equal those of a one-tile :class:`SignedCrossbarEngine` (and of the numpy
+per-tile computation it replaced), ``linear`` must equal reading one-tile
+engines tile by tile, and the noisy path must draw exactly what per-tile
+engines seeded from the same content-keyed ``SeedSequence`` children draw.
+The accounting is checked by counting, not by timing.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.config import TechnologyConfig, default_sweep_chip, optimal_chip, small_test_chip
+from repro.core.accelerator import OpticalCrossbarAccelerator
+from repro.core.inference import generate_random_weights
+from repro.crossbar import CrossbarNoiseModel, SignedCrossbarEngine
+from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
+from repro.nn import build_lenet5
+from repro.nn.im2col import conv_weights_matrix
+from repro.nn.quant import split_signed_matrix
+
+TECHNOLOGIES = {
+    "ideal": TechnologyConfig(),
+    "dark floor": TechnologyConfig(pcm_min_transmission=0.05),
+}
+
+
+def _spans(k, n, rows, columns):
+    """Physical tiles of a (k, n) matrix in plan order."""
+    return [
+        (k_start, min(k_start + rows, k), n_start, min(n_start + columns, n))
+        for k_start in range(0, k, rows)
+        for n_start in range(0, n, columns)
+    ]
+
+
+def _padded_tile(weights, span, rows, columns):
+    k_start, k_end, n_start, n_end = span
+    tile = np.zeros((rows, columns))
+    tile[: k_end - k_start, : n_end - n_start] = weights[k_start:k_end, n_start:n_end]
+    return tile
+
+
+def _padded_inputs(inputs, span, rows):
+    k_start, k_end = span[:2]
+    padded = np.zeros((inputs.shape[0], rows))
+    padded[:, : k_end - k_start] = inputs[:, k_start:k_end]
+    return padded
+
+
+def numpy_tile(tile, technology):
+    """One tile programmed array by array with plain numpy, as one tile alone is.
+
+    Returns the weight scale and, for ``W+`` then ``W-``, the level codes,
+    the ADC full scale and the code denominator ``L_a·S``.
+    """
+    scale = float(np.max(np.abs(tile)))
+    scale = scale if scale > 0 else 1.0
+    activation_max = (1 << technology.activation_bits) - 1
+    arrays = []
+    weight_max = technology.pcm_levels - 1
+    span = technology.pcm_max_transmission - technology.pcm_min_transmission
+    for part in split_signed_matrix(tile / scale):
+        codes = np.round(np.clip(part, 0.0, 1.0) * weight_max)
+        quantised = technology.pcm_min_transmission + span * codes / weight_max
+        full_scale = max(float(quantised.sum(axis=0).max()), 1e-9)
+        code_scale = activation_max * max(float(codes.sum(axis=0).max()), 1.0)
+        arrays.append((codes, full_scale, code_scale))
+    return scale, arrays
+
+
+def per_tile_linear(config, weights, inputs, noise_model=None, seeds=None):
+    """``inputs @ weights`` read one physical tile at a time, summed in plan order."""
+    rows, columns = config.rows, config.columns
+    result = np.zeros((inputs.shape[0], weights.shape[1]))
+    for index, span in enumerate(_spans(*weights.shape, rows, columns)):
+        rng = None if seeds is None else np.random.default_rng(seeds[index])
+        engine = SignedCrossbarEngine(
+            rows, columns, technology=config.technology, noise_model=noise_model, rng=rng
+        )
+        engine.program(_padded_tile(weights, span, rows, columns))
+        partial = engine.matmul(_padded_inputs(inputs, span, rows))
+        result[:, span[2] : span[3]] += partial[:, : span[3] - span[2]]
+    return result
+
+
+def content_seeds(seed, weights, count):
+    """The content-keyed per-tile ``SeedSequence`` children of a plan."""
+    weights = np.ascontiguousarray(weights)
+    digest = hashlib.sha1(weights.tobytes()).digest()
+    plan_sequence = np.random.SeedSequence(
+        entropy=np.random.SeedSequence(seed).entropy,
+        spawn_key=tuple(int(dim) for dim in weights.shape) + tuple(digest),
+    )
+    return plan_sequence.spawn(count)
+
+
+def _plan(accelerator, weights):
+    return accelerator._programmed_tile_plan(np.asarray(weights, dtype=float))
+
+
+@st.composite
+def layer_cases(draw):
+    rows = draw(st.integers(1, 12))
+    columns = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 3 * rows))
+    n = draw(st.integers(1, 3 * columns))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    low = draw(st.sampled_from([-2.0, 0.0]))  # mixed signs, or non-negative
+    weights = rng.uniform(low, 2.0, (k, n)) * draw(st.sampled_from([1.0, -1.0]))
+    # Zero out whole tiles now and then, so all-dark tiles are covered.
+    for span in _spans(k, n, rows, columns):
+        if draw(st.integers(0, 3)) == 0:
+            weights[span[0] : span[1], span[2] : span[3]] = 0.0
+    inputs = rng.uniform(-1.0, 1.0, (3, k))
+    inputs[0] = np.abs(inputs[0])
+    inputs[1] = 0.0
+    technology = TECHNOLOGIES[draw(st.sampled_from(sorted(TECHNOLOGIES)))]
+    return small_test_chip(rows=rows, columns=columns, technology=technology), weights, inputs
+
+
+class TestLayerProgrammingOracle:
+    @given(layer_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_every_tile_equals_one_tile_programming(self, case):
+        config, weights, inputs = case
+        rows, columns = config.rows, config.columns
+        technology = config.technology
+        accelerator = OpticalCrossbarAccelerator(config)
+        plan = _plan(accelerator, weights)
+        grid_columns = -(-weights.shape[1] // columns)
+        for index, span in enumerate(_spans(*weights.shape, rows, columns)):
+            tile = _padded_tile(weights, span, rows, columns)
+            alone = SignedCrossbarEngine(rows, columns, technology=technology)
+            alone.program(tile)
+            planned = plan.engine.tile(*divmod(index, grid_columns))
+            scale, reference = numpy_tile(tile, technology)
+            assert planned.weight_scale == alone.weight_scale == scale
+            for planned_array, alone_array, (codes, full_scale, code_scale) in zip(
+                (planned.positive_array, planned.negative_array),
+                (alone.positive_array, alone.negative_array),
+                reference,
+            ):
+                assert np.array_equal(planned_array._codes, alone_array._codes)
+                assert np.array_equal(planned_array._codes, codes)
+                assert planned_array.adc_full_scale == alone_array.adc_full_scale == full_scale
+                assert np.array_equal(
+                    planned_array._column_code_scale, alone_array._column_code_scale
+                )
+                assert np.all(planned_array._column_code_scale == code_scale)
+
+    @given(layer_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_linear_equals_reading_tile_by_tile(self, case):
+        config, weights, inputs = case
+        accelerator = OpticalCrossbarAccelerator(config)
+        expected = per_tile_linear(config, weights, inputs)
+        assert accelerator.linear(weights, inputs).tobytes() == expected.tobytes()
+        # The cached plan reads the same.
+        assert accelerator.linear(weights, inputs).tobytes() == expected.tobytes()
+
+
+class TestNoisyLayerProgramming:
+    @pytest.mark.parametrize("shape", [(7, 5), (30, 17), (9, 4)])
+    def test_noisy_linear_draws_like_seeded_per_tile_engines(self, shape):
+        config = small_test_chip()
+        noise = CrossbarNoiseModel(relative_amplitude_noise=0.05, additive_noise_floor=0.01)
+        rng = np.random.default_rng(sum(shape))
+        weights = rng.normal(size=shape)
+        inputs = rng.uniform(-1.0, 1.0, (4, shape[0]))
+        accelerator = OpticalCrossbarAccelerator(config, noise_model=noise, seed=11)
+        seeds = content_seeds(11, weights, len(_spans(*shape, config.rows, config.columns)))
+        expected = per_tile_linear(config, weights, inputs, noise, seeds)
+        assert accelerator.linear(weights, inputs).tobytes() == expected.tobytes()
+
+    def test_noisy_plan_reads_one_engine_per_physical_tile(self):
+        config = small_test_chip()
+        noise = CrossbarNoiseModel(relative_amplitude_noise=0.05)
+        accelerator = OpticalCrossbarAccelerator(config, noise_model=noise)
+        plan = _plan(accelerator, np.ones((20, 10)))
+        assert len(plan.reads) == len(plan.tiles) == 6
+        assert len({id(read.engine) for read in plan.reads}) == 6
+
+
+class _Counter:
+    """Counts ``SignedCrossbarEngine`` constructions and spawned seed children."""
+
+    def __init__(self, monkeypatch):
+        self.engines = 0
+        self.children = 0
+        counter = self
+        original_init = SignedCrossbarEngine.__init__
+
+        def counting_init(engine, *args, **kwargs):
+            counter.engines += 1
+            original_init(engine, *args, **kwargs)
+
+        class CountingSeedSequence(np.random.SeedSequence):
+            def spawn(self, n_children):
+                counter.children += n_children
+                return super().spawn(n_children)
+
+        monkeypatch.setattr(SignedCrossbarEngine, "__init__", counting_init)
+        monkeypatch.setattr(np.random, "SeedSequence", CountingSeedSequence)
+
+
+def _pass_time_s(technology, rows, columns):
+    write = technology.pcm_programming_time_s
+    return {
+        "array": write,
+        "row": rows * write,
+    }.get(technology.pcm_program_parallelism, rows * columns * write)
+
+
+def _lenet_matrices():
+    weights = generate_random_weights(build_lenet5(), seed=4, scale=0.3)
+    return [
+        conv_weights_matrix(matrix) if matrix.ndim == 4 else matrix
+        for matrix in weights.values()
+    ]
+
+
+class TestCountedAccounting:
+    def test_noiseless_build_spawns_no_seeds_and_few_engines(self, monkeypatch):
+        config = default_sweep_chip()
+        accelerator = OpticalCrossbarAccelerator(config)
+        counter = _Counter(monkeypatch)
+        for matrix in _lenet_matrices():
+            before = counter.engines
+            accelerator.linear(matrix, np.ones((1, matrix.shape[0])))
+            row_tiles = -(-matrix.shape[0] // config.rows)
+            assert 1 <= counter.engines - before <= row_tiles
+        assert counter.children == 0
+
+    def test_noisy_build_spawns_one_child_per_physical_tile(self, monkeypatch):
+        config = default_sweep_chip()
+        accelerator = OpticalCrossbarAccelerator(
+            config, noise_model=CrossbarNoiseModel(relative_amplitude_noise=0.05)
+        )
+        counter = _Counter(monkeypatch)
+        tiles = 0
+        for matrix in _lenet_matrices():
+            accelerator.linear(matrix, np.ones((1, matrix.shape[0])))
+            tiles += len(_spans(*matrix.shape, config.rows, config.columns))
+        assert counter.children == tiles
+
+    @pytest.mark.parametrize("make_config", [default_sweep_chip, optimal_chip])
+    def test_statistics_equal_per_tile_sums(self, make_config):
+        config = make_config()
+        technology = config.technology
+        rows, columns, cores = config.rows, config.columns, config.num_cores
+        tile_energy = 2 * (rows * columns * technology.pcm_programming_energy_j)
+        tile_time = _pass_time_s(technology, rows, columns)
+        accelerator = OpticalCrossbarAccelerator(config)
+        events, energy, time_s = 0, 0.0, 0.0
+        dispatches, busy = [0] * cores, [0.0] * cores
+        for batch in (3, 1):
+            for matrix in _lenet_matrices():
+                accelerator.linear(matrix, np.ones((batch, matrix.shape[0])))
+                tiles = len(_spans(*matrix.shape, rows, columns))
+                if batch == 3:  # The second pass hits the plan cache.
+                    for _ in range(tiles):
+                        events += 2
+                        energy += tile_energy
+                        time_s += tile_time
+                report = [0.0] * cores
+                for index in range(tiles):
+                    dispatches[index % cores] += 1
+                    report[index % cores] += tile_time + batch / config.mac_clock_hz
+                for core in range(cores):
+                    busy[core] += report[core]
+        stats = accelerator.functional_statistics()
+        assert stats["programming_events"] == events
+        assert stats["programming_energy_j"] == energy
+        assert stats["programming_time_s"] == time_s
+        assert stats["tile_cache_misses"] == stats["tile_cache_hits"] == 5
+        assert stats["per_core_tile_dispatches"] == tuple(dispatches)
+        assert stats["per_core_busy_time_s"] == tuple(busy)
+
+        for matrix in _lenet_matrices():
+            tiles = len(_spans(*matrix.shape, rows, columns))
+            jobs = [
+                ProgrammingJob(f"tile{index}", tile_time, 8 / config.mac_clock_hz)
+                for index in range(tiles)
+            ]
+            assert accelerator.programming_jobs(matrix, 8) == jobs
+            assert accelerator.analytical_schedule(matrix, 8) == DualCoreCrossbar.summarize(jobs)
+        assert accelerator.functional_statistics() == stats

@@ -504,7 +504,9 @@ class TestAutoscalingEndToEnd:
             autoscaler=policy,
         )
         with server:
-            flood = np.concatenate([images] * 6)
+            # Long enough that the queue stays deep for several 20 ms ticks
+            # however fast the engine drains it (48 requests took ~57 ms).
+            flood = np.concatenate([images] * 24)
             futures = [server.submit(image) for image in flood]
             peak = server.replica_count()
             for index, future in enumerate(futures):
