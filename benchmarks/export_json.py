@@ -1,12 +1,12 @@
-"""Export serving/sharding benchmark smoke timings as one JSON artifact.
+"""Export serving benchmark smoke timings as one JSON artifact.
 
 CI runs this after the test lanes and uploads the result
 (``BENCH_serving.json``) as a workflow artifact, so every commit appends a
 point to the performance trajectory without anyone re-running benchmarks by
 hand.  The measurements are the *smoke* versions of
-``benchmarks/bench_serving.py`` and ``benchmarks/bench_sharding.py``: small
-enough for a CI runner, but shaped like the real benchmarks (throughput,
-latency percentiles, flush-reason counts, sharded-vs-serial timings).
+``benchmarks/bench_serving.py``: small enough for a CI runner, but shaped
+like the real benchmarks (throughput, latency percentiles, flush-reason
+counts).
 
 Usage::
 
@@ -296,30 +296,6 @@ def _conn_scaling(network, weights, config, images) -> dict:
     return {"async": points}
 
 
-def _sharding_timings(network, weights, config, images) -> dict:
-    """Warm-batch serial vs thread-sharded timings (bench_sharding smoke)."""
-    timings = {}
-    reference = None
-    for label, execution in (("serial", "serial"), ("thread:2", 2)):
-        engine = FunctionalInferenceEngine(
-            network, weights, config, execution=execution
-        )
-        engine.run_batch(images)  # cold batch: tile programming
-        start = time.perf_counter()
-        outputs = engine.run_batch(images)
-        timings[label] = {"warm_batch_s": time.perf_counter() - start}
-        if reference is None:
-            reference = outputs
-        else:
-            timings[label]["bitwise_match_vs_serial"] = bool(
-                np.array_equal(outputs, reference)
-            )
-    timings["speedup_thread_vs_serial"] = (
-        timings["serial"]["warm_batch_s"] / timings["thread:2"]["warm_batch_s"]
-    )
-    return timings
-
-
 def export(num_images: int) -> dict:
     network, weights, config, images = _workload(num_images)
     serving = {
@@ -341,7 +317,6 @@ def export(num_images: int) -> dict:
         "serving": serving,
         "robustness": _faulted_burst(network, weights, config, images),
         "observability": _traced_burst(network, weights, config, images),
-        "sharding": _sharding_timings(network, weights, config, images),
         "async_conn_scaling": _conn_scaling(network, weights, config, images),
     }
 
@@ -372,7 +347,6 @@ def main(argv=None) -> int:
         f"wrote {args.output}: dynamic batching "
         f"{serving['dynamic_batching']['throughput_rps']:.1f} rps "
         f"({serving['batching_speedup']:.2f}x vs batch-1), "
-        f"thread sharding {payload['sharding']['speedup_thread_vs_serial']:.2f}x, "
         f"chaos burst recovered {robustness['batches_recovered']} batches "
         f"over {robustness['replica_restarts']} restarts"
     )

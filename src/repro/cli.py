@@ -156,21 +156,13 @@ def _parse_workers(value: str) -> ExecutorSpec:
 
     Delegates to :func:`repro.serve.parse_executor_spec`, so every command
     accepts exactly the same spellings: 'serial', 'thread', 'thread:N',
-    'process', 'process:N' or a positive integer (thread pool of N).
+    'process', 'process:N' or a positive integer N (N thread replicas).
     Malformed specs are rejected with the parser's SimulationError message.
     """
     try:
         return parse_executor_spec(value)
     except SimulationError as error:
         raise argparse.ArgumentTypeError(str(error)) from error
-
-
-def _sharding_execution(spec: ExecutorSpec) -> "str | int":
-    """Map a serial/thread :class:`ExecutorSpec` onto the accelerator's
-    intra-engine tile-sharding spelling (``process`` does not apply there)."""
-    if spec.kind == "serial":
-        return "serial"
-    return "thread" if spec.count is None else spec.count
 
 
 #: Noise preset name -> model used by the functional commands.
@@ -521,13 +513,12 @@ def build_parser() -> argparse.ArgumentParser:
         type=_parse_workers,
         default="serial",
         help=(
-            "execution: 'serial' (default), 'thread' (one sharding worker per "
-            "crossbar core), 'thread:N' / a positive worker count (sharded "
-            "thread pool), or 'process:N' (data-parallel engine replicas, one "
-            "per process); deterministic results are bitwise identical for "
-            "every setting (with --noise, the process path chunks the batch "
-            "across replicas, so noisy outputs differ from one monolithic "
-            "batch)"
+            "execution: 'serial' (default, one engine), or 'thread[:N]' / a "
+            "positive count N / 'process[:N]' (data-parallel engine replicas "
+            "on threads or processes, as in serve); deterministic results are "
+            "bitwise identical for every setting (with --noise, replicas each "
+            "run a chunk of the batch, so noisy outputs differ from one "
+            "monolithic batch)"
         ),
     )
     infer.add_argument("--weight-seed", type=int, default=0, help="synthetic weight seed")
@@ -811,9 +802,19 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     # The first (cold) batch pays the one-time PCM tile programming; the
     # second (warm) batch shows the steady-state throughput the tile cache
     # enables.  Both are reported so the cache's effect is visible.
-    if args.workers.kind == "process":
+    if args.workers.kind == "serial":
+        engine = FunctionalInferenceEngine(network, weights, config, noise_model=noise_model)
+        start = time.perf_counter()
+        optical = engine.run_batch(images)
+        cold_s = time.perf_counter() - start
+        start = time.perf_counter()
+        engine.run_batch(images)
+        warm_s = time.perf_counter() - start
+        reference = engine.run_batch_reference(images)
+        stats = engine.accelerator.functional_statistics()
+    else:
         # Data-parallel path: the batch is chunked across N engine replicas,
-        # each living in its own worker process (scales past the GIL).
+        # on threads or each in its own worker process (scales past the GIL).
         replica = EngineReplicaSpec(
             network=network, weights=weights, config=config, noise_model=noise_model
         )
@@ -828,22 +829,6 @@ def _cmd_infer(args: argparse.Namespace) -> int:
         reference = FunctionalInferenceEngine(
             network, weights, config
         ).run_batch_reference(images)
-    else:
-        engine = FunctionalInferenceEngine(
-            network,
-            weights,
-            config,
-            noise_model=noise_model,
-            execution=_sharding_execution(args.workers),
-        )
-        start = time.perf_counter()
-        optical = engine.run_batch(images)
-        cold_s = time.perf_counter() - start
-        start = time.perf_counter()
-        engine.run_batch(images)
-        warm_s = time.perf_counter() - start
-        reference = engine.run_batch_reference(images)
-        stats = engine.accelerator.functional_statistics()
 
     agreement = agreement_metrics(optical, reference)
     summary = {

@@ -9,8 +9,8 @@
 * :class:`~repro.core.optimizer.DesignOptimizer` — the Section VI-B
   optimization flow (minimum viable batch → maximum SRAM under the area cap →
   best array size).
-* :mod:`repro.core.sharding` — multi-core sharded execution of the functional
-  datapath's tiled GEMMs (round-robin core assignment + worker pools).
+* :mod:`repro.core.sharding` — per-core accounting of the functional
+  datapath's tiled GEMMs (round-robin core assignment, dual-core schedule).
 * :mod:`repro.core.comparison` — comparison against GPU baselines (Table I).
 * :mod:`repro.core.report` — plain-text/dict report formatting.
 """
@@ -21,7 +21,7 @@ from repro.core.inference import FunctionalInferenceEngine, generate_random_weig
 from repro.core.optimizer import DesignOptimizer, OptimizationResult
 from repro.core.pareto import ParetoPoint, frontier_rows, pareto_frontier
 from repro.core.report import format_comparison_table, format_metrics_report
-from repro.core.sharding import ShardedExecutionEngine, ShardReport, resolve_worker_count
+from repro.core.sharding import ShardedExecutionEngine, ShardReport
 from repro.core.simulation import SimulationFramework
 from repro.core.sweep import SweepResult, sweep_array_sizes, sweep_batch_sizes, sweep_input_sram
 
@@ -37,7 +37,6 @@ __all__ = [
     "ShardedExecutionEngine",
     "SimulationFramework",
     "SweepResult",
-    "resolve_worker_count",
     "compare_to_gpu",
     "format_comparison_table",
     "format_metrics_report",

@@ -27,43 +27,35 @@ pcm_programming_energy_j`` and one pass of programming time each.  These
 statistics survive cache eviction and are reported by
 :meth:`functional_statistics`.
 
-Row-tile reads
---------------
-Without field noise, every row tile gets one read: the layer engine's
-:meth:`~repro.crossbar.signed.SignedCrossbarEngine.matmul` of that row tile,
-over the ``[K+ | K-]`` codes of all column tiles that share that slice of
-the input (slices of the layer's code array), trimmed to the real rows and
-columns, with each tile's ADC full scale and weight scale broadcast per
-column.  A batch's inputs are therefore normalised and ODAC-quantised once
-per row tile, and a layer costs one exact code GEMM per row tile whatever
-its width.  Every ADC code is the exact round-half-even code of
-:mod:`repro.crossbar.array`, so the output does not depend on the batch,
-BLAS or the platform.  With field noise the same programming pass is split
-into one engine per physical tile
-(:meth:`~repro.crossbar.signed.SignedCrossbarEngine.tile`), each read on its
-own with its inputs padded, so its noise draws keep their shapes and order.
+Layer reads
+-----------
+A plan's layer engine reads every tile itself
+(:meth:`~repro.crossbar.signed.SignedCrossbarEngine.matmul` of the whole
+input).  Without field noise that is one exact code GEMM per row tile, over
+the ``[K+ | K-]`` codes of all column tiles that share that slice of the
+input, so a batch's inputs are normalised and ODAC-quantised once per row
+tile whatever the layer's width.  Every ADC code is the exact
+round-half-even code of :mod:`repro.crossbar.array`, so the output does not
+depend on the batch, BLAS or the platform.  With field noise the engine
+reads one physical tile at a time, with its inputs padded, so its noise
+draws keep their shapes and order.
 
-Multi-core sharded execution
-----------------------------
-The reads of a plan are dispatched through a
-:class:`~repro.core.sharding.ShardedExecutionEngine`, which accounts
-physical tile ``i`` to crossbar core ``i % num_cores`` (the same static
-round-robin the analytical
-:class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule uses) and can run
-the reads on a thread pool (``execution="thread"`` or an integer worker
-count).  Under field noise each tile's generator is derived from an
-independent ``SeedSequence`` child keyed by the weight content and tile
-index (a noiseless plan spawns none), so sharded
-execution is bitwise identical to serial execution even with a noise model,
-and noisy outputs do not depend on the order in which tile plans were built.
-Per-core tile counts and busy-time estimates are accumulated into
-:meth:`functional_statistics`.
+Per-core accounting
+-------------------
+Each dispatch is accounted by a
+:class:`~repro.core.sharding.ShardedExecutionEngine`: physical tile ``i``
+goes to crossbar core ``i % num_cores`` (the same static round-robin the
+analytical :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule
+uses), and per-core tile counts and busy-time estimates are accumulated
+into :meth:`functional_statistics`.  Under field noise the layer engine is
+given one generator keyed by the accelerator seed and the weight content,
+which it splits into one child per tile (a noiseless plan gets none), so
+noisy outputs do not depend on the order in which tile plans were built.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -73,7 +65,7 @@ import numpy as np
 from repro.concurrency import make_rlock, thread_shared
 from repro.config.chip import ChipConfig
 from repro.config.presets import optimal_chip
-from repro.core.sharding import ShardedExecutionEngine, WorkerSpec
+from repro.core.sharding import ShardedExecutionEngine
 from repro.crossbar.dual_core import ProgrammingJob
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.crossbar.signed import SignedCrossbarEngine
@@ -97,31 +89,17 @@ class _Tile:
 
 
 @dataclass
-class _Read:
-    """One read of a plan: ``engine.matmul`` of ``row_tile`` over these spans."""
-
-    engine: SignedCrossbarEngine
-    row_tile: int
-    k_start: int
-    k_end: int
-    n_start: int
-    n_end: int
-
-
-@dataclass
 class _TilePlan:
     """The full programmed tiling of one weight matrix.
 
-    ``engine`` holds the programmed layer, ``tiles`` are the physical tiles
-    and ``reads`` are what a dispatch reads, in plan order (see module
-    docstring).
+    ``engine`` holds and reads the programmed layer; ``tiles`` are the
+    physical tiles, in plan order.
     """
 
     k: int
     n: int
     engine: SignedCrossbarEngine
     tiles: List[_Tile]
-    reads: List[_Read]
 
 
 @thread_shared
@@ -140,11 +118,6 @@ class OpticalCrossbarAccelerator:
     max_cached_weight_plans:
         Upper bound on the number of distinct weight matrices whose
         programmed tile plans are kept alive (LRU eviction beyond it).
-    execution:
-        Worker-pool specification for multi-core sharded execution of the
-        plan's reads: ``"serial"`` (default, inline), ``"thread"`` (one
-        worker thread per crossbar core) or a positive integer worker count.
-        Results are bitwise identical across all settings.
     """
 
     def __init__(
@@ -153,14 +126,11 @@ class OpticalCrossbarAccelerator:
         noise_model: Optional[CrossbarNoiseModel] = None,
         seed: int = 0,
         max_cached_weight_plans: int = 64,
-        execution: WorkerSpec = "serial",
     ) -> None:
         self.config = config or optimal_chip()
         self.noise_model = noise_model
         self._seed_sequence = np.random.SeedSequence(seed)
-        self.sharding = ShardedExecutionEngine(
-            self.config.num_cores, self.config.mac_clock_hz, workers=execution
-        )
+        self.sharding = ShardedExecutionEngine(self.config.num_cores, self.config.mac_clock_hz)
         self._simulator = CrossbarDataflowSimulator(self.config)
         if max_cached_weight_plans < 1:
             raise SimulationError(
@@ -168,15 +138,14 @@ class OpticalCrossbarAccelerator:
             )
         self._max_cached_weight_plans = max_cached_weight_plans
         # Serialises tile-plan cache mutation and statistics accumulation so
-        # concurrent `linear` calls (thread-pool serving, sharded workers)
-        # cannot lose counter increments or corrupt the LRU order.  GEMM
-        # execution itself happens outside the lock.  Scope: with a noise
-        # model, concurrent `linear` calls on one accelerator interleave the
-        # per-tile generator state in arrival order, so noisy outputs are not
-        # reproducible across such runs (counters stay exact); callers that
-        # need reproducible noise must not share one accelerator across
-        # threads — the serving pool's replicas are checked out exclusively
-        # for this reason.
+        # concurrent `linear` calls (thread-pool serving) cannot lose counter
+        # increments or corrupt the LRU order.  GEMM execution itself happens
+        # outside the lock.  Scope: with a noise model, concurrent `linear`
+        # calls on one accelerator interleave the per-tile generator state in
+        # arrival order, so noisy outputs are not reproducible across such
+        # runs (counters stay exact); callers that need reproducible noise
+        # must not share one accelerator across threads — the serving pool's
+        # replicas are checked out exclusively for this reason.
         self._stats_lock = make_rlock("OpticalCrossbarAccelerator._stats_lock")
         self._tile_plans: "OrderedDict[Tuple, _TilePlan]" = OrderedDict()
         self._functional_stats = {
@@ -211,32 +180,34 @@ class OpticalCrossbarAccelerator:
         digest = hashlib.sha1(contiguous.tobytes()).digest()
         return (weights.shape, digest)
 
-    def _tile_seed_sequences(self, key: Tuple, num_tiles: int) -> List[np.random.SeedSequence]:
-        """Independent per-tile child seeds for the plan identified by ``key``.
+    def _noise_rng(self, key: Tuple) -> np.random.Generator:
+        """The generator the field noise of the plan identified by ``key`` draws from.
 
-        The children are spawned from a sequence keyed by the accelerator seed
-        *and* the weight matrix's content key, so each tile's noise stream
-        depends only on (seed, weights, tile index) — not on how many plans
-        were built before, nor on which thread executes the tile.  This is
-        what makes noisy sharded execution bitwise identical to serial
-        execution.
+        It is seeded from a sequence keyed by the accelerator seed *and* the
+        weight matrix's content key, so the layer engine's per-tile children
+        depend only on (seed, weights, tile index), not on how many plans
+        were built before.
         """
         shape, digest = key
-        plan_sequence = np.random.SeedSequence(
-            entropy=self._seed_sequence.entropy,
-            spawn_key=tuple(int(dim) for dim in shape) + tuple(digest),
+        return np.random.default_rng(
+            np.random.SeedSequence(
+                entropy=self._seed_sequence.entropy,
+                spawn_key=tuple(int(dim) for dim in shape) + tuple(digest),
+            )
         )
-        return plan_sequence.spawn(num_tiles)
 
     def _build_tile_plan_locked(self, weights: np.ndarray, key: Tuple) -> _TilePlan:
-        """Program ``weights`` onto the tile grid in one pass and plan its reads."""
+        """Program ``weights`` onto the tile grid in one pass."""
         k, n = weights.shape
         rows, columns = self.config.rows, self.config.columns
+        noise = self.noise_model
+        field_noise = noise is not None and not noise.is_field_deterministic
         engine = SignedCrossbarEngine(
             k,
             n,
             technology=self.config.technology,
-            noise_model=self.noise_model,
+            noise_model=noise,
+            rng=self._noise_rng(key) if field_noise else None,
             tile_shape=(rows, columns),
         )
         engine.program(weights)
@@ -251,27 +222,7 @@ class OpticalCrossbarAccelerator:
             stats["programming_events"] += 2
             stats["programming_energy_j"] += energy_j
             stats["programming_time_s"] += time_s
-        if engine.is_deterministic:
-            reads = [
-                _Read(engine, index, k_start, min(k_start + rows, k), 0, n)
-                for index, k_start in enumerate(range(0, k, rows))
-            ]
-        else:
-            grid_columns = engine.grid[1]
-            reads = [
-                _Read(
-                    engine.tile(*divmod(index, grid_columns), rng=np.random.default_rng(seed)),
-                    0,
-                    tile.k_start,
-                    tile.k_end,
-                    tile.n_start,
-                    tile.n_end,
-                )
-                for index, (tile, seed) in enumerate(
-                    zip(tiles, self._tile_seed_sequences(key, len(tiles)))
-                )
-            ]
-        return _TilePlan(k=k, n=n, engine=engine, tiles=tiles, reads=reads)
+        return _TilePlan(k=k, n=n, engine=engine, tiles=tiles)
 
     def _programmed_tile_plan(self, weights: np.ndarray) -> _TilePlan:
         """Fetch (or build and cache) the programmed tile plan for ``weights``."""
@@ -406,8 +357,8 @@ class OpticalCrossbarAccelerator:
         the cache (so an analytics query can never evict a hot inference
         plan) and the programming statistics it would have accumulated are
         restored — the query describes a hypothetical schedule, it is not
-        datapath traffic.  Per-tile seeds are content-keyed, so the throwaway
-        plan is identical to the one :meth:`linear` would build.
+        datapath traffic.  Noise generators are content-keyed, so the
+        throwaway plan is identical to the one :meth:`linear` would build.
         """
         key = self._weight_key(weights)
         with self._stats_lock:
@@ -454,9 +405,8 @@ class OpticalCrossbarAccelerator:
             computed with INT6 quantisation of weights, inputs and outputs.
 
         The weight matrix is programmed at most once (see module docstring);
-        the input batch streams through the plan's reads, one exact code GEMM
-        per row tile without noise, run by the configured ``execution``
-        policy (bitwise identical results for every policy).
+        the layer engine then reads the whole input batch, one exact code
+        GEMM per row tile without noise.
         """
         weights = np.asarray(weights, dtype=float)
         inputs = np.asarray(inputs, dtype=float)

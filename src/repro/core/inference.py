@@ -165,10 +165,6 @@ class FunctionalInferenceEngine:
         Chip configuration for the functional crossbar tiles.
     noise_model:
         Optional analog impairments for the optical path.
-    execution:
-        Worker-pool specification for the accelerator's multi-core sharded
-        execution (``"serial"``, ``"thread"`` or a positive worker count);
-        outputs are bitwise identical for every setting.
     """
 
     def __init__(
@@ -178,13 +174,10 @@ class FunctionalInferenceEngine:
         config: Optional[ChipConfig] = None,
         noise_model: Optional[CrossbarNoiseModel] = None,
         seed: int = 0,
-        execution: "str | int" = "serial",
     ) -> None:
         self.network = network
         self.weights = dict(weights)
-        self.accelerator = OpticalCrossbarAccelerator(
-            config, noise_model=noise_model, seed=seed, execution=execution
-        )
+        self.accelerator = OpticalCrossbarAccelerator(config, noise_model=noise_model, seed=seed)
         missing = [
             info.name for info in network.crossbar_layers if info.name not in self.weights
         ]

@@ -1,4 +1,4 @@
-"""Multi-core sharded execution of tiled crossbar GEMMs.
+"""Per-core accounting of tiled crossbar GEMMs.
 
 The paper's headline architectural feature (Section IV) is the multi-core
 crossbar chip: a dual-core design keeps two copies of the photonic datapath so
@@ -9,29 +9,16 @@ schedule.  :class:`ShardedExecutionEngine` accounts the physical tiles of a
 programmed tile plan (see :mod:`repro.core.accelerator`) to the chip's
 ``num_cores`` crossbar cores with the same static round-robin assignment the
 analytical scheduler uses — tile ``i`` computes on core ``i % num_cores`` —
-and executes the plan's reads, optionally on a thread pool.
+and runs the plan's layer engine over the input.
 
 Reads
 -----
-A noiseless plan has one read per row tile: the layer's
-:class:`~repro.crossbar.signed.SignedCrossbarEngine` reads every column tile
-that shares that slice of the input, trimmed to the real rows and columns.
-A noisy plan reads each physical tile on its own engine, which zero-pads its
-input slice to the array's rows, so every tile keeps its own noise draws.
-The per-core accounting is per physical tile either way, from the
-programming time each tile record of the plan carries.
-
-Determinism
------------
-Result assembly is decoupled from read completion order: every read's partial
-product is collected into a slot indexed by its position in the plan, and the
-final accumulation into the output matrix walks the reads in plan order on
-the calling thread, so each output element sums its row-tile partials in row
-order.  Together with per-tile noise generators (each noisy physical tile's
-:class:`~repro.crossbar.signed.SignedCrossbarEngine` owns an independent
-``SeedSequence``-derived generator), this makes sharded execution bitwise
-identical to serial execution — with or without a noise model — regardless of
-worker count or completion order.
+The layer's :class:`~repro.crossbar.signed.SignedCrossbarEngine` reads every
+tile itself: one read per row tile without field noise, one per physical tile
+with it.  The per-core accounting is per physical tile either way, from the
+programming time each tile record of the plan carries.  The concurrency the
+cores model is between photonic cores of the simulated chip, so it shows up
+in the modelled busy times, not in host threads.
 
 Cross-checking against the analytical schedule
 ----------------------------------------------
@@ -45,41 +32,13 @@ tile assignment and busy times agree with the event-driven schedule.
 
 from __future__ import annotations
 
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.concurrency import make_lock, thread_shared
 from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.errors import SimulationError
-
-#: Worker-pool specification: ``"serial"`` (inline execution on the calling
-#: thread), ``"thread"`` (one worker thread per crossbar core), or a positive
-#: integer worker count.
-WorkerSpec = Union[str, int]
-
-
-def resolve_worker_count(workers: WorkerSpec, num_cores: int) -> int:
-    """Normalise a :data:`WorkerSpec` into a thread count (0 = inline serial).
-
-    ``"serial"`` maps to 0 (no pool, run on the calling thread), ``"thread"``
-    maps to one worker per crossbar core, and a positive integer is used as
-    given.  Anything else raises :class:`SimulationError`.
-    """
-    if workers == "serial":
-        return 0
-    if workers == "thread":
-        return max(int(num_cores), 1)
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise SimulationError(
-            f"workers must be 'serial', 'thread' or a positive integer, got {workers!r}"
-        )
-    if workers < 1:
-        raise SimulationError(f"worker count must be >= 1, got {workers}")
-    return workers
 
 
 @dataclass(frozen=True)
@@ -97,9 +56,8 @@ class ShardReport:
     core_busy_time_s: Tuple[float, ...]
 
 
-@thread_shared
 class ShardedExecutionEngine:
-    """Executes a tile plan's GEMMs across ``num_cores`` crossbar cores.
+    """Runs a tile plan's GEMM and accounts it to ``num_cores`` crossbar cores.
 
     Parameters
     ----------
@@ -111,48 +69,15 @@ class ShardedExecutionEngine:
     mac_clock_hz:
         Optical MAC rate, used for the per-tile compute-time estimate
         (one streamed vector per MAC cycle).
-    workers:
-        Worker pool specification; see :data:`WorkerSpec` and
-        :func:`resolve_worker_count`.
     """
 
-    def __init__(
-        self,
-        num_cores: int,
-        mac_clock_hz: float,
-        workers: WorkerSpec = "serial",
-    ) -> None:
+    def __init__(self, num_cores: int, mac_clock_hz: float) -> None:
         if num_cores < 1:
             raise SimulationError(f"num_cores must be >= 1, got {num_cores}")
         if mac_clock_hz <= 0:
             raise SimulationError(f"mac_clock_hz must be > 0, got {mac_clock_hz}")
         self.num_cores = int(num_cores)
         self.mac_clock_hz = float(mac_clock_hz)
-        self.workers = workers
-        self._worker_count = resolve_worker_count(workers, self.num_cores)
-        self._pool: "ThreadPoolExecutor | None" = None
-        self._pool_lock = make_lock("ShardedExecutionEngine._pool_lock")
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        """Lazily create the worker pool, reused across dispatches.
-
-        Guarded by a lock so two concurrent first dispatches cannot each
-        build a pool and leak one of them.
-        """
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = ThreadPoolExecutor(
-                    max_workers=self._worker_count,
-                    thread_name_prefix="crossbar-shard",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut down the worker pool (idempotent; a later dispatch re-creates it)."""
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown(wait=True)
-                self._pool = None
 
     # ------------------------------------------------------------------ schedule
     def core_assignment(self, num_tiles: int) -> List[int]:
@@ -199,44 +124,24 @@ class ShardedExecutionEngine:
 
     # ------------------------------------------------------------------ execute
     def execute(self, plan, inputs: np.ndarray):
-        """Run ``inputs`` through every read of ``plan`` and assemble the result.
+        """Read ``inputs`` through ``plan``'s layer engine and account the tiles.
 
         Parameters
         ----------
         plan:
             A programmed tile plan (``repro.core.accelerator._TilePlan``): an
-            object with ``n`` (output width), the physical ``tiles`` (each
-            with its ``programming_time_s``) and the ``reads`` to execute,
-            where each read carries a programmed engine, the ``row_tile`` of
-            it to read and its ``k_start``/``k_end``/``n_start``/``n_end``
-            spans.
+            object with the layer ``engine`` and the physical ``tiles``, each
+            with its ``programming_time_s``.
         inputs:
             Input matrix of shape (num_vectors, k).
 
         Returns
         -------
         (numpy.ndarray, ShardReport)
-            The (num_vectors, plan.n) result and the per-core accounting of
-            this dispatch.  Partial products are accumulated in plan order on
-            the calling thread, so the result is bitwise independent of the
-            worker pool and of read completion order.
+            The (num_vectors, n) result and the per-core accounting of this
+            dispatch.
         """
-        num_vectors = inputs.shape[0]
-        reads = plan.reads
-
-        def run_read(index: int) -> np.ndarray:
-            read = reads[index]
-            return read.engine.matmul(inputs[:, read.k_start : read.k_end], read.row_tile)
-
-        if self._worker_count == 0 or len(reads) <= 1:
-            partials = [run_read(index) for index in range(len(reads))]
-        else:
-            partials = list(self._ensure_pool().map(run_read, range(len(reads))))
-
-        result = np.zeros((num_vectors, plan.n))
-        for read, partial in zip(reads, partials):
-            result[:, read.n_start : read.n_end] += partial
-        return result, self._report(plan, num_vectors)
+        return plan.engine.matmul(inputs), self._report(plan, inputs.shape[0])
 
 
 def compute_entries_per_core(

@@ -28,26 +28,28 @@ Every tile costs two programming passes, one per array
 
 Read model
 ----------
-:meth:`SignedCrossbarEngine.matmul` reads one row tile.  It computes each
-vector's input scale (its largest magnitude) once for the whole
-(num_vectors, rows) batch.  Without noise it then makes one array read
+:meth:`SignedCrossbarEngine.matmul` reads the whole (num_vectors, rows)
+input and sums the tiles' partial products into a zero result in plan
+order.  Without noise it makes one array read per row tile
 (:meth:`~repro.crossbar.array.CrossbarArray.matmul`) over the ``[K+ | K-]``
 codes of every column tile of that row tile, trimmed to the matrix's real
-rows and columns, with each column's own tile full scale and weight scale,
-and hands the scales to that read, which normalises each vector just before
-the ODAC.  When the batch has a negative entry anywhere, the negative parts
-are stacked under the positive ones in the same read; otherwise (the common
-case after ReLU) they are left out.  The four differential products are
-combined digitally in a fixed order.  Each ADC code depends on its own
-vector only (see :mod:`repro.crossbar.array`), so a vector's output is
-independent of the batch it came in.
+rows and columns, with each column's own tile full scale and weight scale.
+It computes each vector's input scale (its largest magnitude over the row
+tile) once and hands the scales to that read, which normalises each vector
+just before the ODAC.  When the row tile's inputs have a negative entry
+anywhere, the negative parts are stacked under the positive ones in the
+same read; otherwise (the common case after ReLU) they are left out.  The
+four differential products are combined digitally in a fixed order.  Each
+ADC code depends on its own vector only (see :mod:`repro.crossbar.array`),
+so a vector's output is independent of the batch it came in.
 
-A noise model with field impairments draws per array read.  A noisy engine
-therefore reads one physical tile at a time (:meth:`SignedCrossbarEngine.tile`
-splits a grid), with its inputs zero-padded to the array's rows, its
-positive array before its negative one and positive inputs before negative,
-and keeps the shape and order of every draw.  :meth:`matvec` is a thin
-single-row wrapper.
+A noise model with field impairments draws per array read.  A noisy grid
+therefore reads one physical tile at a time, in row-major order, each on
+the one-array engine :meth:`SignedCrossbarEngine.tile` builds with its own
+child of the engine's generator, and with its inputs zero-padded to the
+array's rows.  A one-array engine reads its positive array before its
+negative one and positive inputs before negative, so every draw keeps its
+shape and order.  :meth:`matvec` is a thin single-row wrapper.
 """
 
 from __future__ import annotations
@@ -78,7 +80,9 @@ class SignedCrossbarEngine:
     noise_model:
         Optional impairment model forwarded to the underlying arrays.
     rng:
-        Random generator the noise model draws from.
+        Random generator the noise model draws from.  A grid (an engine
+        given a ``tile_shape``) splits it with ``rng.spawn``, one child per
+        tile in row-major order, so each tile draws its own field noise.
     tile_shape:
         (rows, columns) of the physical arrays the matrix is cut into, row
         tile by row tile; by default one array the size of the matrix.
@@ -111,7 +115,9 @@ class SignedCrossbarEngine:
         self.negative_array: Optional[CrossbarArray] = None
         self._weight_scale = np.ones(self.grid)
         self._tiles = None
-        self._reads = []
+        self._is_grid = tile_shape is not None
+        self._row_readers = []
+        self._tile_engines = []
         self._programmed = False
         self._programming_events = 0
         self._programming_energy_j = 0.0
@@ -156,6 +162,7 @@ class SignedCrossbarEngine:
         self._tiles = (codes, full_scale, code_scale)
         self._programmed = True
         arrays = (self.technology, self.noise_model, self.rng)
+        grid_rows, grid_columns = self.grid
         if self.grid == (1, 1):
             self.positive_array, self.negative_array = (
                 CrossbarArray.from_codes(
@@ -163,59 +170,59 @@ class SignedCrossbarEngine:
                 )
                 for part in (0, 1)
             )
+        self._row_readers = []
+        self._tile_engines = []
         if not self.is_deterministic:
-            self._reads = []
+            if self._is_grid:
+                self._tile_engines = [
+                    self.tile(*divmod(index, grid_columns), rng=rng)
+                    for index, rng in enumerate(self.rng.spawn(grid_rows * grid_columns))
+                ]
             return
         # Each row tile's [K+ | K-] read columns, trimmed to the real width,
         # with one full scale, L_a·S and weight scale per column.
-        grid_rows = self.grid[0]
+        tile_rows, tile_columns = self.tile_shape
         width = self.columns
 
         def per_column(values, parts):
-            columns = np.repeat(values, self.tile_shape[1], axis=1)
+            columns = np.repeat(values, tile_columns, axis=1)
             return columns.reshape(grid_rows, parts, -1)[:, :, :width].reshape(grid_rows, -1)
 
-        read_codes = codes.reshape(grid_rows, self.tile_shape[0], 2, -1)[..., :width]
-        read_codes = read_codes.reshape(grid_rows, self.tile_shape[0], 2 * width)
+        read_codes = codes.reshape(grid_rows, tile_rows, 2, -1)[..., :width]
+        read_codes = read_codes.reshape(grid_rows, tile_rows, 2 * width)
         full_scale, code_scale = per_column(full_scale, 2), per_column(code_scale, 2)
         weight_scale = per_column(scales, 1)
-        self._reads = []
-        for row_tile in range(grid_rows):
+        for row in range(grid_rows):
             reader = CrossbarArray.from_codes(
-                read_codes[row_tile, : self._row_tile_rows(row_tile)],
-                full_scale[row_tile],
-                code_scale[row_tile],
+                read_codes[row, : min(tile_rows, self.rows - row * tile_rows)],
+                full_scale[row],
+                code_scale[row],
                 *arrays,
             )
-            self._reads.append((reader, weight_scale[row_tile]))
+            self._row_readers.append((reader, weight_scale[row]))
 
     def tile(
-        self, row_tile: int, column_tile: int, rng: Optional[np.random.Generator] = None
+        self, row: int, column: int, rng: Optional[np.random.Generator] = None
     ) -> "SignedCrossbarEngine":
-        """Physical tile (``row_tile``, ``column_tile``) as a one-tile engine.
+        """Physical tile (``row``, ``column``) of the grid as a one-array engine.
 
-        The tile keeps this engine's codes and scales (it is not programmed
-        again, and has no programming history), its real extent and the
-        physical ``tile_shape``, and draws any noise from ``rng``.
+        The tile has the physical ``tile_shape``, with zero weights past the
+        matrix's edge.  It keeps this engine's codes and scales (it is not
+        programmed again, and has no programming history) and draws any
+        noise from ``rng``.
         """
         if not self._programmed:
             raise SimulationError("program() must be called before tile()")
-        tile_rows, tile_columns = self.tile_shape
-        engine = SignedCrossbarEngine(
-            self._row_tile_rows(row_tile),
-            min(tile_columns, self.columns - column_tile * tile_columns),
-            self.technology,
-            self.noise_model,
-            rng,
-            self.tile_shape,
-        )
+        if not (0 <= row < self.grid[0] and 0 <= column < self.grid[1]):
+            raise SimulationError(f"tile ({row}, {column}) is outside the {self.grid} grid")
+        engine = SignedCrossbarEngine(*self.tile_shape, self.technology, self.noise_model, rng)
         codes, full_scale, code_scale = self._tiles
-        parts = [column_tile, self.grid[1] + column_tile]
+        parts = [column, self.grid[1] + column]
         engine._load(
-            self._weight_scale[row_tile : row_tile + 1, column_tile : column_tile + 1],
-            codes[row_tile : row_tile + 1, :, parts],
-            full_scale[row_tile : row_tile + 1, parts],
-            code_scale[row_tile : row_tile + 1, parts],
+            self._weight_scale[row : row + 1, column : column + 1],
+            codes[row : row + 1, :, parts],
+            full_scale[row : row + 1, parts],
+            code_scale[row : row + 1, parts],
         )
         return engine
 
@@ -249,13 +256,6 @@ class SignedCrossbarEngine:
         """True when a read draws no noise: no noise model, or no field impairments."""
         return self.noise_model is None or self.noise_model.is_field_deterministic
 
-    def _row_tile_rows(self, row_tile: int) -> int:
-        """Real matrix rows in row tile ``row_tile``."""
-        if not 0 <= row_tile < self.grid[0]:
-            raise SimulationError(f"row tile {row_tile} is outside 0..{self.grid[0] - 1}")
-        tile_rows = self.tile_shape[0]
-        return min(tile_rows, self.rows - row_tile * tile_rows)
-
     # ------------------------------------------------------------------ compute
     def matvec(self, inputs: np.ndarray) -> np.ndarray:
         """Signed ``weights.T @ inputs`` for one vector (wraps :meth:`matmul`)."""
@@ -268,33 +268,57 @@ class SignedCrossbarEngine:
             )
         return self.matmul(inputs[None, :])[0]
 
-    def matmul(self, inputs: np.ndarray, row_tile: Optional[int] = None) -> np.ndarray:
-        """Signed GEMM for a batch of input vectors.
+    def matmul(self, inputs: np.ndarray) -> np.ndarray:
+        """Signed GEMM ``inputs @ weights`` for a batch of input vectors.
 
-        ``inputs`` has shape (num_vectors, rows of ``row_tile``) and the
-        result (num_vectors, columns): that row tile's partial product.
-        ``row_tile`` may be left out when there is only one.  Each vector is
-        normalised by its own max-magnitude scale, split into non-negative
-        positive/negative parts, and read as described in the module
-        docstring.  The negative-input products are skipped when the entire
-        batch is non-negative (the common ReLU case).
+        ``inputs`` has shape (num_vectors, rows) and the result
+        (num_vectors, columns).  Every tile is read as described in the
+        module docstring, and the partial products are summed into a zero
+        result in plan order: row tile by row tile, or, under field noise,
+        tile by tile in row-major order.
         """
         if not self._programmed:
             raise SimulationError("program() must be called before matmul()")
-        if row_tile is None:
-            if self.grid[0] > 1:
-                raise SimulationError("an engine with several row tiles reads one at a time")
-            row_tile = 0
         inputs = np.asarray(inputs, dtype=float)
-        rows = self._row_tile_rows(row_tile)
-        if inputs.ndim != 2 or inputs.shape[1] != rows:
+        if inputs.ndim != 2 or inputs.shape[1] != self.rows:
             raise SimulationError(
-                f"inputs must have shape (num_vectors, {rows}), got {inputs.shape}"
+                f"inputs must have shape (num_vectors, {self.rows}), got {inputs.shape}"
             )
+        tile_rows, tile_columns = self.tile_shape
+        if self._tile_engines:
+            padded = np.zeros((inputs.shape[0], self.grid[0] * tile_rows))
+            padded[:, : self.rows] = inputs
+            partials = []
+            for index, engine in enumerate(self._tile_engines):
+                row, column = divmod(index, self.grid[1])
+                start = column * tile_columns
+                partial = engine.matmul(padded[:, row * tile_rows : (row + 1) * tile_rows])
+                partials.append((start, partial[:, : self.columns - start]))
+        else:
+            partials = [
+                (0, self._read(inputs[:, row * tile_rows : (row + 1) * tile_rows], read))
+                for row, read in enumerate(self._row_readers or [None])
+            ]
+        # Allocated after the reads, so it adds nothing to their peak memory.
+        result = np.zeros((inputs.shape[0], self.columns))
+        for start, partial in partials:
+            result[:, start : start + partial.shape[1]] += partial
+        return result
 
+    def _read(self, inputs: np.ndarray, read) -> np.ndarray:
+        """Partial product (num_vectors, columns) of one row tile's inputs.
+
+        ``read`` is the row tile's fused ``[K+ | K-]`` array and per-column
+        weight scales, or None for a noisy one-array engine, which reads its
+        own two arrays.
+        Each vector is normalised by its own max-magnitude scale and split
+        into non-negative positive/negative parts; the negative-input
+        products are skipped when the whole slice is non-negative (the
+        common ReLU case).
+        """
         count = inputs.shape[0]
         input_scales = np.empty(count)
-        for block in vector_blocks(count, rows):
+        for block in vector_blocks(count, inputs.shape[1]):
             np.max(np.abs(inputs[block]), axis=1, out=input_scales[block])
         if not np.any(input_scales > 0.0):
             return np.zeros((count, self.columns))
@@ -302,8 +326,8 @@ class SignedCrossbarEngine:
         # normalised rows are all-zero and produce exact zero outputs.
         safe_scales = np.where(input_scales > 0.0, input_scales, 1.0)
 
-        if self._reads:
-            reader, weight_scale = self._reads[row_tile]
+        if read is not None:
+            reader, weight_scale = read
             width = self.columns
             if inputs.min() < 0.0:
                 batch = np.concatenate((np.maximum(inputs, 0.0), np.maximum(-inputs, 0.0)))
@@ -314,13 +338,6 @@ class SignedCrossbarEngine:
                 products = reader.matmul(inputs, scales=safe_scales)
                 result = products[:, :width] - products[:, width:]
         else:
-            if self.grid != (1, 1):
-                raise SimulationError("a noisy engine reads one tile at a time; see tile()")
-            tile_rows = self.tile_shape[0]
-            if rows < tile_rows:
-                padded = np.zeros((count, tile_rows))
-                padded[:, :rows] = inputs
-                inputs = padded
             normalised = inputs / safe_scales[:, None]
             positive_in = np.clip(normalised, 0.0, None)
             negative_in = np.clip(-normalised, 0.0, None)
@@ -328,7 +345,6 @@ class SignedCrossbarEngine:
             result = positive.matmul(positive_in) - negative.matmul(positive_in)
             if np.any(negative_in > 0):
                 result -= positive.matmul(negative_in) - negative.matmul(negative_in)
-            result = result[:, : self.columns]
             weight_scale = self.weight_scale
         result *= weight_scale
         result *= input_scales[:, None]

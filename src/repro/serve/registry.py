@@ -63,7 +63,6 @@ class ModelDefinition:
     noise_model: Optional[CrossbarNoiseModel] = None
     seed: int = 0
     executor: Union[str, int, ExecutorSpec] = "serial"
-    intra_execution: Union[str, int] = "serial"
     max_batch: int = 8
     max_wait_s: float = 0.002
     queue_capacity: int = 128
@@ -135,7 +134,6 @@ class ModelDefinition:
             config=self.config,
             noise_model=self.noise_model,
             seed=self.seed,
-            execution=self.intra_execution,
             warmup_image=warmup_image,
         )
 

@@ -434,8 +434,6 @@ class InferenceServer:
     executor:
         Replica-pool executor spelling: ``"serial"``, ``"thread[:N]"`` or
         ``"process[:N]"`` (see :func:`~repro.serve.workers.parse_executor_spec`).
-    intra_execution:
-        Tile-sharding spec inside each replica (accelerator ``execution``).
     max_batch, max_wait_s, queue_capacity:
         Dynamic micro-batching policy; see :class:`~repro.serve.batcher.MicroBatcher`.
     policy:
@@ -481,7 +479,6 @@ class InferenceServer:
         noise_model: Optional[CrossbarNoiseModel] = None,
         seed: int = 0,
         executor: Union[str, int, ExecutorSpec] = "serial",
-        intra_execution: Union[str, int] = "serial",
         max_batch: int = 8,
         max_wait_s: float = 0.002,
         queue_capacity: int = 128,
@@ -511,7 +508,6 @@ class InferenceServer:
                         noise_model=noise_model,
                         seed=seed,
                         executor=executor,
-                        intra_execution=intra_execution,
                         max_batch=max_batch,
                         max_wait_s=max_wait_s,
                         queue_capacity=queue_capacity,

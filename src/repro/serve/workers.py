@@ -74,9 +74,8 @@ DEFAULT_REPLICAS = max(2, min(4, os.cpu_count() or 2))
 class ExecutorSpec:
     """A parsed executor specification.
 
-    ``count is None`` means "use the context's default" — the sharded tile
-    datapath maps a bare ``thread`` to one worker per crossbar core, while the
-    serving pool maps bare ``thread`` / ``process`` to :data:`DEFAULT_REPLICAS`.
+    ``count is None`` means "use the context's default": the replica pool maps
+    bare ``thread`` / ``process`` to :data:`DEFAULT_REPLICAS`.
     """
 
     kind: str
@@ -108,9 +107,8 @@ def parse_executor_spec(value: Union[str, int, "ExecutorSpec"]) -> ExecutorSpec:
     """Parse an executor spelling shared by ``serve`` and ``infer --workers``.
 
     Accepted spellings: ``"serial"``, ``"thread"``, ``"thread:N"``,
-    ``"process"``, ``"process:N"`` and a bare positive integer (kept for
-    backwards compatibility with ``infer --workers N``, where it means a
-    thread pool of ``N`` workers).  Anything else raises a
+    ``"process"``, ``"process:N"`` and a bare positive integer ``N``, which
+    means ``"thread:N"``.  Anything else raises a
     :class:`~repro.errors.SimulationError` naming the accepted forms.
     """
     if isinstance(value, ExecutorSpec):
@@ -179,11 +177,6 @@ class EngineReplicaSpec:
     config: Optional[ChipConfig] = None
     noise_model: Optional[CrossbarNoiseModel] = None
     seed: int = 0
-    #: Intra-replica tile sharding passed through to the accelerator
-    #: (``"serial"``, ``"thread"`` or a worker count); replicas default to
-    #: serial tile execution because serving parallelism already comes from
-    #: the replica pool.
-    execution: Union[str, int] = "serial"
     #: Optional representative input run through every replica at start-up so
     #: the one-time PCM tile programming does not land on the first request.
     warmup_image: Optional[np.ndarray] = None
@@ -200,7 +193,6 @@ class EngineReplicaSpec:
             self.config,
             noise_model=self.noise_model,
             seed=self.seed,
-            execution=self.execution,
         )
         if self.warmup_image is not None:
             engine.run_batch(np.asarray(self.warmup_image, dtype=float)[None])

@@ -40,7 +40,6 @@ def test_export_writes_schema_ci_uploads(export_json_module, tmp_path, capsys):
         "serving",
         "robustness",
         "observability",
-        "sharding",
         "async_conn_scaling",
     }
     assert payload["meta"]["workload"] == "lenet5"
@@ -66,9 +65,6 @@ def test_export_writes_schema_ci_uploads(export_json_module, tmp_path, capsys):
     assert stage_means["e2e"] > 0
     for stage in ("admit", "queue_wait", "replica_execute", "deliver"):
         assert stage in stage_means
-    sharding = payload["sharding"]
-    assert sharding["thread:2"]["bitwise_match_vs_serial"] is True
-    assert sharding["speedup_thread_vs_serial"] > 0
     scaling = payload["async_conn_scaling"]
     assert set(scaling) == {"async"}
     assert scaling["async"], "async sweep is empty"

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import WORKLOADS, build_network, build_parser, main
+from repro.serve import DEFAULT_REPLICAS
 
 
 class TestParser:
@@ -100,7 +101,7 @@ class TestCommands:
 
     @pytest.mark.multicore
     def test_infer_workers_thread_matches_serial(self, capsys):
-        base = ["infer", "--network", "lenet5", "--images", "2",
+        base = ["infer", "--network", "lenet5", "--images", "4",
                 "--rows", "32", "--columns", "32", "--json"]
         assert main(base) == 0
         serial = json.loads(capsys.readouterr().out)
@@ -108,7 +109,12 @@ class TestCommands:
         threaded = json.loads(capsys.readouterr().out)
         assert threaded["workers"] == "thread"
         assert threaded["mean_relative_error"] == serial["mean_relative_error"]
-        assert threaded["per_core_tile_dispatches"] == serial["per_core_tile_dispatches"]
+        assert threaded["top1_match_rate"] == serial["top1_match_rate"]
+        # Every replica dispatches every layer once per batch for its chunk.
+        replicas = min(DEFAULT_REPLICAS, 4)
+        assert threaded["per_core_tile_dispatches"] == [
+            replicas * count for count in serial["per_core_tile_dispatches"]
+        ]
         assert sum(threaded["per_core_tile_dispatches"]) > 0
 
     @pytest.mark.multicore
@@ -116,7 +122,8 @@ class TestCommands:
         code = main(["infer", "--network", "lenet5", "--images", "2",
                      "--rows", "32", "--columns", "32", "--workers", "2"])
         assert code == 0
-        assert "tile GEMMs per crossbar core" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "tile GEMMs per crossbar core (workers=thread:2)" in output
 
     def test_infer_rejects_bad_workers(self):
         with pytest.raises(SystemExit):

@@ -1,8 +1,9 @@
-"""Tests for multi-core sharded execution of the functional GEMM datapath.
+"""Tests for the multi-core accounting of the functional GEMM datapath.
 
-The ``multicore`` marker groups everything that exercises the sharded path;
-the tier-1 run collects this file by default, so sharding regressions fail
-every PR (``pytest -m multicore`` selects just these tests).
+Tiles are accounted round-robin to the chip's crossbar cores; the core count
+changes the per-core statistics and the analytical schedule, never an
+output.  The ``multicore`` marker groups these tests; the tier-1 run collects
+this file by default (``pytest -m multicore`` selects just these tests).
 """
 
 import numpy as np
@@ -11,11 +12,7 @@ import pytest
 from repro.config import small_test_chip
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
-from repro.core.sharding import (
-    ShardedExecutionEngine,
-    compute_entries_per_core,
-    resolve_worker_count,
-)
+from repro.core.sharding import ShardedExecutionEngine, compute_entries_per_core
 from repro.crossbar import CrossbarNoiseModel
 from repro.crossbar.dual_core import DualCoreCrossbar
 from repro.errors import SimulationError
@@ -29,34 +26,13 @@ def dual_core_chip(**overrides):
     return small_test_chip(num_cores=2, **overrides)
 
 
-class TestWorkerSpec:
-    def test_serial_resolves_to_inline(self):
-        assert resolve_worker_count("serial", 2) == 0
-
-    def test_thread_resolves_to_one_worker_per_core(self):
-        assert resolve_worker_count("thread", 2) == 2
-        assert resolve_worker_count("thread", 1) == 1
-
-    def test_explicit_count_passes_through(self):
-        assert resolve_worker_count(5, 2) == 5
-
-    @pytest.mark.parametrize("bad", [0, -1, "threads", "parallel", 1.5, True, None])
-    def test_invalid_specs_rejected(self, bad):
-        with pytest.raises(SimulationError):
-            resolve_worker_count(bad, 2)
-
-    def test_accelerator_rejects_invalid_execution(self):
-        with pytest.raises(SimulationError):
-            OpticalCrossbarAccelerator(dual_core_chip(), execution="bogus")
-
+class TestRoundRobinAssignment:
     def test_engine_rejects_invalid_dimensions(self):
         with pytest.raises(SimulationError):
             ShardedExecutionEngine(0, 10e9)
         with pytest.raises(SimulationError):
             ShardedExecutionEngine(2, 0.0)
 
-
-class TestRoundRobinAssignment:
     def test_assignment_alternates_like_the_dual_core_schedule(self):
         engine = ShardedExecutionEngine(2, 10e9)
         assert engine.core_assignment(5) == [0, 1, 0, 1, 0]
@@ -75,7 +51,7 @@ class TestRoundRobinAssignment:
 
 
 class TestBitwiseEquivalence:
-    """Acceptance criterion: sharded output == serial output, bitwise."""
+    """Multi-core ("sharded") outputs == single-core ("serial") outputs, bitwise."""
 
     @pytest.fixture()
     def problem(self):
@@ -83,37 +59,28 @@ class TestBitwiseEquivalence:
         # 20x11 weights -> a 3x2 tile grid on the 8x8 chip.
         return rng.normal(size=(20, 11)), rng.uniform(-1, 1, (7, 20))
 
-    @pytest.mark.parametrize("execution", ["thread", 2, 3, 8])
-    def test_sharded_linear_matches_serial(self, problem, execution):
-        weights, inputs = problem
-        serial = OpticalCrossbarAccelerator(dual_core_chip()).linear(weights, inputs)
-        sharded = OpticalCrossbarAccelerator(
-            dual_core_chip(), execution=execution
-        ).linear(weights, inputs)
-        assert np.array_equal(serial, sharded)
-
     def test_sharded_conv2d_matches_serial(self):
         rng = np.random.default_rng(2)
         fmaps = rng.uniform(0, 1, (3, 6, 6, 2))
         weights = rng.normal(size=(3, 3, 2, 4))
-        serial = OpticalCrossbarAccelerator(dual_core_chip()).conv2d(
+        serial = OpticalCrossbarAccelerator(small_test_chip()).conv2d(
             fmaps, weights, stride=1, padding=1
         )
-        sharded = OpticalCrossbarAccelerator(dual_core_chip(), execution="thread").conv2d(
+        sharded = OpticalCrossbarAccelerator(dual_core_chip()).conv2d(
             fmaps, weights, stride=1, padding=1
         )
-        assert np.array_equal(serial, sharded)
+        assert serial.tobytes() == sharded.tobytes()
 
     def test_noisy_sharded_execution_matches_serial(self, problem):
         weights, inputs = problem
         noise = CrossbarNoiseModel.pessimistic()
         serial = OpticalCrossbarAccelerator(
-            dual_core_chip(), noise_model=noise, seed=11
+            small_test_chip(), noise_model=noise, seed=11
         ).linear(weights, inputs)
         sharded = OpticalCrossbarAccelerator(
-            dual_core_chip(), noise_model=noise, seed=11, execution="thread"
+            dual_core_chip(), noise_model=noise, seed=11
         ).linear(weights, inputs)
-        assert np.array_equal(serial, sharded)
+        assert serial.tobytes() == sharded.tobytes()
 
     def test_noisy_results_do_not_depend_on_plan_build_order(self, problem):
         weights, inputs = problem
@@ -128,20 +95,51 @@ class TestBitwiseEquivalence:
     def test_sharded_inference_engine_matches_serial(self):
         network = build_lenet5(input_size=12)
         weights = generate_random_weights(network, seed=6, scale=0.3)
-        config = small_test_chip(rows=32, columns=32, num_cores=2)
         images = np.random.default_rng(7).uniform(0, 1, (4, 12, 12, 1))
-        serial = FunctionalInferenceEngine(network, weights, config).run_batch(images)
-        sharded = FunctionalInferenceEngine(
-            network, weights, config, execution="thread"
-        ).run_batch(images)
-        assert np.array_equal(serial, sharded)
+        outputs = [
+            FunctionalInferenceEngine(
+                network, weights, small_test_chip(rows=32, columns=32, num_cores=cores)
+            ).run_batch(images)
+            for cores in (1, 2)
+        ]
+        assert outputs[0].tobytes() == outputs[1].tobytes()
+
+
+class TestLeNetMulticoreScaling:
+    """LeNet on the 64x64 dual-core chip at B=8: balanced cores, real speed-up."""
+
+    def test_core_balance_and_dual_core_speedup(self):
+        network = build_lenet5()
+        weights = generate_random_weights(network, seed=0, scale=0.3)
+        images = np.random.default_rng(1).uniform(
+            0.0, 1.0, (8,) + network.input_shape.as_tuple()
+        )
+        engine = FunctionalInferenceEngine(
+            network, weights, small_test_chip(rows=64, columns=64, num_cores=2)
+        )
+        engine.run_batch(images)
+        accelerator = engine.accelerator
+
+        # The round-robin split keeps both crossbar cores near-equally busy,
+        # which is where the multi-core scaling comes from.
+        core_busy = accelerator.functional_statistics()["per_core_busy_time_s"]
+        assert len(core_busy) == 2 and min(core_busy) > 0.0
+        assert min(core_busy) / max(core_busy) > 0.5
+
+        # The dual-core schedule of the widest layer's tile plan shows real
+        # scaling.
+        widest = max(weights.values(), key=lambda w: w.reshape(-1, w.shape[-1]).size)
+        summary = accelerator.analytical_schedule(
+            widest.reshape(-1, widest.shape[-1]), num_vectors=8
+        )
+        assert summary["speedup"] > 1.3
 
 
 class TestScheduleCrossCheck:
     """functional_statistics() must agree with DualCoreCrossbar's schedule."""
 
     def test_per_core_tile_counts_match_the_analytical_schedule(self):
-        accelerator = OpticalCrossbarAccelerator(dual_core_chip(), execution="thread")
+        accelerator = OpticalCrossbarAccelerator(dual_core_chip())
         rng = np.random.default_rng(4)
         weights = rng.normal(size=(20, 11))  # 6 tiles -> 3 per core
         inputs = rng.uniform(0, 1, (5, 20))
@@ -156,7 +154,7 @@ class TestScheduleCrossCheck:
         assert stats["per_core_busy_time_s"] == pytest.approx(analytical_busy)
 
     def test_busy_time_accumulates_per_dispatch(self):
-        accelerator = OpticalCrossbarAccelerator(dual_core_chip(), execution=2)
+        accelerator = OpticalCrossbarAccelerator(dual_core_chip())
         rng = np.random.default_rng(5)
         weights = rng.normal(size=(16, 8))  # 2 tiles, one per core
         inputs = rng.uniform(0, 1, (3, 16))

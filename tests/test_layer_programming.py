@@ -91,15 +91,19 @@ def per_tile_linear(config, weights, inputs, noise_model=None, seeds=None):
     return result
 
 
-def content_seeds(seed, weights, count):
-    """The content-keyed per-tile ``SeedSequence`` children of a plan."""
+def content_sequence(seed, weights):
+    """The ``SeedSequence`` keyed by ``seed`` and the weight content."""
     weights = np.ascontiguousarray(weights)
     digest = hashlib.sha1(weights.tobytes()).digest()
-    plan_sequence = np.random.SeedSequence(
+    return np.random.SeedSequence(
         entropy=np.random.SeedSequence(seed).entropy,
         spawn_key=tuple(int(dim) for dim in weights.shape) + tuple(digest),
     )
-    return plan_sequence.spawn(count)
+
+
+def content_seeds(seed, weights, count):
+    """The content-keyed per-tile ``SeedSequence`` children of a plan."""
+    return content_sequence(seed, weights).spawn(count)
 
 
 def _plan(accelerator, weights):
@@ -185,8 +189,75 @@ class TestNoisyLayerProgramming:
         noise = CrossbarNoiseModel(relative_amplitude_noise=0.05)
         accelerator = OpticalCrossbarAccelerator(config, noise_model=noise)
         plan = _plan(accelerator, np.ones((20, 10)))
-        assert len(plan.reads) == len(plan.tiles) == 6
-        assert len({id(read.engine) for read in plan.reads}) == 6
+        tile_engines = plan.engine._tile_engines
+        assert len(tile_engines) == len(plan.tiles) == 6
+        assert len({id(engine) for engine in tile_engines}) == 6
+
+    def test_noisy_layer_read_equals_seeded_per_tile_engines(self):
+        config = small_test_chip()
+        noise = CrossbarNoiseModel.pessimistic()
+        rng = np.random.default_rng(5)
+        weights = rng.normal(size=(20, 11))  # a ragged 3x2 grid of 8x8 tiles
+        inputs = rng.uniform(-1.0, 1.0, (4, 20))
+        inputs[1] = 0.0
+        inputs[2, :8] = 0.0  # one vector with an all-zero row tile
+        engine = SignedCrossbarEngine(
+            20,
+            11,
+            technology=config.technology,
+            noise_model=noise,
+            rng=np.random.default_rng(content_sequence(11, weights)),
+            tile_shape=(config.rows, config.columns),
+        )
+        engine.program(weights)
+        seeds = content_seeds(11, weights, 6)
+        tiles = [
+            SignedCrossbarEngine(
+                config.rows,
+                config.columns,
+                technology=config.technology,
+                noise_model=noise,
+                rng=np.random.default_rng(seed),
+            )
+            for seed in seeds
+        ]
+        for tile, span in zip(tiles, _spans(20, 11, config.rows, config.columns)):
+            tile.program(_padded_tile(weights, span, config.rows, config.columns))
+        # Each tile's stream carries on from one read to the next.
+        for _ in range(2):
+            expected = np.zeros((4, 11))
+            for tile, span in zip(tiles, _spans(20, 11, config.rows, config.columns)):
+                partial = tile.matmul(_padded_inputs(inputs, span, config.rows))
+                expected[:, span[2] : span[3]] += partial[:, : span[3] - span[2]]
+            assert engine.matmul(inputs).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize(
+        "noise", [None, CrossbarNoiseModel.pessimistic()], ids=["noiseless", "pessimistic"]
+    )
+    def test_multi_row_tile_engine_reads_like_linear(self, noise):
+        config = small_test_chip()
+        rng = np.random.default_rng(6)
+        weights = rng.normal(size=(20, 11))  # a 3x2 grid of 8x8 tiles
+        inputs = rng.uniform(-1.0, 1.0, (5, 20))
+
+        def layer_engine():
+            engine = SignedCrossbarEngine(
+                20,
+                11,
+                technology=config.technology,
+                noise_model=noise,
+                rng=np.random.default_rng(content_sequence(11, weights)),
+                tile_shape=(config.rows, config.columns),
+            )
+            engine.program(weights)
+            return engine
+
+        def linear(batch):
+            accelerator = OpticalCrossbarAccelerator(config, noise_model=noise, seed=11)
+            return accelerator.linear(weights, batch)
+
+        assert layer_engine().matmul(inputs).tobytes() == linear(inputs).tobytes()
+        assert layer_engine().matvec(inputs[0]).tobytes() == linear(inputs[0]).tobytes()
 
 
 class _Counter:
