@@ -13,28 +13,28 @@ Programmed-tile caching
 PCM programming is the expensive, non-volatile step of the functional path:
 each weight tile costs a quantisation pass plus per-cell programming energy
 and time.  ``linear`` therefore keeps an LRU cache of *programmed tile
-plans*, keyed by the weight matrix's content (shape + byte digest).  The
-first call with a given weight matrix programs it onto the chip's tile grid
-with one :class:`~repro.crossbar.signed.SignedCrossbarEngine` for the whole
-layer, whose :meth:`~repro.crossbar.signed.SignedCrossbarEngine.program`
-pads the matrix once, scales, splits and quantises every tile in one
-vectorised pass, and sets each tile's ADC full scale from one column-sum
-reduction.  Every later call with the same weights — every image of a
-batch, every repeated inference — reuses the programmed plan without
-touching the PCM again.  Programming is accounted per physical tile, in plan
-order: two programming events, both arrays' ``cells ×
-pcm_programming_energy_j`` and one pass of programming time each.  These
-statistics survive cache eviction and are reported by
-:meth:`functional_statistics`.
+plans*, keyed by the weight matrix's shape and a copy of its bytes (hashed
+by their ends, compared in full: a lookup is a copy and a memcmp).  The
+first call with a given weight matrix programs it onto the tile grid with one
+:class:`~repro.crossbar.signed.SignedCrossbarEngine` for the whole layer,
+whose :meth:`~repro.crossbar.signed.SignedCrossbarEngine.program` pads the
+matrix once, scales, splits and quantises every tile in one vectorised
+pass, and sets each tile's ADC full scale from one column-sum reduction.
+Every later call with the same weights — every image of a batch, every
+repeated inference — reuses the programmed plan without touching the PCM
+again.  Programming is accounted per physical tile, in plan order: two
+programming events, both arrays' ``cells × pcm_programming_energy_j`` and
+one pass of programming time each.  These statistics survive cache eviction
+and are reported by :meth:`functional_statistics`.
 
 Layer reads
 -----------
 A plan's layer engine reads every tile itself
 (:meth:`~repro.crossbar.signed.SignedCrossbarEngine.matmul` of the whole
-input).  Without field noise that is one exact code GEMM per row tile, over
-the ``[K+ | K-]`` codes of all column tiles that share that slice of the
-input, so a batch's inputs are normalised and ODAC-quantised once per row
-tile whatever the layer's width.  Every ADC code is the exact
+input).  Without field noise that is one stacked read of the whole layer:
+one batched exact code GEMM over every row tile's ``[K+ | K-]`` codes of all
+its column tiles, so a batch's inputs are normalised and ODAC-quantised once
+per layer whatever its width or depth.  Every ADC code is the exact
 round-half-even code of :mod:`repro.crossbar.array`, so the output does not
 depend on the batch, BLAS or the platform.  With field noise the engine
 reads one physical tile at a time, with its inputs padded, so its noise
@@ -86,6 +86,13 @@ class _Tile:
     n_start: int
     n_end: int
     programming_time_s: float
+
+
+class _MatrixBytes(bytes):
+    """Bytes hashed by their length and ends; equality is still a full memcmp."""
+
+    def __hash__(self) -> int:
+        return hash((len(self), self[:64], self[-64:]))
 
 
 @dataclass
@@ -175,24 +182,22 @@ class OpticalCrossbarAccelerator:
 
     # ------------------------------------------------------------------ functional
     def _weight_key(self, weights: np.ndarray) -> Tuple:
-        """Content-identity key of a weight matrix (shape + byte digest)."""
-        contiguous = np.ascontiguousarray(weights)
-        digest = hashlib.sha1(contiguous.tobytes()).digest()
-        return (weights.shape, digest)
+        """Content-identity key of a weight matrix (shape + a copy of its bytes)."""
+        return (weights.shape, _MatrixBytes(np.ascontiguousarray(weights)))
 
     def _noise_rng(self, key: Tuple) -> np.random.Generator:
         """The generator the field noise of the plan identified by ``key`` draws from.
 
-        It is seeded from a sequence keyed by the accelerator seed *and* the
-        weight matrix's content key, so the layer engine's per-tile children
-        depend only on (seed, weights, tile index), not on how many plans
-        were built before.
+        It is seeded from a sequence keyed by the accelerator seed, the
+        matrix's shape and a SHA-1 digest of its bytes, so the layer
+        engine's per-tile children depend only on (seed, weights, tile
+        index), not on how many plans were built before.
         """
-        shape, digest = key
+        shape, data = key
         return np.random.default_rng(
             np.random.SeedSequence(
                 entropy=self._seed_sequence.entropy,
-                spawn_key=tuple(int(dim) for dim in shape) + tuple(digest),
+                spawn_key=tuple(int(dim) for dim in shape) + tuple(hashlib.sha1(data).digest()),
             )
         )
 
@@ -405,8 +410,8 @@ class OpticalCrossbarAccelerator:
             computed with INT6 quantisation of weights, inputs and outputs.
 
         The weight matrix is programmed at most once (see module docstring);
-        the layer engine then reads the whole input batch, one exact code
-        GEMM per row tile without noise.
+        the layer engine then reads the whole input batch, one stacked exact
+        code GEMM over all its row tiles without noise.
         """
         weights = np.asarray(weights, dtype=float)
         inputs = np.asarray(inputs, dtype=float)

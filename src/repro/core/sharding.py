@@ -14,8 +14,8 @@ and runs the plan's layer engine over the input.
 Reads
 -----
 The layer's :class:`~repro.crossbar.signed.SignedCrossbarEngine` reads every
-tile itself: one read per row tile without field noise, one per physical tile
-with it.  The per-core accounting is per physical tile either way, from the
+tile itself: one stacked read per layer without field noise, one per physical
+tile with it.  The per-core accounting is per physical tile either way, from the
 programming time each tile record of the plan carries.  The concurrency the
 cores model is between photonic cores of the simulated chip, so it shows up
 in the modelled busy times, not in host threads.

@@ -56,12 +56,14 @@ Many tiles are programmed at once (:func:`program_tiles`): a layer's PCM
 tiles are quantised in one pass, and each tile's ADC full scale and ``L_a·S``
 come from one column-sum reduction over the stack.  An array can also be made
 from codes programmed that way (:meth:`CrossbarArray.from_codes`), with its
-own full scale and denominator per column.  The signed engine reads a row
-tile's ``[K+ | K-]`` codes of every column tile as one such array.  A read
-may also carry per-vector input scales, which the digital front end divides
-out just before the ODAC.  The exact read walks the batch one block of
-vectors at a time (:func:`vector_blocks`), so its temporaries stay
-cache-sized at any batch.
+own full scale and denominator per column.  A *stack* of ``R`` row tiles'
+codes reads them all in one call (row tile ``r`` from input row ``r·rows``)
+and returns one ADC output per row tile; a single array is the ``R = 1``
+case.  The signed engine reads a whole layer's ``[K+ | K-]`` codes so, with
+an input scale per (vector, row tile) divided out before the ODAC.  Only the
+integer drive codes are laid out per row tile (the short last one
+zero-padded) for one batched code GEMM and one ADC pass, a block of vectors
+at a time (:func:`vector_blocks`).
 """
 
 from __future__ import annotations
@@ -232,10 +234,12 @@ class CrossbarArray:
         self._programming_energy_j = 0.0
         self._programming_time_s = 0.0
         self._adc_full_scale = float(rows)
+        self.input_rows = rows
         # Read state, set by program_weights (or from_codes): the integer PCM
-        # level codes in the GEMM dtype, and per column the ADC full scale and
-        # the exact-code denominator L_a·S.
+        # level codes in the GEMM dtype, as given and as an (R, rows, columns)
+        # stack, and per row tile and column the ADC full scale and L_a·S.
         self._codes: Optional[np.ndarray] = None
+        self._stack: Optional[np.ndarray] = None
         self._column_full_scale: Optional[np.ndarray] = None
         self._column_code_scale: Optional[np.ndarray] = None
 
@@ -348,50 +352,63 @@ class CrossbarArray:
         technology: Optional[TechnologyConfig] = None,
         noise_model=None,
         rng: Optional[np.random.Generator] = None,
+        input_rows: Optional[int] = None,
     ) -> "CrossbarArray":
         """A programmed array holding integer level codes from :func:`program_tiles`.
 
-        ``codes`` has shape (rows, columns) in the GEMM dtype; ``full_scale``
-        and ``code_scale`` are each column's ADC full scale and ``L_a·S``
-        (scalars apply to every column).  Nothing is quantised and no
-        programming pass is counted: the codes were programmed elsewhere,
-        such as one row tile's ``[K+ | K-]`` codes of a whole layer.
+        ``codes`` has shape (rows, columns), or (R, rows, columns) for a
+        stack reading ``input_rows`` rows (default ``R·rows``), in the GEMM
+        dtype; ``full_scale`` and ``code_scale`` are each (row tile and)
+        column's ADC full scale and ``L_a·S`` (scalars apply to every
+        column).  Nothing is quantised and no programming pass is counted.
         """
-        rows, columns = codes.shape
-        array = cls(rows, columns, technology, noise_model=noise_model, rng=rng)
-        array._set_codes(codes, full_scale, code_scale)
+        array = cls(*codes.shape[-2:], technology, noise_model=noise_model, rng=rng)
+        array._set_codes(codes, full_scale, code_scale, input_rows)
         return array
 
-    def _set_codes(self, codes: np.ndarray, full_scale, code_scale) -> None:
+    def _set_codes(self, codes: np.ndarray, full_scale, code_scale, input_rows=None) -> None:
         self._codes = codes
-        self._column_full_scale = np.full(self.columns, full_scale)
-        self._column_code_scale = np.full(self.columns, code_scale)
+        self._stack = codes.reshape(-1, self.rows, self.columns)
+        tiles = len(self._stack)
+        self.input_rows = input_rows or tiles * self.rows
+        self._column_full_scale = np.full((tiles, self.columns), full_scale)[:, None]
+        self._column_code_scale = np.full((tiles, self.columns), code_scale)[:, None]
         self._adc_full_scale = float(self._column_full_scale.max())
         self._programmed = True
 
     # ------------------------------------------------------------------ compute
     def _check_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """``inputs`` as a float (num_vectors, rows) batch of a programmed array."""
+        """``inputs`` as a float (num_vectors, input_rows) batch of a programmed array."""
         if not self._programmed:
             raise SimulationError("the array must be programmed before computing")
         inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[1] != self.rows:
+        if inputs.ndim != 2 or inputs.shape[1] != self.input_rows:
             raise SimulationError(
-                f"inputs must have shape (num_vectors, {self.rows}), got {inputs.shape}"
+                f"inputs must have shape (num_vectors, {self.input_rows}), got {inputs.shape}"
             )
         return inputs
 
-    def _code_sums(self, inputs: np.ndarray):
-        """ODAC drive codes ``c`` of a checked batch and ``c @ k``.
-
-        Both are integer-valued: the ODAC emits fields ``T·c/L_a``, so scaling
-        by ``L_a/T`` and rounding recovers ``c`` exactly, and the code GEMM is
-        exact in its dtype (see module docstring).
+    def _drive_codes(self, inputs: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
+        """ODAC drive codes ``c`` of a block of checked inputs, shape (R, v, rows):
+        the ODAC emits fields ``T·c/L_a``, so scaling by ``L_a/T`` and rounding
+        recovers ``c`` exactly, for the code GEMM ``c @ self._stack``.
         """
+        count, (tiles, rows, _) = len(inputs), self._stack.shape
+        if scales is not None:  # one scale per (vector, row tile)
+            normalised = np.empty_like(inputs)
+            for tile, start in enumerate(range(0, self.input_rows, rows)):
+                end = start + rows
+                np.divide(inputs[:, start:end], scales[:, tile, None], out=normalised[:, start:end])
+            inputs = normalised
         drive = self.odac.modulate(inputs)
         drive *= self._activation_max / self.odac.max_field_transmission
         np.rint(drive, out=drive)
-        return drive, drive.astype(self._codes.dtype, copy=False) @ self._codes
+        if tiles * rows == self.input_rows:
+            codes = drive.astype(self._stack.dtype, copy=False)
+        else:
+            codes = np.zeros((count, tiles * rows), self._stack.dtype)
+            codes[:, : self.input_rows] = drive
+        return codes.reshape(count, tiles, rows).swapaxes(0, 1)
 
     def _analog(self, drive: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """``sum_i v[i] * w[i, j]`` in float64 from the exact integer sums."""
@@ -399,7 +416,8 @@ class CrossbarArray:
         span = technology.pcm_max_transmission - technology.pcm_min_transmission
         analog = np.multiply(sums, span / (technology.pcm_levels - 1), dtype=np.float64)
         if technology.pcm_min_transmission:
-            analog += technology.pcm_min_transmission * drive.sum(axis=1, keepdims=True)
+            drive_sums = drive.sum(axis=-1, keepdims=True, dtype=np.float64)
+            analog += technology.pcm_min_transmission * drive_sums
         return analog * (self.odac.max_field_transmission / self._activation_max)
 
     def column_fields(self, inputs: np.ndarray) -> np.ndarray:
@@ -411,15 +429,13 @@ class CrossbarArray:
         """
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim == 1:
-            if inputs.shape != (self.rows,):
-                raise SimulationError(
-                    f"input vector must have shape ({self.rows},), got {inputs.shape}"
-                )
-            return self.column_fields(inputs[None, :])[0]
-        fields = self.field_scale * self._analog(*self._code_sums(self._check_batch(inputs)))
+            return self.column_fields(inputs[None])[..., 0, :]
+        drive = self._drive_codes(self._check_batch(inputs), None)
+        fields = self.field_scale * self._analog(drive, np.matmul(drive, self._stack))
         if not self.is_deterministic:
-            fields = self.noise_model.apply_to_fields(fields, self.rng)
-        return fields
+            for tile in fields:  # each row tile draws as a single array does
+                tile[...] = self.noise_model.apply_to_fields(tile, self.rng)
+        return fields if self._codes.ndim == 3 else fields[0]
 
     def matvec(self, inputs: np.ndarray, quantize_output: bool = True) -> np.ndarray:
         """Compute ``weights.T @ inputs`` optically for one input vector.
@@ -429,19 +445,13 @@ class CrossbarArray:
         Parameters
         ----------
         inputs:
-            Normalised input vector in [0, 1] of length ``rows``.
+            Normalised input vector in [0, 1] of length ``input_rows``.
         quantize_output:
             Apply the ADC quantisation (default).  Disable to inspect the
             analog result.
         """
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.shape != (self.rows,):
-            if not self._programmed:
-                raise SimulationError("the array must be programmed before computing")
-            raise SimulationError(
-                f"input vector must have shape ({self.rows},), got {inputs.shape}"
-            )
-        return self.matmul(inputs[None, :], quantize_output=quantize_output)[0]
+        batch = np.asarray(inputs, dtype=float)[None]
+        return self.matmul(batch, quantize_output=quantize_output)[..., 0, :]
 
     def matmul(
         self,
@@ -454,46 +464,48 @@ class CrossbarArray:
         Parameters
         ----------
         inputs:
-            Input vectors, shape (num_vectors, rows), with entries in [0, 1]
-            or, when ``scales`` is given, in [0, scales[v]].
+            Input vectors, shape (num_vectors, input_rows), with entries in
+            [0, 1] or, when ``scales`` is given, in [0, scales[v, r]] on row
+            tile ``r``.
         quantize_output:
             Apply the ADC quantisation (default).  Disable to inspect the
             analog result ``sum_i v[i] * w[i, j]``.
         scales:
-            Optional positive per-vector scales, shape (num_vectors,).  The
-            digital front end then divides vector ``v`` by ``scales[v]``
-            before the ODAC.
+            Optional positive scales, shape (num_vectors, R).  The front end
+            divides row tile ``r`` of vector ``v`` by ``scales[v, r]``.
 
-        Without noise and with ``t_min = 0`` each ADC code is the exact
-        round-half-even code of the module docstring, computed one block of
-        vectors at a time; every vector's output is independent of the rest
-        of the batch.
+        Returns (num_vectors, columns), or (R, num_vectors, columns) for a
+        stack.  Without noise and with ``t_min = 0`` each ADC code is the
+        exact round-half-even code of the module docstring; every vector's
+        output is independent of the rest of the batch.
         """
         inputs = self._check_batch(inputs)
         levels = self._output_max
         full_scale = self._column_full_scale
-        if quantize_output and self.is_deterministic and not self.technology.pcm_min_transmission:
-            output = np.empty((inputs.shape[0], self.columns))
-            for block in vector_blocks(inputs.shape[0], self.rows):
-                normalised = inputs[block] if scales is None else inputs[block] / scales[block, None]
-                codes = np.multiply(
-                    self._code_sums(normalised)[1], levels, out=output[block], dtype=np.float64
-                )
-                codes /= self._column_code_scale
-                np.round(codes, out=codes)
-                codes /= levels
-                codes *= full_scale
-            return output
-        if scales is not None:
-            inputs = inputs / scales[:, None]
-        analog = self._analog(*self._code_sums(inputs))
-        if not self.is_deterministic:
-            fields = self.noise_model.apply_to_fields(self.field_scale * analog, self.rng)
-            analog = fields / self.field_scale
-        if not quantize_output:
-            return analog
-        codes = np.clip(np.round(analog / full_scale * levels), 0, levels)
-        return codes / levels * full_scale
+        exact = quantize_output and self.is_deterministic
+        exact = exact and not self.technology.pcm_min_transmission
+        output = np.empty((len(self._stack), len(inputs), self.columns))
+        for block in vector_blocks(len(inputs), len(self._stack) * self.rows):
+            drive = self._drive_codes(inputs[block], None if scales is None else scales[block])
+            sums = np.matmul(drive, self._stack)
+            if not exact:
+                output[:, block] = self._analog(drive, sums)
+                continue
+            codes = np.multiply(sums, levels, out=output[:, block], dtype=np.float64)
+            del drive, sums  # freed before the next block's are made
+            codes /= self._column_code_scale
+            np.round(codes, out=codes)
+            codes /= levels
+            codes *= full_scale
+        if not exact and not self.is_deterministic:
+            output *= self.field_scale
+            for tile in output:  # each row tile draws as a single array does
+                tile[...] = self.noise_model.apply_to_fields(tile, self.rng)
+            output /= self.field_scale
+        if not exact and quantize_output:
+            output = np.clip(np.round(output / full_scale * levels), 0, levels)
+            output = output / levels * full_scale
+        return output if self._codes.ndim == 3 else output[0]
 
     # ------------------------------------------------------------------ report
     def statistics(self) -> Dict[str, float]:

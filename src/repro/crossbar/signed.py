@@ -29,19 +29,20 @@ Every tile costs two programming passes, one per array
 Read model
 ----------
 :meth:`SignedCrossbarEngine.matmul` reads the whole (num_vectors, rows)
-input and sums the tiles' partial products into a zero result in plan
-order.  Without noise it makes one array read per row tile
-(:meth:`~repro.crossbar.array.CrossbarArray.matmul`) over the ``[K+ | K-]``
-codes of every column tile of that row tile, trimmed to the matrix's real
-rows and columns, with each column's own tile full scale and weight scale.
-It computes each vector's input scale (its largest magnitude over the row
-tile) once and hands the scales to that read, which normalises each vector
-just before the ODAC.  When the row tile's inputs have a negative entry
-anywhere, the negative parts are stacked under the positive ones in the
-same read; otherwise (the common case after ReLU) they are left out.  The
-four differential products are combined digitally in a fixed order.  Each
-ADC code depends on its own vector only (see :mod:`repro.crossbar.array`),
-so a vector's output is independent of the batch it came in.
+input and sums the row tiles' partial products into a zero result in plan
+order.  Without noise it makes one stacked read of the whole layer
+(:meth:`~repro.crossbar.array.CrossbarArray.matmul`) over every tile's
+``[K+ | K-]`` codes, trimmed to the matrix's real columns (one row tile also
+to its real rows), with each column's own tile full scale and weight scale.
+One reduction gives each vector's input scale per row tile (its largest
+magnitude there), which the read divides out just before the ODAC.  When
+the layer's inputs have a negative entry anywhere, the negative parts are
+stacked under the positive ones in the same read; a row tile without any
+reads exact zeros for them, which leaves its partial bitwise unchanged.
+Otherwise (the common case after ReLU) they are left out.  The four
+differential products are combined digitally in a fixed order.  Each ADC
+code depends on its own vector only (see :mod:`repro.crossbar.array`), so a
+vector's output is independent of the batch it came in.
 
 A noise model with field impairments draws per array read.  A noisy grid
 therefore reads one physical tile at a time, in row-major order, each on
@@ -116,7 +117,7 @@ class SignedCrossbarEngine:
         self._weight_scale = np.ones(self.grid)
         self._tiles = None
         self._is_grid = tile_shape is not None
-        self._row_readers = []
+        self._reader = None
         self._tile_engines = []
         self._programmed = False
         self._programming_events = 0
@@ -170,7 +171,7 @@ class SignedCrossbarEngine:
                 )
                 for part in (0, 1)
             )
-        self._row_readers = []
+        self._reader = None
         self._tile_engines = []
         if not self.is_deterministic:
             if self._is_grid:
@@ -179,8 +180,8 @@ class SignedCrossbarEngine:
                     for index, rng in enumerate(self.rng.spawn(grid_rows * grid_columns))
                 ]
             return
-        # Each row tile's [K+ | K-] read columns, trimmed to the real width,
-        # with one full scale, L_a·S and weight scale per column.
+        # One stack of the row tiles' [K+ | K-] read columns, trimmed to the real
+        # width (one row tile to the real rows); scales per row tile and column.
         tile_rows, tile_columns = self.tile_shape
         width = self.columns
 
@@ -190,16 +191,13 @@ class SignedCrossbarEngine:
 
         read_codes = codes.reshape(grid_rows, tile_rows, 2, -1)[..., :width]
         read_codes = read_codes.reshape(grid_rows, tile_rows, 2 * width)
+        if grid_rows == 1:
+            read_codes = read_codes[:, : self.rows]
         full_scale, code_scale = per_column(full_scale, 2), per_column(code_scale, 2)
-        weight_scale = per_column(scales, 1)
-        for row in range(grid_rows):
-            reader = CrossbarArray.from_codes(
-                read_codes[row, : min(tile_rows, self.rows - row * tile_rows)],
-                full_scale[row],
-                code_scale[row],
-                *arrays,
-            )
-            self._row_readers.append((reader, weight_scale[row]))
+        reader = CrossbarArray.from_codes(
+            read_codes, full_scale, code_scale, *arrays, input_rows=self.rows
+        )
+        self._reader = (reader, per_column(scales, 1)[:, None])
 
     def tile(
         self, row: int, column: int, rng: Optional[np.random.Generator] = None
@@ -259,14 +257,7 @@ class SignedCrossbarEngine:
     # ------------------------------------------------------------------ compute
     def matvec(self, inputs: np.ndarray) -> np.ndarray:
         """Signed ``weights.T @ inputs`` for one vector (wraps :meth:`matmul`)."""
-        if not self._programmed:
-            raise SimulationError("program() must be called before matvec()")
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.shape != (self.rows,):
-            raise SimulationError(
-                f"inputs must have shape ({self.rows},), got {inputs.shape}"
-            )
-        return self.matmul(inputs[None, :])[0]
+        return self.matmul(np.asarray(inputs, dtype=float)[None])[0]
 
     def matmul(self, inputs: np.ndarray) -> np.ndarray:
         """Signed GEMM ``inputs @ weights`` for a batch of input vectors.
@@ -284,8 +275,8 @@ class SignedCrossbarEngine:
             raise SimulationError(
                 f"inputs must have shape (num_vectors, {self.rows}), got {inputs.shape}"
             )
-        tile_rows, tile_columns = self.tile_shape
         if self._tile_engines:
+            tile_rows, tile_columns = self.tile_shape
             padded = np.zeros((inputs.shape[0], self.grid[0] * tile_rows))
             padded[:, : self.rows] = inputs
             partials = []
@@ -295,60 +286,50 @@ class SignedCrossbarEngine:
                 partial = engine.matmul(padded[:, row * tile_rows : (row + 1) * tile_rows])
                 partials.append((start, partial[:, : self.columns - start]))
         else:
-            partials = [
-                (0, self._read(inputs[:, row * tile_rows : (row + 1) * tile_rows], read))
-                for row, read in enumerate(self._row_readers or [None])
-            ]
+            partials = [(0, partial) for partial in self._row_tile_partials(inputs)]
         # Allocated after the reads, so it adds nothing to their peak memory.
         result = np.zeros((inputs.shape[0], self.columns))
         for start, partial in partials:
             result[:, start : start + partial.shape[1]] += partial
         return result
 
-    def _read(self, inputs: np.ndarray, read) -> np.ndarray:
-        """Partial product (num_vectors, columns) of one row tile's inputs.
-
-        ``read`` is the row tile's fused ``[K+ | K-]`` array and per-column
-        weight scales, or None for a noisy one-array engine, which reads its
-        own two arrays.
-        Each vector is normalised by its own max-magnitude scale and split
-        into non-negative positive/negative parts; the negative-input
-        products are skipped when the whole slice is non-negative (the
-        common ReLU case).
+    def _row_tile_partials(self, inputs: np.ndarray):
+        """Partial products (R, num_vectors, columns) of the row tiles (module
+        docstring); a noisy one-array engine reads its own two arrays.
         """
         count = inputs.shape[0]
-        input_scales = np.empty(count)
-        for block in vector_blocks(count, inputs.shape[1]):
-            np.max(np.abs(inputs[block]), axis=1, out=input_scales[block])
+        starts = np.arange(0, self.rows, self.tile_shape[0])
+        input_scales = np.empty((count, len(starts)))
+        for block in vector_blocks(count, self.rows):
+            np.maximum.reduceat(np.abs(inputs[block]), starts, axis=1, out=input_scales[block])
         if not np.any(input_scales > 0.0):
-            return np.zeros((count, self.columns))
+            return []
         # Zero vectors keep a unit scale so the division is well-defined; their
         # normalised rows are all-zero and produce exact zero outputs.
         safe_scales = np.where(input_scales > 0.0, input_scales, 1.0)
 
-        if read is not None:
-            reader, weight_scale = read
-            width = self.columns
+        if self._reader is not None:
+            reader, weight_scale = self._reader
+            batch, scales = inputs, safe_scales
             if inputs.min() < 0.0:
                 batch = np.concatenate((np.maximum(inputs, 0.0), np.maximum(-inputs, 0.0)))
-                products = reader.matmul(batch, scales=np.tile(safe_scales, 2))
-                result = products[:count, :width] - products[:count, width:]
-                result -= products[count:, :width] - products[count:, width:]
-            else:
-                products = reader.matmul(inputs, scales=safe_scales)
-                result = products[:, :width] - products[:, width:]
+                scales = np.concatenate((safe_scales, safe_scales))
+            products = reader.matmul(batch, scales=scales)
+            partials = products[..., : self.columns] - products[..., self.columns :]
+            if len(batch) > count:  # less that of the negative inputs
+                partials = partials[:, :count] - partials[:, count:]
         else:
-            normalised = inputs / safe_scales[:, None]
+            normalised = inputs / safe_scales
             positive_in = np.clip(normalised, 0.0, None)
             negative_in = np.clip(-normalised, 0.0, None)
             positive, negative = self.positive_array, self.negative_array
-            result = positive.matmul(positive_in) - negative.matmul(positive_in)
+            partials = positive.matmul(positive_in) - negative.matmul(positive_in)
             if np.any(negative_in > 0):
-                result -= positive.matmul(negative_in) - negative.matmul(negative_in)
-            weight_scale = self.weight_scale
-        result *= weight_scale
-        result *= input_scales[:, None]
-        return result
+                partials -= positive.matmul(negative_in) - negative.matmul(negative_in)
+            partials, weight_scale = partials[None], self.weight_scale
+        partials *= weight_scale
+        partials *= input_scales.T[:, :, None]
+        return partials
 
     # ------------------------------------------------------------------ report
     def statistics(self) -> Dict[str, float]:

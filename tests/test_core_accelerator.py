@@ -158,6 +158,37 @@ class TestProgrammedTileCache:
         assert np.array_equal(second, fresh)
         assert first.shape == second.shape
 
+    def test_equal_matrix_in_a_new_array_is_a_cache_hit(self, accelerator):
+        rng = np.random.default_rng(5)
+        weights = rng.normal(size=(20, 11))
+        inputs = rng.uniform(0, 1, (2, 20))
+        first = accelerator.linear(weights, inputs)
+        events = accelerator.functional_statistics()["programming_events"]
+        again = accelerator.linear(np.array(weights, order="F"), inputs)
+        stats = accelerator.functional_statistics()
+        assert stats["programming_events"] == events
+        assert stats["tile_cache_hits"] == 1
+        assert stats["tile_cache_misses"] == 1
+        assert again.tobytes() == first.tobytes()
+
+    def test_matrix_differing_in_one_middle_element_is_a_miss(self, accelerator):
+        rng = np.random.default_rng(6)
+        weights = rng.normal(size=(16, 16))
+        inputs = rng.uniform(0, 1, (2, 16))
+        accelerator.linear(weights, inputs)
+        events = accelerator.functional_statistics()["programming_events"]
+        changed = weights.copy()
+        changed[8, 8] += 1.0  # byte 1088 of 2048: leading and trailing bytes match
+        key, changed_key = accelerator._weight_key(weights), accelerator._weight_key(changed)
+        assert hash(key) == hash(changed_key)
+        assert key != changed_key
+        second = accelerator.linear(changed, inputs)
+        stats = accelerator.functional_statistics()
+        assert stats["tile_cache_misses"] == 2
+        assert stats["programming_events"] > events
+        fresh = OpticalCrossbarAccelerator(small_test_chip()).linear(changed, inputs)
+        assert second.tobytes() == fresh.tobytes()
+
     def test_lru_eviction_keeps_statistics(self):
         accelerator = OpticalCrossbarAccelerator(
             small_test_chip(), max_cached_weight_plans=2

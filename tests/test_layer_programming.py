@@ -19,8 +19,8 @@ from hypothesis import strategies as st
 
 from repro.config import TechnologyConfig, default_sweep_chip, optimal_chip, small_test_chip
 from repro.core.accelerator import OpticalCrossbarAccelerator
-from repro.core.inference import generate_random_weights
-from repro.crossbar import CrossbarNoiseModel, SignedCrossbarEngine
+from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
+from repro.crossbar import CrossbarArray, CrossbarNoiseModel, SignedCrossbarEngine
 from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.nn import build_lenet5
 from repro.nn.im2col import conv_weights_matrix
@@ -364,3 +364,94 @@ class TestCountedAccounting:
             assert accelerator.programming_jobs(matrix, 8) == jobs
             assert accelerator.analytical_schedule(matrix, 8) == DualCoreCrossbar.summarize(jobs)
         assert accelerator.functional_statistics() == stats
+
+
+def _tile_by_tile(engine, inputs):
+    """``engine``'s noiseless ``tile()`` engines read one at a time, summed in plan order."""
+    rows, columns = engine.tile_shape
+    result = np.zeros((inputs.shape[0], engine.columns))
+    for index, span in enumerate(_spans(engine.rows, engine.columns, rows, columns)):
+        partial = engine.tile(*divmod(index, engine.grid[1])).matmul(
+            _padded_inputs(inputs, span, rows)
+        )
+        result[:, span[2] : span[3]] += partial[:, : span[3] - span[2]]
+    return result
+
+
+class TestStackedLayerRead:
+    @pytest.mark.parametrize(
+        "shape, tile_shape",
+        [
+            ((20, 11), (8, 8)),
+            ((37, 19), (16, 8)),
+            ((150, 16), (128, 128)),
+            ((400, 120), (32, 32)),
+        ],
+    )
+    def test_stacked_read_equals_tile_engines_in_plan_order(self, shape, tile_shape):
+        k, n = shape
+        rows = tile_shape[0]
+        rng = np.random.default_rng(k + n)
+        weights = rng.normal(size=shape)
+        engine = SignedCrossbarEngine(k, n, tile_shape=tile_shape)
+        engine.program(weights)
+        mixed = rng.uniform(-1.0, 1.0, (6, k))  # every row tile has both signs
+        mixed[1] = 0.0  # a zero vector
+        mixed[2, :rows] = 0.0  # an all-zero row-tile slice
+        one_sided = rng.uniform(0.0, 1.0, (5, k))
+        one_sided[0, -1] = -0.25  # only the last row tile sees a negative input
+        one_sided[3] = 0.0
+        one_sided[4, :rows] = 0.0
+        cases = [mixed, np.abs(mixed), one_sided, np.zeros((3, k))]
+        for inputs in cases:
+            expected = _tile_by_tile(engine, inputs)
+            assert engine.matmul(inputs).tobytes() == expected.tobytes()
+            for vector, row in zip(inputs, expected):
+                assert engine.matvec(vector).tobytes() == row.tobytes()
+
+
+class TestLayerReadCount:
+    @staticmethod
+    def _count_reads(monkeypatch, owner):
+        sizes = []
+        original = owner.matmul
+
+        def counting(self, inputs, *args, **kwargs):
+            sizes.append(len(inputs))
+            return original(self, inputs, *args, **kwargs)
+
+        monkeypatch.setattr(owner, "matmul", counting)
+        return sizes
+
+    @pytest.mark.parametrize("make_config", [default_sweep_chip, optimal_chip])
+    def test_noiseless_run_batch_reads_each_layer_once(self, monkeypatch, make_config):
+        network = build_lenet5()
+        engine = FunctionalInferenceEngine(
+            network, generate_random_weights(network, seed=4, scale=0.3), make_config()
+        )
+        images = np.random.default_rng(0).uniform(0.0, 1.0, (3, *network.input_shape.as_tuple()))
+        expected = engine.run_batch(images)
+        reads = self._count_reads(monkeypatch, CrossbarArray)
+        assert np.array_equal(engine.run_batch(images), expected)
+        assert len(reads) == len(network.crossbar_layers) == 5
+
+    @pytest.mark.parametrize("make_config", [default_sweep_chip, optimal_chip])
+    def test_noisy_run_batch_reads_each_physical_tile(self, monkeypatch, make_config):
+        config = make_config()
+        network = build_lenet5()
+        weights = generate_random_weights(network, seed=4, scale=0.3)
+        engine = FunctionalInferenceEngine(
+            network, weights, config, noise_model=CrossbarNoiseModel.pessimistic()
+        )
+        images = np.random.default_rng(0).uniform(0.0, 1.0, (3, *network.input_shape.as_tuple()))
+        engine.run_batch(images)
+        tile_reads = self._count_reads(monkeypatch, SignedCrossbarEngine)
+        array_reads = self._count_reads(monkeypatch, CrossbarArray)
+        engine.run_batch(images)
+        tiles = sum(
+            len(_spans(*matrix.shape, config.rows, config.columns)) for matrix in _lenet_matrices()
+        )
+        # One tile engine per physical tile under each layer engine; its
+        # non-negative (post-ReLU) inputs read the W+ and the W- array once.
+        assert len(tile_reads) == 5 + tiles
+        assert len(array_reads) == 2 * tiles

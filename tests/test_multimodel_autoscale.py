@@ -483,7 +483,16 @@ class TestMultiModelRouting:
 
 
 class TestAutoscalingEndToEnd:
-    def test_replicas_rise_under_load_and_fall_after_cooldown(self, lenet_workload):
+    def test_replicas_rise_under_load_and_fall_after_cooldown(
+        self, lenet_workload, monkeypatch
+    ):
+        """Scaling decisions are ticked by hand on a fake clock.
+
+        The server's own control loop never ticks (a one-hour interval).
+        While the flood is queued the only replica is held at its first
+        dispatch, so the queue stays deep for the whole sustain window; the
+        replica that scaling adds is built and warmed up on this thread.
+        """
         network, weights, config, images, direct = lenet_workload
         policy = AutoscalerPolicy(
             min_replicas=1,
@@ -491,7 +500,7 @@ class TestAutoscalingEndToEnd:
             scale_up_queue_depth=3,
             sustain_s=0.02,
             cooldown_s=0.25,
-            interval_s=0.02,
+            interval_s=3600.0,
         )
         server = InferenceServer(
             network,
@@ -503,22 +512,37 @@ class TestAutoscalingEndToEnd:
             queue_capacity=256,
             autoscaler=policy,
         )
+        test_thread = threading.get_ident()
+        release = threading.Event()
+        run_batch = FunctionalInferenceEngine.run_batch
+
+        def held_run_batch(engine, batch):
+            if threading.get_ident() != test_thread:
+                assert release.wait(timeout=60.0)
+            return run_batch(engine, batch)
+
+        now = [0.0]
         with server:
-            # Long enough that the queue stays deep for several 20 ms ticks
-            # however fast the engine drains it (48 requests took ~57 ms).
-            flood = np.concatenate([images] * 24)
+            runtime = server._runtime(None)
+            scaler = Autoscaler({runtime.name: runtime}, policy, clock=lambda: now[0])
+            monkeypatch.setattr(FunctionalInferenceEngine, "run_batch", held_run_batch)
+            flood = np.concatenate([images] * 6)
             futures = [server.submit(image) for image in flood]
+            assert scaler.evaluate_model(runtime.name, runtime) is None  # sustain starts
+            now[0] = 0.02
+            assert scaler.evaluate_model(runtime.name, runtime) == 2
             peak = server.replica_count()
+            release.set()
             for index, future in enumerate(futures):
                 assert np.array_equal(
                     future.result(timeout=120), direct[index % len(images)]
                 )
-                peak = max(peak, server.replica_count())
             assert peak > 1, "sustained queue depth never scaled the pool up"
             # after the flood drains, the idle cooldown shrinks back to min
-            deadline = time.monotonic() + 30.0
-            while time.monotonic() < deadline and server.replica_count() > 1:
-                time.sleep(0.05)
+            now[0] = 1.0
+            assert scaler.evaluate_model(runtime.name, runtime) is None  # idle starts
+            now[0] = 1.25
+            assert scaler.evaluate_model(runtime.name, runtime) == 1
             assert server.replica_count() == 1
             scaling = server.telemetry.snapshot()["autoscaler"]
         assert scaling["scale_ups"] >= 1
@@ -686,7 +710,32 @@ class TestMultiModelCli:
             assert model_summary["bitwise_match_vs_run_batch"] is True
             assert model_summary["requests"] >= 1
 
-    def test_serve_autoscale_scales_up_and_reports_events(self, capsys):
+    def test_serve_autoscale_scales_up_and_reports_events(self, capsys, monkeypatch):
+        """Serving replicas hold their batches until the first scale-up.
+
+        The flood then keeps each queue deep for as many 10 ms ticks as the
+        sustain window needs, however fast a replica would drain it.  This
+        thread and the autoscaler's (which builds and warms up the added
+        replica) are never held.
+        """
+        scaled_up = threading.Event()
+        run_batch = FunctionalInferenceEngine.run_batch
+        record_scale_event = ServeTelemetry.record_scale_event
+        test_thread = threading.current_thread()
+
+        def held_run_batch(engine, batch):
+            thread = threading.current_thread()
+            if thread is not test_thread and thread.name != "serve-autoscaler":
+                scaled_up.wait(timeout=30.0)
+            return run_batch(engine, batch)
+
+        def recording_scale_event(telemetry, direction, *args, **kwargs):
+            record_scale_event(telemetry, direction, *args, **kwargs)
+            if direction == "up":
+                scaled_up.set()
+
+        monkeypatch.setattr(FunctionalInferenceEngine, "run_batch", held_run_batch)
+        monkeypatch.setattr(ServeTelemetry, "record_scale_event", recording_scale_event)
         code = main(
             ["serve", "--model", "a=lenet5", "--model", "b=lenet5",
              "--requests", "48", "--rate", "4000", "--autoscale",
