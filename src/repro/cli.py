@@ -93,7 +93,6 @@ from repro.serve import (
     ARRIVAL_PROCESSES,
     POLICY_KINDS,
     AsyncServeHTTPServer,
-    AutoscalerPolicy,
     CircuitBreakerPolicy,
     EngineReplicaSpec,
     EngineWorkerPool,
@@ -581,52 +580,6 @@ def build_parser() -> argparse.ArgumentParser:
             "without racing the bind)"
         ),
     )
-    serve.add_argument(
-        "--autoscale",
-        action="store_true",
-        help=(
-            "enable queue-depth-driven replica autoscaling per hosted model "
-            "(scale up on sustained depth, scale down after an idle cooldown, "
-            "draining replicas before retiring them); a 'serial' --executor "
-            "is upgraded to a thread pool starting at --min-replicas"
-        ),
-    )
-    serve.add_argument(
-        "--min-replicas",
-        type=_positive_int,
-        default=1,
-        help="autoscale: lower replica bound per model (default 1)",
-    )
-    serve.add_argument(
-        "--max-replicas",
-        type=_positive_int,
-        default=4,
-        help="autoscale: upper replica bound per model (default 4)",
-    )
-    serve.add_argument(
-        "--scale-up-depth",
-        type=_positive_int,
-        default=4,
-        help="autoscale: queue depth that counts as overload (default 4)",
-    )
-    serve.add_argument(
-        "--scale-sustain-ms",
-        type=_nonnegative_float,
-        default=100.0,
-        help="autoscale: how long the overload must persist before scaling up",
-    )
-    serve.add_argument(
-        "--scale-cooldown-ms",
-        type=_nonnegative_float,
-        default=2000.0,
-        help="autoscale: idle time before each scale-down step",
-    )
-    serve.add_argument(
-        "--scale-interval-ms",
-        type=_positive_float,
-        default=50.0,
-        help="autoscale: control-loop sampling period",
-    )
 
     loadgen = subparsers.add_parser(
         "loadgen",
@@ -902,31 +855,10 @@ def _built_entries(args: argparse.Namespace):
     return entries
 
 
-def _autoscaler_from_args(args: argparse.Namespace) -> Optional[AutoscalerPolicy]:
-    if not getattr(args, "autoscale", False):
-        return None
-    try:
-        return AutoscalerPolicy(
-            min_replicas=args.min_replicas,
-            max_replicas=args.max_replicas,
-            scale_up_queue_depth=args.scale_up_depth,
-            sustain_s=args.scale_sustain_ms / 1e3,
-            cooldown_s=args.scale_cooldown_ms / 1e3,
-            interval_s=args.scale_interval_ms / 1e3,
-        )
-    except SimulationError as error:
-        raise SystemExit(str(error)) from error
-
-
 def _make_server(args: argparse.Namespace, built_entries) -> InferenceServer:
-    """Build a (possibly multi-model, possibly autoscaled) inference server."""
+    """Build a (possibly multi-model) inference server."""
     config = config_from_args(args)
     noise_model = NOISE_PRESETS[args.noise]()
-    autoscaler = _autoscaler_from_args(args)
-    executor = args.executor
-    if autoscaler is not None and executor.kind == "serial":
-        # Autoscaling needs a resizable pool; start a thread pool at the floor.
-        executor = ExecutorSpec("thread", autoscaler.min_replicas)
     breaker = None
     if getattr(args, "breaker", False):
         try:
@@ -946,7 +878,7 @@ def _make_server(args: argparse.Namespace, built_entries) -> InferenceServer:
             weights,
             config=config,
             noise_model=noise_model,
-            executor=executor,
+            executor=args.executor,
             max_batch=args.max_batch,
             max_wait_s=args.max_wait_ms / 1e3,
             queue_capacity=args.queue_capacity,
@@ -962,7 +894,6 @@ def _make_server(args: argparse.Namespace, built_entries) -> InferenceServer:
     trace_sample = getattr(args, "trace_sample", 1.0)
     return InferenceServer(
         registry=registry,
-        autoscaler=autoscaler,
         tracing=trace_sample > 0,
         trace_sample=trace_sample,
         slow_ms=getattr(args, "slow_ms", None),
@@ -1139,8 +1070,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
                     handle.write(front.url + "\n")
             print(
                 f"serving {hosted} (executor={args.executor}, "
-                f"policy={args.policy}, autoscale="
-                f"{'on' if args.autoscale else 'off'}) at {front.url}"
+                f"policy={args.policy}) at {front.url}"
             )
             print(f"  POST {front.url}/v1/infer    — single image or batch (optional 'model')")
             print(
@@ -1160,8 +1090,8 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             # Graceful shutdown: SIGTERM (orchestrators) and SIGINT (Ctrl-C)
             # flip the front-end's shutdown flag; the context managers below
             # then stop accepting connections, drain the admission queues,
-            # finish in-flight batches and join the autoscaler/dispatch
-            # threads — exiting 0 with final telemetry, not mid-flight.
+            # finish in-flight batches and join the dispatch threads —
+            # exiting 0 with final telemetry, not mid-flight.
             def _graceful_shutdown(signum, frame):
                 print(
                     f"received {signal.Signals(signum).name}, draining and "
@@ -1188,7 +1118,6 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
     _export_trace(args, server)
     for name, model_stats in final_stats["models"].items():
         telemetry = model_stats["telemetry"]
-        scaling = telemetry["autoscaler"]
         faults = (model_stats.get("pool") or {}).get("faults") or {}
         robustness = ""
         if faults.get("replica_restarts") or telemetry.get("requests_failed"):
@@ -1200,8 +1129,7 @@ def _cmd_serve_http(args: argparse.Namespace) -> int:
             f"{name}: served {telemetry['requests_completed']} requests "
             f"(p99 {telemetry['latency_p99_s'] * 1e3:.2f} ms, "
             f"mean batch {telemetry['mean_batch_size']:.2f}, "
-            f"replicas {model_stats['replicas']}, "
-            f"scale-ups {scaling['scale_ups']}, scale-downs {scaling['scale_downs']}"
+            f"replicas {model_stats['replicas']}"
             f"{robustness})"
         )
     return 0
@@ -1229,13 +1157,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 "network": model_stats["network"],
                 "requests": model_stats["telemetry"]["requests_completed"],
                 "replicas": model_stats["replicas"],
-                "scale_ups": model_stats["telemetry"]["autoscaler"]["scale_ups"],
-                "scale_downs": model_stats["telemetry"]["autoscaler"]["scale_downs"],
                 "bitwise_match_vs_run_batch": None if by_model is None else by_model.get(name),
             }
             for name, model_stats in report.server["models"].items()
         },
-        "autoscale": bool(args.autoscale),
         "executor": str(args.executor),
         "arrival": args.arrival,
         "rate_rps": args.rate,

@@ -58,7 +58,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -107,6 +107,103 @@ class _TilePlan:
     n: int
     engine: SignedCrossbarEngine
     tiles: List[_Tile]
+
+
+#: (statistics key, metric name, help) of the scalar accelerator counters.
+_SCALAR_METRICS = (
+    (
+        "programming_events",
+        "repro_accelerator_programming_events_total",
+        "Full-array PCM programming passes.",
+    ),
+    (
+        "programming_energy_j",
+        "repro_accelerator_programming_energy_joules_total",
+        "Modelled PCM programming energy (J).",
+    ),
+    (
+        "programming_time_s",
+        "repro_accelerator_programming_seconds_total",
+        "Modelled PCM programming time (s).",
+    ),
+    (
+        "sharded_dispatches",
+        "repro_accelerator_sharded_dispatches_total",
+        "Multi-core sharded GEMM dispatches.",
+    ),
+)
+
+#: (statistics key, metric name, help) of the per-core accelerator counters.
+_PER_CORE_METRICS = (
+    (
+        "per_core_tile_dispatches",
+        "repro_accelerator_core_tile_dispatches_total",
+        "Tile GEMMs dispatched per crossbar core.",
+    ),
+    (
+        "per_core_busy_time_s",
+        "repro_accelerator_core_busy_seconds_total",
+        "Modelled busy time per crossbar core (s).",
+    ),
+)
+
+
+def accelerator_metric_families(
+    stats: Mapping[str, object], labels: Optional[Mapping[str, str]] = None
+) -> List[Dict[str, object]]:
+    """The ``repro_accelerator_*`` metric families of a functional-statistics dict.
+
+    ``stats`` is :meth:`OpticalCrossbarAccelerator.functional_statistics` or a
+    merge of several replicas' (see
+    :func:`~repro.serve.workers.merge_functional_statistics`).  Absent keys
+    are skipped, so an empty dict — a process pool that has served nothing —
+    yields no families.  Both the standalone accelerator and the serving
+    worker pool export through this one mapping.
+    """
+    base = dict(labels or {})
+    families: List[Dict[str, object]] = [
+        {
+            "name": name,
+            "type": "counter",
+            "help": help_text,
+            "samples": [(base, float(stats[key]))],
+        }
+        for key, name, help_text in _SCALAR_METRICS
+        if key in stats
+    ]
+    cache_samples = [
+        ({**base, "event": event}, float(stats[key]))
+        for key, event in (
+            ("tile_cache_hits", "hit"),
+            ("tile_cache_misses", "miss"),
+            ("tile_cache_evictions", "eviction"),
+        )
+        if key in stats
+    ]
+    if cache_samples:
+        families.append(
+            {
+                "name": "repro_accelerator_tile_cache_total",
+                "type": "counter",
+                "help": "Programmed tile-plan cache events by kind.",
+                "samples": cache_samples,
+            }
+        )
+    for key, name, help_text in _PER_CORE_METRICS:
+        values = stats.get(key)
+        if values:
+            families.append(
+                {
+                    "name": name,
+                    "type": "counter",
+                    "help": help_text,
+                    "samples": [
+                        ({**base, "core": str(core)}, float(value))
+                        for core, value in enumerate(values)
+                    ],
+                }
+            )
+    return families
 
 
 @thread_shared
@@ -273,86 +370,15 @@ class OpticalCrossbarAccelerator:
     def register_metrics(self, registry, labels: Optional[Dict[str, str]] = None) -> None:
         """Export :meth:`functional_statistics` into a metrics registry.
 
-        Metric names match the worker pool's accelerator exporter
-        (:meth:`repro.serve.workers.EngineWorkerPool.register_metrics`); the
-        registry merges same-named families, so a standalone accelerator and
-        a serving fleet land in the same time series.
+        The families come from :func:`accelerator_metric_families`, the same
+        mapping the serving worker pool exports through; the registry merges
+        same-named families, so a standalone accelerator and a serving fleet
+        land in the same time series.
         """
         label_set = dict(labels or {})
-
-        def _collect():
-            stats = self.functional_statistics()
-            families = [
-                {
-                    "name": "repro_accelerator_programming_events_total",
-                    "type": "counter",
-                    "help": "Full-array PCM programming passes.",
-                    "samples": [(label_set, float(stats["programming_events"]))],
-                },
-                {
-                    "name": "repro_accelerator_programming_energy_joules_total",
-                    "type": "counter",
-                    "help": "Modelled PCM programming energy.",
-                    "samples": [(label_set, float(stats["programming_energy_j"]))],
-                },
-                {
-                    "name": "repro_accelerator_programming_seconds_total",
-                    "type": "counter",
-                    "help": "Modelled PCM programming time.",
-                    "samples": [(label_set, float(stats["programming_time_s"]))],
-                },
-                {
-                    "name": "repro_accelerator_sharded_dispatches_total",
-                    "type": "counter",
-                    "help": "Multi-core sharded GEMM dispatches.",
-                    "samples": [(label_set, float(stats["sharded_dispatches"]))],
-                },
-                {
-                    "name": "repro_accelerator_tile_cache_total",
-                    "type": "counter",
-                    "help": "Programmed tile-plan cache events.",
-                    "samples": [
-                        (
-                            {**label_set, "event": event},
-                            float(stats[f"tile_cache_{key}"]),
-                        )
-                        for event, key in (
-                            ("hit", "hits"),
-                            ("miss", "misses"),
-                            ("eviction", "evictions"),
-                        )
-                    ],
-                },
-            ]
-            dispatches = stats["per_core_tile_dispatches"]
-            busy = stats["per_core_busy_time_s"]
-            if dispatches:
-                families.append(
-                    {
-                        "name": "repro_accelerator_core_tile_dispatches_total",
-                        "type": "counter",
-                        "help": "Tile GEMMs dispatched per crossbar core.",
-                        "samples": [
-                            ({**label_set, "core": str(core)}, float(value))
-                            for core, value in enumerate(dispatches)
-                        ],
-                    }
-                )
-            if busy:
-                families.append(
-                    {
-                        "name": "repro_accelerator_core_busy_seconds_total",
-                        "type": "counter",
-                        "help": "Modelled busy time per crossbar core.",
-                        "samples": [
-                            ({**label_set, "core": str(core)}, float(value))
-                            for core, value in enumerate(busy)
-                        ],
-                    }
-                )
-            return families
-
-        registry.register_collector(_collect)
+        registry.register_collector(
+            lambda: accelerator_metric_families(self.functional_statistics(), label_set)
+        )
 
     def _analytics_plan(self, weights: np.ndarray) -> _TilePlan:
         """Tile plan for analytics queries, free of datapath side effects.

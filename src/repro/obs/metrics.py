@@ -1,7 +1,7 @@
 """Unified metrics registry with Prometheus text exposition.
 
 One :class:`MetricsRegistry` per server collects every subsystem's numbers —
-`ServeTelemetry`, `EngineWorkerPool`, `Autoscaler`, `CircuitBreaker`, and the
+`ServeTelemetry`, `EngineWorkerPool`, `CircuitBreaker`, and the
 accelerator's functional statistics all register here — and renders them two
 ways: Prometheus text exposition format 0.0.4 (``GET /metrics``) and JSON
 (inside ``GET /v1/stats``).

@@ -28,9 +28,7 @@ model is sick, and a seeded deterministic :class:`FaultInjector`
 One server can host **several named models** (a :class:`ModelRegistry` of
 :class:`ModelDefinition`\\ s — each with its own batcher, flush policy,
 telemetry and replica pool) behind the same endpoints, with requests routed
-by model name; and an :class:`AutoscalerPolicy` enables the queue-depth
-driven control loop that grows each model's replica pool under sustained
-load and shrinks it back (drain-before-retire) after an idle cooldown.
+by model name.  Each model runs exactly the replicas its executor names.
 
 Serving is **observable** end to end: every request carries a trace through
 ``admit → queue_wait → batch_assemble → dispatch → replica_execute →
@@ -45,7 +43,6 @@ See ``docs/serving.md`` for the CLI commands (``python -m repro serve`` /
 ``python -m repro loadgen``), the HTTP API and the knob reference.
 """
 
-from repro.serve.autoscaler import Autoscaler, AutoscalerPolicy, AutoscalerState
 from repro.serve.batcher import (
     AdaptiveFlushPolicy,
     AnalyticalCostModel,
@@ -105,9 +102,6 @@ __all__ = [
     "AdaptiveFlushPolicy",
     "AnalyticalCostModel",
     "AsyncServeHTTPServer",
-    "Autoscaler",
-    "AutoscalerPolicy",
-    "AutoscalerState",
     "CircuitBreaker",
     "CircuitBreakerPolicy",
     "DEFAULT_REPLICAS",

@@ -29,8 +29,8 @@ Endpoints
 ``GET /v1/infer/{request_id}/events``
     Server-sent-events progress for a named in-flight request.
 ``GET /v1/models``
-    The hosted-model listing: name, network, input shape, executor, current
-    replica count and autoscaling bounds per model, plus the default name.
+    The hosted-model listing: name, network, input shape, executor and
+    replica count per model, plus the default name.
 ``GET /v1/stats``
     The server's :meth:`~repro.serve.server.InferenceServer.stats` snapshot —
     SLO telemetry, flush-policy state, replica-pool counters and a

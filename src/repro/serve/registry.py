@@ -3,8 +3,8 @@
 One :class:`~repro.serve.server.InferenceServer` can host several networks
 behind a single front-end; the registry is the pre-start description of that
 fleet.  Each :class:`ModelDefinition` bundles a workload (network + weights +
-chip config + noise model) with its *serving* knobs — executor, flush policy,
-queue bound, and the autoscaling replica range — and knows how to turn itself
+chip config + noise model) with its *serving* knobs — executor, flush policy
+and queue bound — and knows how to turn itself
 into the :class:`~repro.serve.workers.EngineReplicaSpec` every replica is
 built from.
 
@@ -50,10 +50,7 @@ from repro.serve.workers import (
 class ModelDefinition:
     """Everything one hosted model needs: the workload plus its serving knobs.
 
-    ``min_replicas`` / ``max_replicas`` bound the autoscaler for this model;
-    when ``None`` the server falls back to the
-    :class:`~repro.serve.autoscaler.AutoscalerPolicy` defaults (and without an
-    autoscaler the executor's replica count is simply fixed).
+    The model runs exactly the replicas its ``executor`` names.
     """
 
     name: str
@@ -69,8 +66,6 @@ class ModelDefinition:
     policy: Union[str, FlushPolicy] = "fixed"
     slo_s: float = 0.05
     warmup: bool = True
-    min_replicas: Optional[int] = None
-    max_replicas: Optional[int] = None
     #: Per-dispatch answer budget (see ``EngineWorkerPool``); ``None`` waits
     #: forever — hung process replicas are then only caught by injection tests.
     dispatch_timeout_s: Optional[float] = None
@@ -94,19 +89,6 @@ class ModelDefinition:
             )
         self.name = self.name.strip()
         self.executor = parse_executor_spec(self.executor)
-        for bound_name in ("min_replicas", "max_replicas"):
-            bound = getattr(self, bound_name)
-            if bound is not None and int(bound) < 1:
-                raise SimulationError(f"{bound_name} must be >= 1, got {bound}")
-        if (
-            self.min_replicas is not None
-            and self.max_replicas is not None
-            and int(self.min_replicas) > int(self.max_replicas)
-        ):
-            raise SimulationError(
-                f"min_replicas ({self.min_replicas}) must not exceed "
-                f"max_replicas ({self.max_replicas})"
-            )
         if self.breaker is not None and not isinstance(
             self.breaker, CircuitBreakerPolicy
         ):

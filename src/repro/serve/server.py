@@ -28,13 +28,10 @@ Guarantees
   on the same model, regardless of executor kind, batch boundaries,
   completion order or how many other models the server hosts.
 * **Backpressure**: each model's admission queue is bounded (blocking or
-  fail-fast submits), and at most ``2 × max replicas`` micro-batches are in
+  fail-fast submits), and at most ``2 × replicas`` micro-batches are in
   flight per model, so a slow executor pushes delay back into its own queue
-  instead of accumulating unbounded in-flight work.
-* **Elasticity**: with an :class:`~repro.serve.autoscaler.AutoscalerPolicy`,
-  a per-server control loop grows each model's replica pool under sustained
-  queue depth and shrinks it back after an idle cooldown, draining replicas
-  (in-flight batches complete) before retiring them.
+  instead of accumulating unbounded in-flight work.  Each model runs
+  exactly the replicas its executor names.
 """
 
 from __future__ import annotations
@@ -54,7 +51,6 @@ from repro.nn.network import Network
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.slowlog import SlowRequestLog
 from repro.obs.tracing import DispatchTraceRecorder, Tracer
-from repro.serve.autoscaler import Autoscaler, AutoscalerPolicy
 from repro.serve.batcher import FlushPolicy, MicroBatcher, ServeRequest
 from repro.serve.faults import BREAKER_CLOSED, BREAKER_OPEN, CircuitBreaker
 from repro.serve.registry import ModelDefinition, ModelRegistry
@@ -68,7 +64,6 @@ class _ModelRuntime:
     def __init__(
         self,
         definition: ModelDefinition,
-        autoscaler_policy: Optional[AutoscalerPolicy],
         on_response: Optional[Callable[[int, np.ndarray], None]],
         tracer: Optional[Tracer] = None,
         slow_log: Optional[SlowRequestLog] = None,
@@ -87,25 +82,6 @@ class _ModelRuntime:
         )
         self._on_response = on_response
         self.breaker: Optional[CircuitBreaker] = definition.build_breaker()
-
-        # Replica range: per-model bounds override the autoscaler defaults;
-        # without an autoscaler the executor's count is simply fixed.
-        executor: ExecutorSpec = definition.executor
-        if autoscaler_policy is not None:
-            self.min_replicas = (
-                autoscaler_policy.min_replicas
-                if definition.min_replicas is None
-                else int(definition.min_replicas)
-            )
-            self.max_replicas = (
-                autoscaler_policy.max_replicas
-                if definition.max_replicas is None
-                else int(definition.max_replicas)
-            )
-            self.max_replicas = max(self.max_replicas, self.min_replicas)
-        else:
-            self.min_replicas = self.max_replicas = executor.resolved_count()
-
         self.pool: Optional[EngineWorkerPool] = None
         self._dispatcher: Optional[threading.Thread] = None
         self._inflight: Optional[threading.BoundedSemaphore] = None
@@ -120,21 +96,16 @@ class _ModelRuntime:
         executor: ExecutorSpec = self.definition.executor
         if self.pool is not None:
             raise ServeError(f"model {self.name!r} already started")
-        initial = executor.resolved_count()
-        if executor.kind != "serial":
-            initial = max(self.min_replicas, min(initial, self.max_replicas))
-            executor = ExecutorSpec(executor.kind, initial)
         self.pool = EngineWorkerPool(
             self.definition.replica_spec(),
             executor,
-            max_count=self.max_replicas,
             dispatch_timeout_s=self.definition.dispatch_timeout_s,
             max_attempts=self.definition.max_attempts,
             backoff_base_s=self.definition.backoff_base_s,
             backoff_max_s=self.definition.backoff_max_s,
             fault_injector=self.definition.build_fault_injector(),
         )
-        self._inflight = threading.BoundedSemaphore(2 * self.max_replicas)
+        self._inflight = threading.BoundedSemaphore(2 * executor.resolved_count())
         self._dispatcher = threading.Thread(
             target=self._dispatch_loop, name=f"serve-dispatch-{self.name}", daemon=True
         )
@@ -174,7 +145,7 @@ class _ModelRuntime:
 
     # ------------------------------------------------------------------ stats
     def stats(self) -> Dict[str, object]:
-        """This model's SLO telemetry plus pool and scaling state."""
+        """This model's SLO telemetry plus pool state."""
         pool_stats = self.pool.statistics() if self.pool is not None else {}
         return {
             "health": self.health(),
@@ -187,8 +158,6 @@ class _ModelRuntime:
             "queue_capacity": self.batcher.capacity,
             "queue_depth": self.batcher.depth,
             "replicas": self.pool.count if self.pool is not None else 0,
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
             "policy": self.policy.snapshot(),
             "telemetry": self.telemetry.snapshot(),
             "tracer": self.tracer.snapshot() if self.tracer is not None else None,
@@ -204,8 +173,6 @@ class _ModelRuntime:
             "executor": str(self.definition.executor),
             "policy": self.policy.kind,
             "replicas": self.pool.count if self.pool is not None else 0,
-            "min_replicas": self.min_replicas,
-            "max_replicas": self.max_replicas,
             "default": bool(default),
         }
 
@@ -446,10 +413,6 @@ class InferenceServer:
         one-time PCM tile programming does not land on the first request.
     registry:
         A pre-built :class:`ModelRegistry` hosting one model per definition.
-    autoscaler:
-        An :class:`~repro.serve.autoscaler.AutoscalerPolicy` enabling the
-        queue-depth-driven replica scaling loop (``thread``/``process``
-        executors only; ``serial`` models are left at one replica).
     on_response:
         Optional ``callback(seq, output)`` invoked in per-model submission
         order as responses are delivered.
@@ -486,7 +449,6 @@ class InferenceServer:
         slo_s: float = 0.05,
         warmup: bool = True,
         registry: Optional[ModelRegistry] = None,
-        autoscaler: Optional[AutoscalerPolicy] = None,
         on_response: Optional[Callable[[int, np.ndarray], None]] = None,
         tracing: Union[bool, Tracer] = True,
         trace_sample: float = 1.0,
@@ -524,7 +486,6 @@ class InferenceServer:
         if len(registry) == 0:
             raise ServeError("model registry is empty: register a model first")
         self.registry = registry
-        self.autoscaler_policy = autoscaler
         if isinstance(tracing, Tracer):
             self.tracer: Optional[Tracer] = tracing
         elif tracing and trace_sample > 0:
@@ -540,14 +501,12 @@ class InferenceServer:
         self._runtimes: Dict[str, _ModelRuntime] = {
             definition.name: _ModelRuntime(
                 definition,
-                autoscaler,
                 on_response,
                 tracer=self.tracer,
                 slow_log=self.slow_log,
             )
             for definition in registry
         }
-        self._autoscaler: Optional[Autoscaler] = None
         self._started = False
         self._stopped = False
         self._metrics_registered = False
@@ -556,11 +515,10 @@ class InferenceServer:
     def hosting(
         cls,
         registry: ModelRegistry,
-        autoscaler: Optional[AutoscalerPolicy] = None,
         on_response: Optional[Callable[[int, np.ndarray], None]] = None,
     ) -> "InferenceServer":
         """Build a multi-workload server over a :class:`ModelRegistry`."""
-        return cls(registry=registry, autoscaler=autoscaler, on_response=on_response)
+        return cls(registry=registry, on_response=on_response)
 
     # ------------------------------------------------------------------ routing
     @property
@@ -618,10 +576,6 @@ class InferenceServer:
             raise
         self._started = True
         self._register_metrics()
-        if self.autoscaler_policy is not None:
-            self._autoscaler = Autoscaler(self._runtimes, self.autoscaler_policy)
-            self._autoscaler.start()
-            self._autoscaler.register_metrics(self.metrics)
         return self
 
     def _register_metrics(self) -> None:
@@ -680,14 +634,11 @@ class InferenceServer:
         ``drain=True`` (the default, and the graceful path) finishes every
         queued request and resolves its future before tearing anything down;
         ``drain=False`` fails still-queued requests immediately (in-flight
-        batches complete either way).  The autoscaler loop joins first, so
-        no resize races the teardown.
+        batches complete either way).
         """
         if not self._started or self._stopped:
             return
         self._stopped = True
-        if self._autoscaler is not None:
-            self._autoscaler.stop()
         for runtime in self._runtimes.values():
             runtime.stop(drain=drain)
 
@@ -835,7 +786,6 @@ class InferenceServer:
         # replica's functional counters under the pool lock).
         snapshot = dict(models[default_name])
         snapshot["default_model"] = default_name
-        snapshot["autoscaler_enabled"] = self.autoscaler_policy is not None
         snapshot["models"] = models
         snapshot["metrics"] = self.metrics.render_json()
         return snapshot

@@ -9,8 +9,8 @@ generator, for client-side numbers) records into:
   an unbiased uniform sample above it, and exact streaming count/mean/max
   always — so a week-long serve does not grow memory without bound;
 * **throughput** — completed requests over the observation window, measured
-  *first admission → last delivery* only (rejections, sheds and autoscaler
-  events do not stretch the window, so an idle tail after the last response
+  *first admission → last delivery* only (rejections and sheds do not
+  stretch the window, so an idle tail after the last response
   cannot deflate the reported rate);
 * **per-stage breakdown** — time per pipeline stage
   (:data:`repro.obs.STAGES`), fed from request traces via
@@ -23,10 +23,7 @@ generator, for client-side numbers) records into:
 * **flush reasons and sizes** — why each micro-batch left the queue
   (``full`` / ``deadline`` / ``close``) and how big it was when it did
   (per-reason batch/request counts and mean/max sizes), which is how you see
-  whether a flush policy is building batches or timing out;
-* **autoscaler events** — every replica-count change (direction, old/new
-  count, the queue depth and arrival rate that triggered it), so a scaling
-  trace can be reconstructed from the snapshot alone.
+  whether a flush policy is building batches or timing out.
 
 All durations are seconds; the CLI formats milliseconds.  Percentiles use
 the same linear interpolation as ``numpy.percentile``, so telemetry numbers
@@ -39,8 +36,8 @@ from __future__ import annotations
 
 import random
 import time
-from collections import Counter, deque
-from typing import Deque, Dict, List, Mapping, Optional, Sequence
+from collections import Counter
+from typing import Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -49,9 +46,6 @@ from repro.errors import SimulationError
 
 #: Latency percentiles reported by :meth:`ServeTelemetry.snapshot`.
 LATENCY_PERCENTILES = (50, 95, 99)
-
-#: Autoscaler events kept per telemetry sink (older events are dropped).
-MAX_SCALE_EVENTS = 256
 
 #: Default bound on retained end-to-end latency samples.
 DEFAULT_LATENCY_RESERVOIR = 8192
@@ -178,12 +172,9 @@ class ServeTelemetry:
         self._shed = 0
         self._requests_failed = 0
         self._batches_failed = 0
-        self._scale_events: Deque[Dict[str, object]] = deque(maxlen=MAX_SCALE_EVENTS)
-        self._scale_ups = 0
-        self._scale_downs = 0
         # Throughput window endpoints: first admission and last delivery.
-        # Nothing else moves them — a rejection burst or a late autoscaler
-        # event must not stretch the window and dilute throughput_rps.
+        # Nothing else moves them — a rejection burst must not stretch the
+        # window and dilute throughput_rps.
         self._first_admission_ts: Optional[float] = None
         self._last_delivery_ts: Optional[float] = None
 
@@ -254,40 +245,6 @@ class ServeTelemetry:
                     self._stage_stats[name] = reservoir
                 reservoir.add(float(value))
 
-    def record_scale_event(
-        self,
-        direction: str,
-        from_replicas: int,
-        to_replicas: int,
-        queue_depth: int = 0,
-        arrival_rps: float = 0.0,
-        reason: str = "",
-    ) -> None:
-        """The autoscaler changed this model's replica count."""
-        with self._lock:
-            now = self._clock()
-            if direction == "up":
-                self._scale_ups += 1
-            else:
-                self._scale_downs += 1
-            self._scale_events.append(
-                {
-                    "ts": now,
-                    "direction": str(direction),
-                    "from_replicas": int(from_replicas),
-                    "to_replicas": int(to_replicas),
-                    "queue_depth": int(queue_depth),
-                    "arrival_rps": float(arrival_rps),
-                    "reason": str(reason),
-                }
-            )
-
-    @property
-    def admitted_total(self) -> int:
-        """Requests admitted so far (the autoscaler's arrival-rate input)."""
-        with self._lock:
-            return self._admitted
-
     # ------------------------------------------------------------------ report
     def snapshot(self) -> Dict[str, object]:
         """Aggregate SLO metrics of everything recorded so far."""
@@ -334,9 +291,6 @@ class ServeTelemetry:
             depth_sum = self._queue_depth_sum
             depth_samples = self._queue_depth_samples
             depth_max = self._queue_depth_max
-            scale_events = [dict(event) for event in self._scale_events]
-            scale_ups = self._scale_ups
-            scale_downs = self._scale_downs
             first_ts = self._first_admission_ts
             last_ts = self._last_delivery_ts
 
@@ -363,11 +317,6 @@ class ServeTelemetry:
             "latency_samples": latency_samples,
             "latency_sample_saturated": latency_saturated,
             "stage_breakdown": stage_breakdown,
-            "autoscaler": {
-                "scale_ups": scale_ups,
-                "scale_downs": scale_downs,
-                "events": scale_events,
-            },
         }
         snapshot.update(latency)
         return snapshot
@@ -445,19 +394,6 @@ class ServeTelemetry:
                         "samples": [
                             ({**base, "reason": reason}, float(count))
                             for reason, count in snap["flush_reasons"].items()
-                        ],
-                    }
-                )
-            scale = snap["autoscaler"]
-            if scale["scale_ups"] or scale["scale_downs"]:
-                families.append(
-                    {
-                        "name": "repro_serve_scale_events_total",
-                        "type": "counter",
-                        "help": "Autoscaler replica-count changes by direction.",
-                        "samples": [
-                            ({**base, "direction": "up"}, float(scale["scale_ups"])),
-                            ({**base, "direction": "down"}, float(scale["scale_downs"])),
                         ],
                     }
                 )

@@ -47,6 +47,7 @@ import numpy as np
 
 from repro.concurrency import make_lock, thread_shared
 from repro.config.chip import ChipConfig
+from repro.core.accelerator import accelerator_metric_families
 from repro.core.inference import FunctionalInferenceEngine
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.errors import (
@@ -465,8 +466,8 @@ class EngineWorkerPool:
         Executor spelling (see :func:`parse_executor_spec`) or a parsed
         :class:`ExecutorSpec`.
     max_count:
-        Upper bound for :meth:`resize` (head-room the autoscaler can grow
-        into).  Defaults to the executor's replica count, i.e. a fixed pool.
+        Upper bound for :meth:`resize`.  Defaults to the executor's replica
+        count, i.e. a fixed pool.
     dispatch_timeout_s:
         Per-dispatch answer budget.  A process replica that does not return
         within it is declared hung, hard-killed and replaced; ``None`` (the
@@ -773,7 +774,7 @@ class EngineWorkerPool:
 
     @property
     def restarting(self) -> int:
-        """Replica restarts in progress (the autoscaler defers scale-down)."""
+        """Replica restarts in progress (a restarting model reports ``degraded``)."""
         with self._fault_lock:
             return self._restarting
 
@@ -956,75 +957,7 @@ class EngineWorkerPool:
                         ],
                     )
                 )
-            for key, name, help_text in (
-                (
-                    "programming_events",
-                    "repro_accelerator_programming_events_total",
-                    "PCM tile programming events across replicas.",
-                ),
-                (
-                    "programming_energy_j",
-                    "repro_accelerator_programming_energy_joules_total",
-                    "PCM tile programming energy across replicas (J).",
-                ),
-                (
-                    "programming_time_s",
-                    "repro_accelerator_programming_seconds_total",
-                    "PCM tile programming time across replicas (s).",
-                ),
-                (
-                    "sharded_dispatches",
-                    "repro_accelerator_sharded_dispatches_total",
-                    "Sharded tile dispatches across replicas.",
-                ),
-            ):
-                if key in stats:
-                    families.append(
-                        _family(name, "counter", help_text, [(base, float(stats[key]))])
-                    )
-            cache_samples = [
-                ({**base, "event": event}, float(stats[key]))
-                for key, event in (
-                    ("tile_cache_hits", "hit"),
-                    ("tile_cache_misses", "miss"),
-                    ("tile_cache_evictions", "eviction"),
-                )
-                if key in stats
-            ]
-            if cache_samples:
-                families.append(
-                    _family(
-                        "repro_accelerator_tile_cache_total",
-                        "counter",
-                        "Tile-cache events by kind across replicas.",
-                        cache_samples,
-                    )
-                )
-            for key, name, help_text in (
-                (
-                    "per_core_tile_dispatches",
-                    "repro_accelerator_core_tile_dispatches_total",
-                    "Tile dispatches per crossbar core across replicas.",
-                ),
-                (
-                    "per_core_busy_time_s",
-                    "repro_accelerator_core_busy_seconds_total",
-                    "Modelled busy time per crossbar core across replicas (s).",
-                ),
-            ):
-                values = stats.get(key)
-                if values:
-                    families.append(
-                        _family(
-                            name,
-                            "counter",
-                            help_text,
-                            [
-                                ({**base, "core": str(index)}, float(value))
-                                for index, value in enumerate(values)
-                            ],
-                        )
-                    )
+            families.extend(accelerator_metric_families(stats, base))
             return families
 
         registry.register_collector(_collect)

@@ -8,7 +8,9 @@ Three guards keep the documentation surface honest:
   checking) — examples cannot silently rot;
 * ``examples/quickstart.py`` runs end to end;
 * ``docs/cli.md`` is diffed against the real argparse parser: every
-  subcommand and every flag must be documented.
+  subcommand and every flag must be documented;
+* every ``repro_*`` metric name the docs mention must be a family the
+  code exports.
 
 Run with ``pytest -m docs`` (the lane is also part of tier-1).
 """
@@ -16,7 +18,9 @@ Run with ``pytest -m docs`` (the lane is also part of tier-1).
 from __future__ import annotations
 
 import argparse
+import ast
 import doctest
+import re
 import runpy
 from pathlib import Path
 from typing import List, Tuple
@@ -120,6 +124,43 @@ def test_cli_doc_documents_every_subcommand_and_flag():
                 )
 
 
+def _exported_metric_families() -> set:
+    """Every ``repro_*`` string literal under ``src/repro`` (the family names)."""
+    names = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                if re.fullmatch(r"repro_[a-z0-9_]+", node.value):
+                    names.add(node.value)
+    return names
+
+
+def test_documented_metric_names_are_exported():
+    """A ``repro_*`` token in the docs names a family the server exports.
+
+    A histogram sample suffix (``_bucket``/``_sum``/``_count``) may follow a
+    family name, and the argument of a ``grep`` may be a prefix of one
+    (``curl .../metrics | grep repro_http``).
+    """
+    families = _exported_metric_families()
+    assert "repro_serve_requests_total" in families
+    unknown = []
+    for path in DOC_FILES:
+        text = path.read_text()
+        for match in re.finditer(r"(grep\s+)?\b(repro_[a-z0-9_]+)", text):
+            token = match.group(2)
+            base = re.sub(r"_(bucket|sum|count)$", "", token)
+            if token in families or base in families:
+                continue
+            if match.group(1) and any(name.startswith(token) for name in families):
+                continue
+            line = text.count("\n", 0, match.start()) + 1
+            unknown.append(f"{path.relative_to(REPO_ROOT)}:{line}: {token}")
+    assert not unknown, "docs name metric families nothing exports:\n" + "\n".join(
+        unknown
+    )
+
+
 def test_setup_long_description_points_at_readme():
     """setup.py ships the README as the package's long description."""
     source = (REPO_ROOT / "setup.py").read_text()
@@ -137,8 +178,6 @@ def test_http_api_doc_matches_registered_routes():
     endpoint without documenting it (or documenting one that does not exist)
     fails the build.
     """
-    import re
-
     from repro.serve import API_ROUTES
 
     doc = (REPO_ROOT / "docs" / "http-api.md").read_text()

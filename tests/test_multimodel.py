@@ -1,15 +1,13 @@
-"""Tests for multi-workload serving and queue-depth replica autoscaling.
+"""Tests for multi-workload serving.
 
-Part of the ``serving`` lane.  Covered: the pure autoscaler decision function
-under synthetic queue-depth traces (scale-up on sustained depth, hold on
-momentary spikes, stepwise scale-down after idle cooldowns, bound clamping),
-dynamic worker-pool resizing (grow/shrink with drain-before-retire, retired
-replicas keeping their served-traffic statistics), the model registry,
+Part of the ``serving`` lane.  Covered: worker-pool resizing (grow/shrink
+with drain-before-retire, retired replicas keeping their served-traffic
+statistics, a resize racing a supervisor restart), the model registry,
 multi-model routing correctness (per-model bitwise equivalence against a
 direct ``run_batch``), unknown-model errors (``UnknownModelError`` →
 HTTP 404), the multi-model HTTP surface (``/v1/models``, per-model
 ``/v1/stats``, the ``model`` payload field), mixed-model load generation and
-the ``serve --model/--autoscale`` CLI.
+the ``serve --model`` CLI.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,9 +26,6 @@ from repro.errors import ServeError, SimulationError, UnknownModelError
 from repro.nn import build_lenet5, build_mlp
 from repro.serve import (
     AsyncServeHTTPServer,
-    Autoscaler,
-    AutoscalerPolicy,
-    AutoscalerState,
     EngineReplicaSpec,
     EngineWorkerPool,
     FaultInjector,
@@ -40,7 +34,6 @@ from repro.serve import (
     LoadGenerator,
     ModelDefinition,
     ModelRegistry,
-    ServeTelemetry,
     mixed_model_schedule,
     poisson_arrivals,
 )
@@ -96,100 +89,7 @@ def _registry(config, zoo, names, **knobs) -> ModelRegistry:
 
 
 # ---------------------------------------------------------------------------
-# autoscaler decision function (synthetic queue-depth traces)
-# ---------------------------------------------------------------------------
-
-
-class TestAutoscalerPolicyDecide:
-    def _policy(self, **overrides) -> AutoscalerPolicy:
-        options = dict(
-            min_replicas=1,
-            max_replicas=4,
-            scale_up_queue_depth=4,
-            sustain_s=1.0,
-            cooldown_s=5.0,
-        )
-        options.update(overrides)
-        return AutoscalerPolicy(**options)
-
-    def test_scale_up_requires_sustained_depth(self):
-        policy = self._policy()
-        state = AutoscalerState()
-        # first over-threshold sample only starts the timer
-        assert policy.decide(state, 0.0, depth=10, replicas=1) is None
-        # still inside the sustain window: hold
-        assert policy.decide(state, 0.5, depth=10, replicas=1) is None
-        # sustained past the window: one step up
-        assert policy.decide(state, 1.1, depth=10, replicas=1) == 2
-
-    def test_momentary_spike_does_not_scale(self):
-        policy = self._policy()
-        state = AutoscalerState()
-        assert policy.decide(state, 0.0, depth=10, replicas=1) is None
-        # the spike drained before the sustain window elapsed: timer resets
-        assert policy.decide(state, 0.5, depth=1, replicas=1) is None
-        assert policy.decide(state, 2.0, depth=10, replicas=1) is None
-        assert policy.decide(state, 2.5, depth=10, replicas=1) is None
-        assert policy.decide(state, 3.1, depth=10, replicas=1) == 2
-
-    def test_scale_up_clamps_to_max_replicas(self):
-        policy = self._policy(step=4)
-        state = AutoscalerState()
-        policy.decide(state, 0.0, depth=10, replicas=3)
-        assert policy.decide(state, 1.5, depth=10, replicas=3) == 4
-        # already at the ceiling: sustained depth holds instead of scaling
-        policy.decide(state, 2.0, depth=10, replicas=4)
-        assert policy.decide(state, 4.0, depth=10, replicas=4) is None
-
-    def test_scale_down_after_idle_cooldown_stepwise(self):
-        policy = self._policy()
-        state = AutoscalerState()
-        assert policy.decide(state, 0.0, depth=0, replicas=3) is None
-        assert policy.decide(state, 4.0, depth=0, replicas=3) is None
-        # idle past the cooldown: one step down...
-        assert policy.decide(state, 5.1, depth=0, replicas=3) == 2
-        # ...and the next step needs a *fresh* cooldown
-        assert policy.decide(state, 6.0, depth=0, replicas=2) is None
-        assert policy.decide(state, 10.2, depth=0, replicas=2) == 1
-        # at the floor the idle queue holds
-        assert policy.decide(state, 20.0, depth=0, replicas=1) is None
-        assert policy.decide(state, 30.0, depth=0, replicas=1) is None
-
-    def test_traffic_resets_the_idle_timer(self):
-        policy = self._policy()
-        state = AutoscalerState()
-        assert policy.decide(state, 0.0, depth=0, replicas=2) is None
-        # mid-cooldown traffic (above the idle line, below overload) resets it
-        assert policy.decide(state, 4.0, depth=2, replicas=2) is None
-        assert policy.decide(state, 5.5, depth=0, replicas=2) is None
-        assert policy.decide(state, 9.0, depth=0, replicas=2) is None
-        assert policy.decide(state, 10.6, depth=0, replicas=2) == 1
-
-    def test_out_of_range_replicas_snap_back_into_bounds(self):
-        policy = self._policy()
-        assert policy.decide(AutoscalerState(), 0.0, depth=5, replicas=9) == 4
-        per_model = policy.decide(
-            AutoscalerState(), 0.0, depth=0, replicas=1, min_replicas=2, max_replicas=3
-        )
-        assert per_model == 2
-
-    def test_invalid_policies_rejected(self):
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(min_replicas=0)
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(min_replicas=3, max_replicas=2)
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(scale_up_queue_depth=0)
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(scale_up_queue_depth=2, scale_down_queue_depth=2)
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(sustain_s=-1.0)
-        with pytest.raises(SimulationError):
-            AutoscalerPolicy(step=0)
-
-
-# ---------------------------------------------------------------------------
-# dynamic worker-pool resizing
+# worker-pool resizing
 # ---------------------------------------------------------------------------
 
 
@@ -254,67 +154,7 @@ class TestPoolResize:
 
 
 class TestResizeDuringRestart:
-    """Replica supervision must not fight the autoscaler (PR 6 invariant)."""
-
-    class _FakePool:
-        """Just enough pool surface for the control loop: counters, no engines."""
-
-        def __init__(self, count=2):
-            self.count = count
-            self.restarting = 0
-            self.resizable = True
-            self.resize_calls = []
-
-        def resize(self, target, drain_timeout_s=None):
-            self.resize_calls.append(target)
-            self.count = target
-            return target
-
-    def _runtime(self, pool):
-        return SimpleNamespace(
-            pool=pool,
-            batcher=SimpleNamespace(depth=0),
-            telemetry=ServeTelemetry(),
-            min_replicas=1,
-            max_replicas=4,
-        )
-
-    def test_scale_down_deferred_while_replica_restarts(self):
-        policy = AutoscalerPolicy(
-            min_replicas=1, max_replicas=4, cooldown_s=1.0, interval_s=0.01
-        )
-        now = [0.0]
-        pool = self._FakePool(count=2)
-        runtime = self._runtime(pool)
-        scaler = Autoscaler({"m": runtime}, policy, clock=lambda: now[0])
-        # synthetic idle trace: depth stays 0, the cooldown elapses at t=1.5
-        assert scaler.evaluate_model("m", runtime) is None  # starts the timer
-        now[0] = 1.5
-        pool.restarting = 1  # a supervisor restart is in flight
-        assert scaler.evaluate_model("m", runtime) is None
-        assert pool.resize_calls == []  # held, not applied
-        assert pool.count == 2
-        # once the restart lands, the next elapsed cooldown applies the step
-        pool.restarting = 0
-        now[0] = 3.0
-        assert scaler.evaluate_model("m", runtime) == 1
-        assert pool.resize_calls == [1]
-
-    def test_scale_up_is_not_deferred_by_a_restart(self):
-        policy = AutoscalerPolicy(
-            min_replicas=1, max_replicas=4, scale_up_queue_depth=3, sustain_s=0.5
-        )
-        now = [0.0]
-        pool = self._FakePool(count=2)
-        pool.restarting = 1
-        runtime = self._runtime(pool)
-        runtime.batcher.depth = 8  # sustained overload
-        scaler = Autoscaler({"m": runtime}, policy, clock=lambda: now[0])
-        assert scaler.evaluate_model("m", runtime) is None  # sustain window
-        now[0] = 1.0
-        # growing while a slot recovers only helps the backlog: not held
-        assert scaler.evaluate_model("m", runtime) == 3
-        assert pool.resize_calls == [3]
+    """Replica supervision must not fight a concurrent ``resize()``."""
 
     def test_real_pool_resize_during_restart_keeps_inventory(self, lenet_workload):
         """``resize()`` racing a supervisor restart must neither double-count
@@ -383,11 +223,6 @@ class TestModelRegistry:
             registry.add("a", network, weights, config=config)
         with pytest.raises(SimulationError, match="non-empty"):
             ModelDefinition(name="  ", network=network, weights=weights)
-        with pytest.raises(SimulationError, match="min_replicas"):
-            ModelDefinition(
-                name="x", network=network, weights=weights,
-                min_replicas=3, max_replicas=2,
-            )
         with pytest.raises(ServeError, match="empty"):
             InferenceServer(registry=ModelRegistry())
 
@@ -475,96 +310,6 @@ class TestMultiModelRouting:
         assert [entry["default"] for entry in listing] == [True, False]
         assert listing[0]["input_shape"] == [28, 28, 1]
         assert listing[1]["network"] == "mlp"
-
-
-# ---------------------------------------------------------------------------
-# autoscaling end to end
-# ---------------------------------------------------------------------------
-
-
-class TestAutoscalingEndToEnd:
-    def test_replicas_rise_under_load_and_fall_after_cooldown(
-        self, lenet_workload, monkeypatch
-    ):
-        """Scaling decisions are ticked by hand on a fake clock.
-
-        The server's own control loop never ticks (a one-hour interval).
-        While the flood is queued the only replica is held at its first
-        dispatch, so the queue stays deep for the whole sustain window; the
-        replica that scaling adds is built and warmed up on this thread.
-        """
-        network, weights, config, images, direct = lenet_workload
-        policy = AutoscalerPolicy(
-            min_replicas=1,
-            max_replicas=3,
-            scale_up_queue_depth=3,
-            sustain_s=0.02,
-            cooldown_s=0.25,
-            interval_s=3600.0,
-        )
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            executor="thread:1",
-            max_batch=2,
-            max_wait_s=0.001,
-            queue_capacity=256,
-            autoscaler=policy,
-        )
-        test_thread = threading.get_ident()
-        release = threading.Event()
-        run_batch = FunctionalInferenceEngine.run_batch
-
-        def held_run_batch(engine, batch):
-            if threading.get_ident() != test_thread:
-                assert release.wait(timeout=60.0)
-            return run_batch(engine, batch)
-
-        now = [0.0]
-        with server:
-            runtime = server._runtime(None)
-            scaler = Autoscaler({runtime.name: runtime}, policy, clock=lambda: now[0])
-            monkeypatch.setattr(FunctionalInferenceEngine, "run_batch", held_run_batch)
-            flood = np.concatenate([images] * 6)
-            futures = [server.submit(image) for image in flood]
-            assert scaler.evaluate_model(runtime.name, runtime) is None  # sustain starts
-            now[0] = 0.02
-            assert scaler.evaluate_model(runtime.name, runtime) == 2
-            peak = server.replica_count()
-            release.set()
-            for index, future in enumerate(futures):
-                assert np.array_equal(
-                    future.result(timeout=120), direct[index % len(images)]
-                )
-            assert peak > 1, "sustained queue depth never scaled the pool up"
-            # after the flood drains, the idle cooldown shrinks back to min
-            now[0] = 1.0
-            assert scaler.evaluate_model(runtime.name, runtime) is None  # idle starts
-            now[0] = 1.25
-            assert scaler.evaluate_model(runtime.name, runtime) == 1
-            assert server.replica_count() == 1
-            scaling = server.telemetry.snapshot()["autoscaler"]
-        assert scaling["scale_ups"] >= 1
-        assert scaling["scale_downs"] >= 1
-        directions = [event["direction"] for event in scaling["events"]]
-        assert "up" in directions and "down" in directions
-        up = next(e for e in scaling["events"] if e["direction"] == "up")
-        assert up["to_replicas"] == up["from_replicas"] + 1
-        assert up["queue_depth"] >= 3
-
-    def test_serial_models_are_left_alone(self, lenet_workload):
-        network, weights, config, images, direct = lenet_workload
-        policy = AutoscalerPolicy(
-            min_replicas=1, max_replicas=3, sustain_s=0.0, interval_s=0.01
-        )
-        with InferenceServer(
-            network, weights, config, executor="serial", max_batch=2,
-            autoscaler=policy,
-        ) as server:
-            served = server.serve_batch(np.concatenate([images] * 3))
-            assert server.replica_count() == 1
-        assert np.array_equal(served, np.concatenate([direct] * 3))
 
 
 # ---------------------------------------------------------------------------
@@ -710,50 +455,6 @@ class TestMultiModelCli:
             assert model_summary["bitwise_match_vs_run_batch"] is True
             assert model_summary["requests"] >= 1
 
-    def test_serve_autoscale_scales_up_and_reports_events(self, capsys, monkeypatch):
-        """Serving replicas hold their batches until the first scale-up.
-
-        The flood then keeps each queue deep for as many 10 ms ticks as the
-        sustain window needs, however fast a replica would drain it.  This
-        thread and the autoscaler's (which builds and warms up the added
-        replica) are never held.
-        """
-        scaled_up = threading.Event()
-        run_batch = FunctionalInferenceEngine.run_batch
-        record_scale_event = ServeTelemetry.record_scale_event
-        test_thread = threading.current_thread()
-
-        def held_run_batch(engine, batch):
-            thread = threading.current_thread()
-            if thread is not test_thread and thread.name != "serve-autoscaler":
-                scaled_up.wait(timeout=30.0)
-            return run_batch(engine, batch)
-
-        def recording_scale_event(telemetry, direction, *args, **kwargs):
-            record_scale_event(telemetry, direction, *args, **kwargs)
-            if direction == "up":
-                scaled_up.set()
-
-        monkeypatch.setattr(FunctionalInferenceEngine, "run_batch", held_run_batch)
-        monkeypatch.setattr(ServeTelemetry, "record_scale_event", recording_scale_event)
-        code = main(
-            ["serve", "--model", "a=lenet5", "--model", "b=lenet5",
-             "--requests", "48", "--rate", "4000", "--autoscale",
-             "--min-replicas", "1", "--max-replicas", "3",
-             "--scale-up-depth", "3", "--scale-sustain-ms", "10",
-             "--scale-interval-ms", "10", "--scale-cooldown-ms", "60000",
-             "--max-batch", "2", "--json"] + self._chip
-        )
-        assert code == 0
-        summary = json.loads(capsys.readouterr().out)
-        assert summary["autoscale"] is True
-        assert summary["bitwise_match_vs_run_batch"] is True
-        # a 4000 rps flood against 1 starting replica must scale something up
-        assert any(
-            model["scale_ups"] >= 1 and model["replicas"] > 1
-            for model in summary["models"].values()
-        )
-
     def test_serve_with_fewer_requests_than_models_reports_na(self, capsys):
         """Regression: a hosted model with zero requests must not crash the
         summary (its bitwise verdict is simply absent/None)."""
@@ -789,7 +490,6 @@ class TestMultiModelCli:
             ["--model", "a=unknown_workload"],
             ["--model", "a=lenet5", "--model", "a=mlp"],  # duplicate name
             ["--model", "a=lenet5", "--mix", "1,2"],  # mix arity mismatch
-            ["--autoscale", "--min-replicas", "4", "--max-replicas", "2"],
         ],
     )
     def test_invalid_multi_model_options_are_usage_errors(self, option):

