@@ -455,7 +455,7 @@ class _ProcessReplica:
 
 @thread_shared
 class EngineWorkerPool:
-    """A dynamically sized pool of :class:`FunctionalInferenceEngine` replicas.
+    """A fixed-size pool of :class:`FunctionalInferenceEngine` replicas.
 
     Parameters
     ----------
@@ -465,9 +465,6 @@ class EngineWorkerPool:
     executor:
         Executor spelling (see :func:`parse_executor_spec`) or a parsed
         :class:`ExecutorSpec`.
-    max_count:
-        Upper bound for :meth:`resize`.  Defaults to the executor's replica
-        count, i.e. a fixed pool.
     dispatch_timeout_s:
         Per-dispatch answer budget.  A process replica that does not return
         within it is declared hung, hard-killed and replaced; ``None`` (the
@@ -496,24 +493,20 @@ class EngineWorkerPool:
     :meth:`submit` dispatches one micro-batch to one free replica and returns
     a future of the (batch, num_outputs) result; :meth:`run_batch_sharded`
     splits a large batch across all replicas and reassembles the outputs in
-    input order; :meth:`resize` grows or shrinks the replica set at runtime
-    (``thread`` / ``process`` kinds), draining each retiring replica —
-    waiting for its in-flight batch — before tearing it down.
+    input order.  The replica count is the executor's and never changes.
 
     **Supervision.**  A replica that crashes (``BrokenProcessPool``), hangs
     past ``dispatch_timeout_s``, or returns corrupted outputs is *retired* —
     never returned to the free list, which is the invariant that keeps one
-    dead process from poisoning the pool — and replaced in place (the pool's
-    ``count`` never changes during a restart, so a concurrent ``resize()``
-    neither double-counts nor retires the recovering slot).  The failed
-    batch is re-dispatched to another replica up to ``max_attempts`` times.
+    dead process from poisoning the pool — and replaced in place, so the
+    pool's ``count`` never changes during a restart.  The failed batch is
+    re-dispatched to another replica up to ``max_attempts`` times.
     """
 
     def __init__(
         self,
         replica: EngineReplicaSpec,
         executor: Union[str, int, ExecutorSpec] = "serial",
-        max_count: Optional[int] = None,
         *,
         dispatch_timeout_s: Optional[float] = None,
         max_attempts: int = 3,
@@ -526,9 +519,6 @@ class EngineWorkerPool:
         self.replica = replica
         self.spec = parse_executor_spec(executor)
         self.count = self.spec.resolved_count()
-        self.max_count = (
-            self.count if max_count is None else max(self.count, int(max_count))
-        )
         if dispatch_timeout_s is not None and dispatch_timeout_s <= 0:
             raise SimulationError(
                 f"dispatch_timeout_s must be > 0 (or None), got {dispatch_timeout_s}"
@@ -547,10 +537,8 @@ class EngineWorkerPool:
         self._closed = False
         self._replicas: List[object] = []
         self._free: "queue.SimpleQueue[object]" = queue.SimpleQueue()
-        # _resize_lock serializes resize() calls; _structure_lock guards the
-        # replica/retired lists and is only ever held briefly, so stats reads
-        # never wait behind a scale-down's drain.
-        self._resize_lock = make_lock("EngineWorkerPool._resize_lock")
+        # _structure_lock guards the replica/retired lists and is only ever
+        # held briefly.
         self._structure_lock = make_lock("EngineWorkerPool._structure_lock")
         self._retired_stats: List[Dict[str, object]] = []
         self._dispatch: Optional[ThreadPoolExecutor] = None
@@ -583,9 +571,9 @@ class EngineWorkerPool:
         if self.spec.kind != "serial":
             # Dispatch threads block while their checked-out replica runs (for
             # process replicas: while waiting on the worker), so the pool
-            # needs one potential thread per replica it may ever hold.
+            # needs one thread per replica.
             self._dispatch = ThreadPoolExecutor(
-                max_workers=self.max_count, thread_name_prefix="serve-replica"
+                max_workers=self.count, thread_name_prefix="serve-replica"
             )
 
     def _build_replica(self):
@@ -721,11 +709,10 @@ class EngineWorkerPool:
         """Retire ``failed`` and install a fresh replica in its slot.
 
         The swap is in place under ``_structure_lock``, so ``count`` is
-        constant throughout — a concurrent ``resize()`` sees a full-strength
-        pool and can neither double-count the recovering slot nor retire it
-        (only free-listed replicas are eligible for scale-down, and the
-        failed handle is checked out).  The exponential backoff runs on the
-        failing dispatch thread; healthy replicas keep serving meanwhile.
+        constant throughout, and a local replica's served traffic moves to
+        ``_retired_stats`` so :meth:`statistics` keeps counting it.  The
+        exponential backoff runs on the failing dispatch thread; healthy
+        replicas keep serving meanwhile.
         """
         with self._fault_lock:
             self._consecutive_failures += 1
@@ -811,57 +798,6 @@ class EngineWorkerPool:
         )
         return stats
 
-    # ------------------------------------------------------------------ resize
-    @property
-    def resizable(self) -> bool:
-        """Whether :meth:`resize` applies (``serial`` pools are fixed at 1)."""
-        return self.spec.kind != "serial"
-
-    def resize(self, target: int, drain_timeout_s: Optional[float] = 30.0) -> int:
-        """Grow or shrink the replica set to ``target``; returns the new count.
-
-        ``target`` is clamped into ``[1, max_count]``.  Growing builds fresh
-        replicas (process replicas re-program their tiles in their own worker
-        at first dispatch).  Shrinking *drains before retiring*: each retiring
-        replica is taken out of the free list — which waits until its
-        in-flight batch completes — so no work is ever dropped.  If a busy
-        replica does not come free within ``drain_timeout_s`` the shrink
-        stops early and the achieved count is returned.
-        """
-        if not self.resizable:
-            raise ServeError(
-                "serial worker pools execute inline and cannot be resized; "
-                "use a thread:N or process:N executor"
-            )
-        if self._closed:
-            raise ServeError("worker pool is closed")
-        target = max(1, min(int(target), self.max_count))
-        with self._resize_lock:
-            while self.count < target:
-                handle = self._build_replica()
-                with self._structure_lock:
-                    self._replicas.append(handle)
-                    self.count = len(self._replicas)
-                self._free.put(handle)
-            while self.count > target:
-                try:
-                    # Drain-before-retire: wait (without holding the
-                    # structure lock) until a replica comes free, i.e. its
-                    # in-flight batch has completed.  _resize_lock is held by
-                    # design — it only serializes resize() callers, never the
-                    # dispatch path, so waiting under it cannot stall serving.
-                    handle = self._free.get(timeout=drain_timeout_s)  # repro: noqa[RPR103]
-                except queue.Empty:
-                    break  # replicas stayed busy past the drain budget
-                delta = handle.statistics_delta()
-                with self._structure_lock:
-                    if delta is not None:
-                        self._retired_stats.append(delta)
-                    self._replicas.remove(handle)
-                    self.count = len(self._replicas)
-                handle.close()
-            return self.count
-
     def run_batch(self, images: np.ndarray) -> np.ndarray:
         """Run one batch on a single replica, synchronously."""
         return self.submit(images).result()
@@ -886,7 +822,7 @@ class EngineWorkerPool:
         Whatever a replica accumulated while being built (including its
         warmup batch and the PCM tile programming it triggers) is treated as
         baseline and subtracted, so the counters describe served work and are
-        comparable across executor kinds.  Replicas retired by :meth:`resize`
+        comparable across executor kinds.  Replicas replaced after a fault
         keep contributing the traffic they served.  For process replicas the
         counters come from the snapshot piggybacked on each result, so
         replicas that have not executed a batch yet are invisible (the pool

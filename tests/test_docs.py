@@ -1,6 +1,6 @@
 """The ``docs`` lane: documentation that executes, or fails the build.
 
-Three guards keep the documentation surface honest:
+These guards keep the documentation surface honest:
 
 * every fenced ```` ```python ```` block in ``README.md`` and ``docs/*.md``
   is executed (blocks in one file share a namespace, so a page can build up
@@ -11,6 +11,8 @@ Three guards keep the documentation surface honest:
   subcommand and every flag must be documented;
 * every ``repro_*`` metric name the docs mention must be a family the
   code exports.
+* ``.github/workflows/ci.yml`` runs every lane, and ``README.md`` lists
+  every lane and host-time benchmark command CI's test job runs.
 
 Run with ``pytest -m docs`` (the lane is also part of tier-1).
 """
@@ -205,3 +207,55 @@ def test_new_docs_are_linked_from_readme_and_serving_doc():
         assert (REPO_ROOT / target).exists(), f"{target} is missing"
         assert target in readme, f"README.md does not link {target}"
     assert "http-api.md" in serving, "docs/serving.md does not link http-api.md"
+
+
+CI_WORKFLOW = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+
+
+def _ci_test_job_commands() -> List[str]:
+    """The ``run:`` command of every step in ci.yml's ``test`` job."""
+    test_job = CI_WORKFLOW.read_text().split("\n  test:\n", 1)[1]
+    return [
+        line.split("run:", 1)[1].strip()
+        for line in test_job.splitlines()
+        if line.strip().startswith("run:")
+    ]
+
+
+def test_ci_workflow_runs_every_lane():
+    """The workflow file names each lane CI promises (kept honest here)."""
+    workflow = CI_WORKFLOW.read_text()
+    for command in (
+        "python -m pytest -x -q",
+        "python -m pytest -q -m docs",
+        "python -m pytest -q -m serving",
+        "python -m pytest -q -m chaos",
+        "python -m pytest -q -m obs",
+        "python -m pytest -q -m asynchttp",
+        "tests/test_docs.py::test_http_api_doc_matches_registered_routes",
+        "python -m pytest -q benchmarks -m smoke",
+        "python3 perfbench/run.py --workload serve-open --seed 1 --seconds 3 --trace 1",
+        "python3 perfbench/run.py --workload lenet-reprogram --seed 1 --seconds 3 --trace 0",
+        "--trace-out TRACE_serving.json",
+        "ruff check .",
+        "ruff format --check .",
+    ):
+        assert command in workflow, f"CI lane missing from ci.yml: {command}"
+    assert "upload-artifact" in workflow
+    # perfbench/run.py is the one host-time source; no second export
+    for retired in ("export_json", "BENCH_serving"):
+        assert retired not in workflow, f"ci.yml still mentions {retired}"
+
+
+def test_readme_lists_every_ci_test_lane():
+    """Each ``-m <lane>`` and perfbench command CI's test job runs is in README."""
+    readme = (REPO_ROOT / "README.md").read_text()
+    commands = _ci_test_job_commands()
+    markers = (re.search(r"pytest\b.* -m (\w+)", command) for command in commands)
+    lanes = sorted({match.group(1) for match in markers if match})
+    perfbench = [c for c in commands if "perfbench/run.py" in c]
+    assert {"docs", "serving", "chaos", "obs", "asynchttp", "smoke"} <= set(lanes)
+    assert len(perfbench) == 2
+    missing = [f"-m {lane}" for lane in lanes if f"-m {lane}" not in readme]
+    missing += [command for command in perfbench if command not in readme]
+    assert not missing, f"ci.yml runs these, README.md does not list them: {missing}"

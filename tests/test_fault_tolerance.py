@@ -834,7 +834,10 @@ class TestHTTPDegradedSurface:
         assert health["status"] == "ok"  # legacy field stays for healthy servers
         faults = stats["pool"]["faults"]
         assert faults["replica_restarts"] == 1
+        assert faults["batches_recovered"] == 1
+        assert faults["batches_failed"] == 0
         assert faults["injection"]["injected"] == {"crash": 1}
+        assert stats["telemetry"]["requests_failed"] == 0
 
     def test_open_breaker_is_http_503_with_retry_after(self, lenet_workload):
         _, _, _, images, _ = lenet_workload

@@ -1,13 +1,12 @@
 """Tests for multi-workload serving.
 
-Part of the ``serving`` lane.  Covered: worker-pool resizing (grow/shrink
-with drain-before-retire, retired replicas keeping their served-traffic
-statistics, a resize racing a supervisor restart), the model registry,
-multi-model routing correctness (per-model bitwise equivalence against a
-direct ``run_batch``), unknown-model errors (``UnknownModelError`` →
-HTTP 404), the multi-model HTTP surface (``/v1/models``, per-model
-``/v1/stats``, the ``model`` payload field), mixed-model load generation and
-the ``serve --model`` CLI.
+Part of the ``serving`` lane.  Covered: a replaced replica's served traffic
+staying in the worker pool's statistics, the model registry, multi-model
+routing correctness (per-model bitwise equivalence against a direct
+``run_batch``), unknown-model errors (``UnknownModelError`` → HTTP 404), the
+multi-model HTTP surface (``/v1/models``, per-model ``/v1/stats``, the
+``model`` payload field), mixed-model load generation and the
+``serve --model`` CLI.
 """
 
 from __future__ import annotations
@@ -89,105 +88,26 @@ def _registry(config, zoo, names, **knobs) -> ModelRegistry:
 
 
 # ---------------------------------------------------------------------------
-# worker-pool resizing
+# worker-pool statistics
 # ---------------------------------------------------------------------------
 
 
-class TestPoolResize:
-    def test_grow_and_shrink_stay_bitwise(self, lenet_workload):
-        network, weights, config, images, direct = lenet_workload
-        replica = EngineReplicaSpec(network=network, weights=weights, config=config)
-        with EngineWorkerPool(replica, "thread:1", max_count=3) as pool:
-            assert pool.resizable
-            assert np.array_equal(pool.run_batch(images), direct)
-            assert pool.resize(3) == 3
-            assert np.array_equal(pool.run_batch_sharded(images), direct)
-            assert pool.resize(1) == 1
-            assert np.array_equal(pool.run_batch(images), direct)
-
-    def test_resize_clamps_to_max_count(self, lenet_workload):
-        network, weights, config, _, _ = lenet_workload
-        replica = EngineReplicaSpec(network=network, weights=weights, config=config)
-        with EngineWorkerPool(replica, "thread:1", max_count=2) as pool:
-            assert pool.resize(50) == 2
-            assert pool.resize(0) == 1
-
+class TestPoolStatistics:
     def test_retired_replicas_keep_their_traffic_statistics(self, lenet_workload):
-        network, weights, config, images, _ = lenet_workload
-        replica = EngineReplicaSpec(network=network, weights=weights, config=config)
-        with EngineWorkerPool(replica, "thread:1", max_count=2) as pool:
-            pool.resize(2)
-            pool.run_batch_sharded(images)
-            before = sum(pool.statistics()["per_core_tile_dispatches"])
-            assert before > 0
-            pool.resize(1)
-            after = sum(pool.statistics()["per_core_tile_dispatches"])
-        assert after == before  # the retired replica's work did not vanish
-
-    def test_shrink_drains_in_flight_batches(self, lenet_workload):
         network, weights, config, images, direct = lenet_workload
         replica = EngineReplicaSpec(network=network, weights=weights, config=config)
-        with EngineWorkerPool(replica, "thread:2", max_count=2) as pool:
-            futures = [pool.submit(images) for _ in range(4)]
-            # shrink while batches are in flight: the retiring replica must
-            # finish its work first, so every future still resolves bitwise
-            assert pool.resize(1) == 1
-            for future in futures:
-                assert np.array_equal(future.result(timeout=60), direct)
-
-    def test_serial_pools_are_not_resizable(self, lenet_workload):
-        network, weights, config, _, _ = lenet_workload
-        replica = EngineReplicaSpec(network=network, weights=weights, config=config)
-        with EngineWorkerPool(replica, "serial") as pool:
-            assert not pool.resizable
-            with pytest.raises(ServeError, match="cannot be resized"):
-                pool.resize(2)
-
-    def test_process_pool_resize_bitwise(self, lenet_workload):
-        network, weights, config, images, direct = lenet_workload
-        replica = EngineReplicaSpec(network=network, weights=weights, config=config)
-        with EngineWorkerPool(replica, "process:1", max_count=2) as pool:
-            assert np.array_equal(pool.run_batch(images), direct)
-            assert pool.resize(2) == 2
-            assert np.array_equal(pool.run_batch_sharded(images), direct)
-            assert pool.statistics()["replicas"] == 2
-
-
-class TestResizeDuringRestart:
-    """Replica supervision must not fight a concurrent ``resize()``."""
-
-    def test_real_pool_resize_during_restart_keeps_inventory(self, lenet_workload):
-        """``resize()`` racing a supervisor restart must neither double-count
-        the recovering slot nor retire it (the failed handle is checked out,
-        so only healthy free-listed replicas are eligible)."""
-        network, weights, config, images, direct = lenet_workload
-        replica = EngineReplicaSpec(network=network, weights=weights, config=config)
-        entered = threading.Event()
-        release = threading.Event()
-
-        def gated_sleep(_delay):
-            entered.set()
-            assert release.wait(timeout=30.0)
-
         with EngineWorkerPool(
-            replica, "thread:2", max_count=3,
-            fault_injector=FaultInjector(["crash:at=1"]),
-            backoff_base_s=0.01, sleep=gated_sleep,
+            replica, "thread:1", backoff_base_s=0.0,
+            fault_injector=FaultInjector(["crash:at=2"]),
         ) as pool:
-            future = pool.submit(images)
-            assert entered.wait(timeout=30.0)  # supervisor is mid-restart
-            assert pool.restarting == 1
-            assert pool.count == 2  # the recovering slot still counts
-            # growing during the restart builds one replica on top of the
-            # full-strength fleet — the recovering slot is not double-counted
-            assert pool.resize(3) == 3
-            release.set()
-            assert np.array_equal(future.result(timeout=60), direct)
-            assert pool.restarting == 0
-            assert pool.count == 3
+            pool.run_batch(images)
+            first = sum(pool.statistics()["per_core_tile_dispatches"])
+            assert first > 0
+            # the second batch crashes its replica, which is replaced and the
+            # batch retried: the retired replica's first batch must not vanish
+            assert np.array_equal(pool.run_batch(images), direct)
             assert pool.fault_statistics()["replica_restarts"] == 1
-            # every replica is healthy and serving after the dust settles
-            assert np.array_equal(pool.run_batch_sharded(images), direct)
+            assert sum(pool.statistics()["per_core_tile_dispatches"]) == 2 * first
 
 
 # ---------------------------------------------------------------------------

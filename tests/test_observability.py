@@ -513,6 +513,7 @@ class TestTracedServing:
             _wait_for_traces(server.tracer, 4)
             snapshot = server.stats()
         assert snapshot["tracer"]["finished"] == 4
+        assert snapshot["tracer"]["dropped"] == 0
         metrics = snapshot["metrics"]
         completed = next(
             sample["value"]
