@@ -125,5 +125,5 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for path in artefacts:
         terminalreporter.write_line(f"  {path.relative_to(RESULTS_DIR.parent.parent)}")
     terminalreporter.write_line(
-        "  (paper-vs-measured discussion: EXPERIMENTS.md; per-experiment index: DESIGN.md)"
+        "  (which module and benchmark reproduce each result: docs/architecture.md)"
     )

@@ -32,8 +32,8 @@ Layer reads
 A plan's layer engine reads every tile itself
 (:meth:`~repro.crossbar.signed.SignedCrossbarEngine.matmul` of the whole
 input).  Without field noise that is one stacked read of the whole layer:
-one batched exact code GEMM over every row tile's ``[K+ | K-]`` codes of all
-its column tiles, so a batch's inputs are normalised and ODAC-quantised once
+one exact code GEMM per row tile over the ``K+`` and ``K-`` codes of all its
+column tiles, so a batch's inputs are normalised and ODAC-quantised once
 per layer whatever its width or depth.  Every ADC code is the exact
 round-half-even code of :mod:`repro.crossbar.array`, so the output does not
 depend on the batch, BLAS or the platform.  With field noise the engine

@@ -114,8 +114,40 @@ def _pool_windows(tensor: np.ndarray, kernel: int, stride: int) -> np.ndarray:
     return windows[:, ::stride, ::stride].transpose(0, 1, 2, 4, 5, 3)
 
 
+def _pools_in_tiles(tensor: np.ndarray, kernel: int, stride: int, padding: int) -> bool:
+    """Whether :func:`_pool_tiles` gives the window reduction's result bitwise.
+
+    It needs non-overlapping, unpadded windows.  With one channel, numpy
+    reduces a window's kx axis as its inner loop, in its own summation order,
+    so that case keeps the window reduction.
+    """
+    return kernel == stride and not padding and tensor.shape[3] > 1
+
+
+def _pool_tiles(tensor: np.ndarray, kernel: int, combine) -> np.ndarray:
+    """Non-overlapping pooling of a (B, H, W, C) tensor, one pass per window element.
+
+    Folds the k² strided views of the window elements into a copy of the
+    first with ``combine`` in (ky, kx) order: the order in which a reduction
+    over :func:`_pool_windows` visits them when C > 1.
+    """
+    rows = tensor.shape[1] // kernel * kernel
+    columns = tensor.shape[2] // kernel * kernel
+    views = [
+        tensor[:, ky:rows:kernel, kx:columns:kernel]
+        for ky in range(kernel)
+        for kx in range(kernel)
+    ]
+    pooled = views[0].copy()
+    for view in views[1:]:
+        combine(pooled, view, out=pooled)
+    return pooled
+
+
 def _max_pool(tensor: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Batched max pooling over a (B, H, W, C) tensor via a strided gather."""
+    if _pools_in_tiles(tensor, kernel, stride, padding):
+        return _pool_tiles(tensor, kernel, np.maximum)
     if padding:
         tensor = np.pad(
             tensor,
@@ -128,6 +160,10 @@ def _max_pool(tensor: np.ndarray, kernel: int, stride: int, padding: int) -> np.
 
 def _avg_pool(tensor: np.ndarray, kernel: int, stride: int, padding: int) -> np.ndarray:
     """Batched average pooling over a (B, H, W, C) tensor via a strided gather."""
+    if _pools_in_tiles(tensor, kernel, stride, padding):
+        pooled = _pool_tiles(tensor, kernel, np.add)
+        pooled /= kernel * kernel
+        return pooled
     if padding:
         tensor = np.pad(
             tensor, ((0, 0), (padding, padding), (padding, padding), (0, 0)), mode="constant"

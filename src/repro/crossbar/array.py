@@ -32,6 +32,13 @@ is exact either way.  The dtype is chosen, and the float64 bound checked,
 when the weights are programmed.  No result depends on BLAS, the platform or
 how the vectors are batched.
 
+The drive codes are made in one step per block of vectors, and no field is
+formed on the way.  The inputs (each divided by its scale, when the caller
+gives one) go into a float64 scratch block, and the ODAC's
+:meth:`~repro.photonics.ring.RingResonatorODAC.modulate` range-checks them
+and writes ``c = round(clip(x, 0, 1)·L_a)`` straight into a buffer in the
+GEMM dtype, which the GEMM reads.
+
 The TIA gain is calibrated per tile so that the largest dot product the tile
 can produce maps to the ADC's full scale.  With ``t_min = 0`` the ADC code of
 column ``j`` is therefore
@@ -59,11 +66,12 @@ from codes programmed that way (:meth:`CrossbarArray.from_codes`), with its
 own full scale and denominator per column.  A *stack* of ``R`` row tiles'
 codes reads them all in one call (row tile ``r`` from input row ``r·rows``)
 and returns one ADC output per row tile; a single array is the ``R = 1``
-case.  The signed engine reads a whole layer's ``[K+ | K-]`` codes so, with
-an input scale per (vector, row tile) divided out before the ODAC.  Only the
-integer drive codes are laid out per row tile (the short last one
-zero-padded) for one batched code GEMM and one ADC pass, a block of vectors
-at a time (:func:`vector_blocks`).
+case.  The signed engine reads a whole layer's codes so, each column's
+``K+`` and ``K-`` side by side, with an input scale per (vector, row tile)
+divided out before the ODAC.  A block of vectors at a time
+(:func:`vector_blocks`), each row tile's sums are one GEMM of the drive codes
+of its input rows (the short last tile reads only its real rows), and one
+ADC pass covers them all.
 """
 
 from __future__ import annotations
@@ -80,7 +88,7 @@ from repro.photonics.ring import RingResonatorODAC
 
 #: Elements of one block of input vectors in the exact read (see
 #: :func:`vector_blocks`).
-_BLOCK_ELEMENTS = 1 << 17
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def vector_blocks(num_vectors: int, rows: int):
@@ -371,6 +379,9 @@ class CrossbarArray:
         self._stack = codes.reshape(-1, self.rows, self.columns)
         tiles = len(self._stack)
         self.input_rows = input_rows or tiles * self.rows
+        # Input rows each row tile reads (the last may be short).
+        starts = range(0, self.input_rows, self.rows)
+        self._tile_widths = [min(self.rows, self.input_rows - start) for start in starts]
         self._column_full_scale = np.full((tiles, self.columns), full_scale)[:, None]
         self._column_code_scale = np.full((tiles, self.columns), code_scale)[:, None]
         self._adc_full_scale = float(self._column_full_scale.max())
@@ -388,27 +399,39 @@ class CrossbarArray:
             )
         return inputs
 
-    def _drive_codes(self, inputs: np.ndarray, scales: Optional[np.ndarray]) -> np.ndarray:
-        """ODAC drive codes ``c`` of a block of checked inputs, shape (R, v, rows):
-        the ODAC emits fields ``T·c/L_a``, so scaling by ``L_a/T`` and rounding
-        recovers ``c`` exactly, for the code GEMM ``c @ self._stack``.
+    def _read_blocks(self, inputs: np.ndarray, scales: Optional[np.ndarray]):
+        """``(block, drive codes, code sums)`` of each block of checked inputs.
+
+        A block's inputs, row tile ``r`` of each vector divided by its scale
+        when ``scales`` is given, go into a float64 scratch buffer in one pass;
+        the ODAC quantises them, with the scratch as its working space, into
+        drive codes ``c`` (v, input_rows) in the GEMM dtype.  Each row tile's
+        sums are then one GEMM of its drive codes with its level codes (the
+        short last tile's padding rows left out).  The buffers are made once
+        per call and reused by every block.
         """
-        count, (tiles, rows, _) = len(inputs), self._stack.shape
-        if scales is not None:  # one scale per (vector, row tile)
-            normalised = np.empty_like(inputs)
-            for tile, start in enumerate(range(0, self.input_rows, rows)):
-                end = start + rows
-                np.divide(inputs[:, start:end], scales[:, tile, None], out=normalised[:, start:end])
-            inputs = normalised
-        drive = self.odac.modulate(inputs)
-        drive *= self._activation_max / self.odac.max_field_transmission
-        np.rint(drive, out=drive)
-        if tiles * rows == self.input_rows:
-            codes = drive.astype(self._stack.dtype, copy=False)
-        else:
-            codes = np.zeros((count, tiles * rows), self._stack.dtype)
-            codes[:, : self.input_rows] = drive
-        return codes.reshape(count, tiles, rows).swapaxes(0, 1)
+        blocks = vector_blocks(len(inputs), self.input_rows)
+        size = min(len(inputs), blocks[0].stop if blocks else 0)
+        scratch = np.empty((size, self.input_rows))
+        codes = np.empty_like(scratch, dtype=self._stack.dtype)
+        sums = np.empty((len(self._stack), size, self.columns), self._stack.dtype)
+        for block in blocks:
+            batch = inputs[block]
+            count = len(batch)
+            if scales is None:
+                np.copyto(scratch[:count], batch)
+            elif len(self._tile_widths) == 1:
+                np.divide(batch, scales[block], out=scratch[:count])
+            else:  # each scale spread over its tile's rows: one contiguous divide
+                tile_scales = np.repeat(scales[block], self._tile_widths, axis=1)
+                np.divide(batch, tile_scales, out=scratch[:count])
+            drive = self.odac.modulate(scratch[:count], out=codes[:count])
+            start = 0
+            for tile, width in enumerate(self._tile_widths):
+                levels = self._stack[tile, :width]
+                np.matmul(drive[:, start : start + width], levels, out=sums[tile, :count])
+                start += width
+            yield block, drive, sums[:, :count]
 
     def _analog(self, drive: np.ndarray, sums: np.ndarray) -> np.ndarray:
         """``sum_i v[i] * w[i, j]`` in float64 from the exact integer sums."""
@@ -416,8 +439,9 @@ class CrossbarArray:
         span = technology.pcm_max_transmission - technology.pcm_min_transmission
         analog = np.multiply(sums, span / (technology.pcm_levels - 1), dtype=np.float64)
         if technology.pcm_min_transmission:
-            drive_sums = drive.sum(axis=-1, keepdims=True, dtype=np.float64)
-            analog += technology.pcm_min_transmission * drive_sums
+            starts = np.arange(0, self.input_rows, self.rows)  # per row tile
+            drive_sums = np.add.reduceat(drive, starts, axis=1, dtype=np.float64)
+            analog += technology.pcm_min_transmission * drive_sums.T[:, :, None]
         return analog * (self.odac.max_field_transmission / self._activation_max)
 
     def column_fields(self, inputs: np.ndarray) -> np.ndarray:
@@ -430,8 +454,11 @@ class CrossbarArray:
         inputs = np.asarray(inputs, dtype=float)
         if inputs.ndim == 1:
             return self.column_fields(inputs[None])[..., 0, :]
-        drive = self._drive_codes(self._check_batch(inputs), None)
-        fields = self.field_scale * self._analog(drive, np.matmul(drive, self._stack))
+        inputs = self._check_batch(inputs)
+        fields = np.empty((len(self._stack), len(inputs), self.columns))
+        for block, drive, sums in self._read_blocks(inputs, None):
+            fields[:, block] = self._analog(drive, sums)
+        fields *= self.field_scale
         if not self.is_deterministic:
             for tile in fields:  # each row tile draws as a single array does
                 tile[...] = self.noise_model.apply_to_fields(tile, self.rng)
@@ -485,14 +512,11 @@ class CrossbarArray:
         exact = quantize_output and self.is_deterministic
         exact = exact and not self.technology.pcm_min_transmission
         output = np.empty((len(self._stack), len(inputs), self.columns))
-        for block in vector_blocks(len(inputs), len(self._stack) * self.rows):
-            drive = self._drive_codes(inputs[block], None if scales is None else scales[block])
-            sums = np.matmul(drive, self._stack)
+        for block, drive, sums in self._read_blocks(inputs, scales):
             if not exact:
                 output[:, block] = self._analog(drive, sums)
                 continue
             codes = np.multiply(sums, levels, out=output[:, block], dtype=np.float64)
-            del drive, sums  # freed before the next block's are made
             codes /= self._column_code_scale
             np.round(codes, out=codes)
             codes /= levels

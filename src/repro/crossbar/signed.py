@@ -32,15 +32,17 @@ Read model
 input and sums the row tiles' partial products into a zero result in plan
 order.  Without noise it makes one stacked read of the whole layer
 (:meth:`~repro.crossbar.array.CrossbarArray.matmul`) over every tile's
-``[K+ | K-]`` codes, trimmed to the matrix's real columns (one row tile also
-to its real rows), with each column's own tile full scale and weight scale.
-One reduction gives each vector's input scale per row tile (its largest
-magnitude there), which the read divides out just before the ODAC.  When
-the layer's inputs have a negative entry anywhere, the negative parts are
-stacked under the positive ones in the same read; a row tile without any
-reads exact zeros for them, which leaves its partial bitwise unchanged.
-Otherwise (the common case after ReLU) they are left out.  The four
-differential products are combined digitally in a fixed order.  Each ADC
+``K+`` and ``K-`` codes, each column's pair side by side, trimmed to the
+matrix's real columns (one row tile also to its real rows), with each
+column's own tile full scale and weight scale.  One test says whether the
+layer's inputs have a negative entry anywhere, and one reduction gives each
+vector's input scale per row tile (its largest magnitude there), which the
+read divides out just before the ODAC.  When there is a negative entry, the
+negative parts are stacked under the positive ones in the same read; a row
+tile without any reads exact zeros for them, which leaves its partial
+bitwise unchanged.  Otherwise (the common case after ReLU) they are left
+out, and the inputs are their own magnitudes.  The four differential
+products are combined digitally in a fixed order.  Each ADC
 code depends on its own vector only (see :mod:`repro.crossbar.array`), so a
 vector's output is independent of the batch it came in.
 
@@ -180,19 +182,22 @@ class SignedCrossbarEngine:
                     for index, rng in enumerate(self.rng.spawn(grid_rows * grid_columns))
                 ]
             return
-        # One stack of the row tiles' [K+ | K-] read columns, trimmed to the real
-        # width (one row tile to the real rows); scales per row tile and column.
+        # One stack of the row tiles' read columns, trimmed to the real width (one
+        # row tile to the real rows), with each column's K+ and K- side by side;
+        # scales per row tile and column.
         tile_rows, tile_columns = self.tile_shape
         width = self.columns
 
         def per_column(values, parts):
             columns = np.repeat(values, tile_columns, axis=1)
-            return columns.reshape(grid_rows, parts, -1)[:, :, :width].reshape(grid_rows, -1)
+            columns = columns.reshape(grid_rows, parts, -1)[:, :, :width]
+            return columns.transpose(0, 2, 1).reshape(grid_rows, -1)
 
-        read_codes = codes.reshape(grid_rows, tile_rows, 2, -1)[..., :width]
-        read_codes = read_codes.reshape(grid_rows, tile_rows, 2 * width)
+        halves = codes.reshape(grid_rows, tile_rows, 2, -1)[..., :width]
         if grid_rows == 1:
-            read_codes = read_codes[:, : self.rows]
+            halves = halves[:, : self.rows]
+        read_codes = np.stack((halves[:, :, 0], halves[:, :, 1]), axis=-1)
+        read_codes = read_codes.reshape(grid_rows, halves.shape[1], 2 * width)
         full_scale, code_scale = per_column(full_scale, 2), per_column(code_scale, 2)
         reader = CrossbarArray.from_codes(
             read_codes, full_scale, code_scale, *arrays, input_rows=self.rows
@@ -299,9 +304,11 @@ class SignedCrossbarEngine:
         """
         count = inputs.shape[0]
         starts = np.arange(0, self.rows, self.tile_shape[0])
+        negative = inputs.size > 0 and inputs.min() < 0.0
         input_scales = np.empty((count, len(starts)))
         for block in vector_blocks(count, self.rows):
-            np.maximum.reduceat(np.abs(inputs[block]), starts, axis=1, out=input_scales[block])
+            magnitudes = np.abs(inputs[block]) if negative else inputs[block]
+            np.maximum.reduceat(magnitudes, starts, axis=1, out=input_scales[block])
         if not np.any(input_scales > 0.0):
             return []
         # Zero vectors keep a unit scale so the division is well-defined; their
@@ -311,11 +318,11 @@ class SignedCrossbarEngine:
         if self._reader is not None:
             reader, weight_scale = self._reader
             batch, scales = inputs, safe_scales
-            if inputs.min() < 0.0:
+            if negative:
                 batch = np.concatenate((np.maximum(inputs, 0.0), np.maximum(-inputs, 0.0)))
                 scales = np.concatenate((safe_scales, safe_scales))
             products = reader.matmul(batch, scales=scales)
-            partials = products[..., : self.columns] - products[..., self.columns :]
+            partials = products[..., 0::2] - products[..., 1::2]
             if len(batch) > count:  # less that of the negative inputs
                 partials = partials[:, :count] - partials[:, count:]
         else:

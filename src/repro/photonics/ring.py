@@ -10,6 +10,7 @@ amplitude levels directly in the optical domain at 10+ GS/s with roughly
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -84,8 +85,16 @@ class RingResonatorODAC:
             raise DeviceModelError(f"value must be in [0, 1], got {value}")
         return int(round(value * (self.num_levels - 1)))
 
-    def modulate(self, values: np.ndarray) -> np.ndarray:
-        """Quantise-and-modulate an array of normalised values to E-field amplitudes."""
+    def modulate(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Quantise-and-modulate an array of normalised values to E-field amplitudes.
+
+        Each value's integer drive code is ``round(clip(v, 0, 1)·L)`` with
+        ``L = num_levels - 1``, and its field is ``T·code/L`` with ``T`` the
+        :attr:`max_field_transmission`.  Given ``out``, the codes themselves
+        are written there (in its dtype) and returned instead of the fields;
+        ``values`` then serves as the float64 scratch space and is
+        overwritten when it is already a float64 array.
+        """
         values = np.asarray(values, dtype=float)
         # Written as "not inside" so a NaN extreme (every comparison false)
         # fails the check too.
@@ -93,12 +102,16 @@ class RingResonatorODAC:
             raise DeviceModelError(
                 f"values must be in [0, 1], got range [{values.min()}, {values.max()}]"
             )
-        fields = np.clip(values, 0.0, 1.0)
-        fields *= self.num_levels - 1
-        np.round(fields, out=fields)  # the integer drive codes
-        fields *= self.max_field_transmission
-        fields /= self.num_levels - 1
-        return fields
+        levels = self.num_levels - 1
+        codes = np.clip(values, 0.0, 1.0, out=None if out is None else values)
+        codes *= levels
+        if out is not None:
+            # Rounded in float64; the integer codes are exact in any float dtype.
+            return np.rint(codes, out=out)
+        np.round(codes, out=codes)
+        codes *= self.max_field_transmission
+        codes /= levels
+        return codes
 
     # ------------------------------------------------------------------ costs
     @property

@@ -3,7 +3,8 @@
 The reference here is an oracle that reads one vector at a time in Python
 integers: ODAC codes ``c`` and PCM codes ``k``, the integer sum ``c @ k`` and
 an ADC code ``round_half_even(L_o·(c @ k) / (L_a·S))`` evaluated as a
-``Fraction``.  The tiled ``linear``/``conv2d`` references re-program every
+``Fraction``; full-size networks use the same arithmetic in int64 numpy,
+checked against it.  The tiled ``linear``/``conv2d`` references re-program every
 tile per call and read per vector, and im2col and pooling keep the seed's
 per-patch / per-window loops.  In noiseless mode the batched ``matmul`` /
 ``linear`` / ``conv2d`` / pooling paths must equal them **bitwise**, and a
@@ -18,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.config import TechnologyConfig, optimal_chip, small_test_chip
+from repro.config import TechnologyConfig, default_sweep_chip, optimal_chip, small_test_chip
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.crossbar import CrossbarArray, SignedCrossbarEngine
@@ -85,10 +86,52 @@ def exact_signed_matmul(engine: SignedCrossbarEngine, inputs: np.ndarray) -> np.
     return np.stack([exact_signed_matvec(engine, vector) for vector in inputs])
 
 
-def seed_linear(config, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+def integer_array_matmul(array: CrossbarArray, inputs: np.ndarray) -> np.ndarray:
+    """:func:`exact_array_matvec` (quantised) for a batch, in int64 numpy arithmetic.
+
+    The same drive codes, integer dot products and round-half-even ADC
+    quotient, with the quotient rounded by integer division instead of a
+    ``Fraction``: fast enough for full-size networks.
+    """
+    technology = array.technology
+    activation_max = (1 << technology.activation_bits) - 1
+    weight_max = technology.pcm_levels - 1
+    output_max = (1 << technology.output_bits) - 1
+    drive = np.rint(np.clip(inputs, 0.0, 1.0) * activation_max).astype(np.int64)
+    codes = np.rint(array.weights * weight_max).astype(np.int64)
+    denominator = activation_max * max(int(codes.sum(axis=0).max()), 1)
+    quotient, remainder = np.divmod(output_max * (drive @ codes), denominator)
+    ties = (2 * remainder == denominator) & (quotient % 2 == 1)
+    adc = quotient + (2 * remainder > denominator) + ties
+    return adc / output_max * array.adc_full_scale
+
+
+def integer_signed_matmul(engine: SignedCrossbarEngine, inputs: np.ndarray) -> np.ndarray:
+    """:func:`exact_signed_matmul` with every array read by :func:`integer_array_matmul`."""
+    inputs = np.asarray(inputs, dtype=float)
+    input_scale = np.max(np.abs(inputs), axis=1, keepdims=True)
+    normalised = inputs / np.where(input_scale == 0.0, 1.0, input_scale)
+    positive_in = np.clip(normalised, 0.0, None)
+    negative_in = np.clip(-normalised, 0.0, None)
+    positive, negative = engine.positive_array, engine.negative_array
+    result = integer_array_matmul(positive, positive_in) - integer_array_matmul(
+        negative, positive_in
+    )
+    negative_part = integer_array_matmul(positive, negative_in) - integer_array_matmul(
+        negative, negative_in
+    )
+    has_negative = np.any(negative_in > 0, axis=1, keepdims=True)
+    result = np.where(has_negative, result - negative_part, result)
+    return np.where(input_scale == 0.0, 0.0, result * engine.weight_scale * input_scale)
+
+
+def seed_linear(
+    config, weights: np.ndarray, inputs: np.ndarray, signed_matmul=exact_signed_matmul
+) -> np.ndarray:
     """The seed's OpticalCrossbarAccelerator.linear, read by the exact oracle.
 
-    Every tile is re-programmed per call and read one vector at a time.
+    Every tile is re-programmed per call and read by ``signed_matmul`` (by
+    default one vector at a time).
     """
     weights = np.asarray(weights, dtype=float)
     inputs = np.asarray(inputs, dtype=float)
@@ -111,7 +154,7 @@ def seed_linear(config, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
             engine.program(tile)
             padded_inputs = np.zeros((num_vectors, rows))
             padded_inputs[:, :tile_rows] = inputs[:, k_start:k_end]
-            partial = exact_signed_matmul(engine, padded_inputs)
+            partial = signed_matmul(engine, padded_inputs)
             result[:, n_start:n_end] += partial[:, :tile_cols]
     return result[0] if single_vector else result
 
@@ -157,12 +200,19 @@ def seed_pool(tensor: np.ndarray, kernel: int, stride: int, padding: int, kind: 
     return output
 
 
-def seed_conv2d(config, feature_map: np.ndarray, weights: np.ndarray, stride: int, padding: int):
+def seed_conv2d(
+    config,
+    feature_map: np.ndarray,
+    weights: np.ndarray,
+    stride: int,
+    padding: int,
+    signed_matmul=exact_signed_matmul,
+):
     """The seed's conv2d: per-patch im2col + per-call tile programming."""
     kernel = np.asarray(weights).shape[0]
     unrolled = seed_im2col(feature_map, kernel, stride, padding)
     flat_weights = conv_weights_matrix(weights)
-    product = seed_linear(config, flat_weights, unrolled)
+    product = seed_linear(config, flat_weights, unrolled, signed_matmul)
     feature_map = np.asarray(feature_map, dtype=float)
     out_h = (feature_map.shape[0] + 2 * padding - kernel) // stride + 1
     out_w = (feature_map.shape[1] + 2 * padding - kernel) // stride + 1
@@ -387,6 +437,18 @@ class TestAcceleratorEquivalence:
         assert np.array_equal(batched, per_image)
 
 
+class TestIntegerOracle:
+    def test_integer_oracle_matches_fraction_oracle(self):
+        rng = np.random.default_rng(16)
+        for rows, columns in [(25, 6), (40, 17), (64, 64)]:
+            engine = SignedCrossbarEngine(rows, columns)
+            engine.program(rng.normal(size=(rows, columns)))
+            inputs = np.vstack([rng.normal(size=(6, rows)), rng.uniform(0, 1, (6, rows))])
+            inputs[0] = 0.0
+            expected = exact_signed_matmul(engine, inputs)
+            assert integer_signed_matmul(engine, inputs).tobytes() == expected.tobytes()
+
+
 class TestPoolingAndIm2colEquivalence:
     def test_im2col_bitwise_matches_loop(self):
         rng = np.random.default_rng(9)
@@ -409,6 +471,13 @@ class TestPoolingAndIm2colEquivalence:
             ((8, 8, 3), 2, 2, 0),
             ((11, 9, 4), 3, 2, 1),
             ((7, 7, 2), 3, 1, 0),
+            # Non-overlapping windows (one strided pass per window element),
+            # at LeNet's pooled shapes and with a size the kernel does not divide.
+            ((28, 28, 6), 2, 2, 0),
+            ((28, 28, 6), 3, 3, 0),
+            ((10, 10, 16), 2, 2, 0),
+            ((10, 10, 16), 3, 3, 0),
+            ((11, 9, 4), 2, 2, 0),
         ]:
             batch = rng.normal(size=(3, h, w, c))
             vec_max = _max_pool(batch, k, s, p)
@@ -418,11 +487,27 @@ class TestPoolingAndIm2colEquivalence:
                 assert np.array_equal(vec_avg[i], seed_pool(batch[i], k, s, p, "avg"))
 
 
+def seed_lenet(config, weights, image: np.ndarray, signed_matmul=exact_signed_matmul):
+    """conv1 (pad 2) -> avg pool -> conv2 -> avg pool -> fc1/fc2/fc3, mirroring
+    the seed FunctionalInferenceEngine._execute layer loop."""
+    current = seed_conv2d(config, image, weights["conv1"], 1, 2, signed_matmul)
+    current = np.maximum(current, 0.0)
+    current = seed_pool(current, 2, 2, 0, "avg")
+    current = seed_conv2d(config, current, weights["conv2"], 1, 0, signed_matmul)
+    current = np.maximum(current, 0.0)
+    current = seed_pool(current, 2, 2, 0, "avg")
+    vector = current.reshape(-1)
+    vector = np.maximum(seed_linear(config, weights["fc1"], vector, signed_matmul), 0.0)
+    vector = np.maximum(seed_linear(config, weights["fc2"], vector, signed_matmul), 0.0)
+    return seed_linear(config, weights["fc3"], vector, signed_matmul)
+
+
 class TestEndToEndEquivalence:
     def test_noiseless_lenet_bitwise_identical_to_seed_execution(self):
         """Full noiseless functional LeNet: batched engine == seed per-step loops.
 
-        The seed loops read every tile through the exact per-vector oracle.
+        The seed loops read every tile through the exact oracle: per vector
+        on a small LeNet, in its integer form on the full-size one.
         """
         network = build_lenet5(input_size=12)
         weights = generate_random_weights(network, seed=6, scale=0.3)
@@ -431,25 +516,24 @@ class TestEndToEndEquivalence:
         rng = np.random.default_rng(7)
         images = rng.uniform(0, 1, (3, 12, 12, 1))
 
-        def seed_lenet(image):
-            # conv1 (pad 2) -> avg pool -> conv2 -> avg pool -> fc1/fc2/fc3,
-            # mirroring the seed FunctionalInferenceEngine._execute layer loop.
-            current = seed_conv2d(config, image, weights["conv1"], stride=1, padding=2)
-            current = np.maximum(current, 0.0)
-            current = seed_pool(current, 2, 2, 0, "avg")
-            current = seed_conv2d(config, current, weights["conv2"], stride=1, padding=0)
-            current = np.maximum(current, 0.0)
-            current = seed_pool(current, 2, 2, 0, "avg")
-            vector = current.reshape(-1)
-            vector = np.maximum(seed_linear(config, weights["fc1"], vector), 0.0)
-            vector = np.maximum(seed_linear(config, weights["fc2"], vector), 0.0)
-            return seed_linear(config, weights["fc3"], vector)
-
-        expected = np.stack([seed_lenet(image) for image in images])
+        expected = np.stack([seed_lenet(config, weights, image) for image in images])
         per_image = np.stack([engine.run(image) for image in images])
         assert np.array_equal(per_image, expected)
         batched = engine.run_batch(images)
         assert np.array_equal(batched, expected)
+
+        # The 28×28 LeNet on the paper's chips: conv2 spans two row tiles on
+        # 128×128 (five on 32×32), the last zero-padded.  The integer form of
+        # the oracle keeps the seed loops fast enough at this size.
+        network = build_lenet5()
+        weights = generate_random_weights(network, seed=8, scale=0.3)
+        images = rng.uniform(0, 1, (2, 28, 28, 1))
+        for config in (optimal_chip(), default_sweep_chip()):
+            engine = FunctionalInferenceEngine(network, weights, config)
+            expected = np.stack(
+                [seed_lenet(config, weights, image, integer_signed_matmul) for image in images]
+            )
+            assert engine.run_batch(images).tobytes() == expected.tobytes()
 
     def test_run_batch_bitwise_matches_per_image_run(self):
         network = build_lenet5(input_size=12)

@@ -38,6 +38,33 @@ class TestRingResonatorODAC:
             with pytest.raises(DeviceModelError):
                 odac.modulate(np.array(bad))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_modulate_into_codes_is_the_integer_drive_code(self, dtype):
+        odac = RingResonatorODAC(bits=6)
+        rng = np.random.default_rng(3)
+        values = np.concatenate(
+            [rng.uniform(0, 1, 500), (np.arange(63) + 0.5) / 63, [0.0, 1.0, -1e-12, 1 + 1e-12]]
+        )
+        expected = np.round(np.clip(values, 0.0, 1.0) * 63)
+        codes = np.empty(values.shape, dtype)
+        returned = odac.modulate(values.copy(), out=codes)
+        assert returned is codes
+        assert np.array_equal(codes, expected)
+
+    @pytest.mark.parametrize("oma_penalty_db", [0.0, 4.0])
+    def test_codes_match_the_fields_they_modulate(self, oma_penalty_db):
+        odac = RingResonatorODAC(bits=6, oma_penalty_db=oma_penalty_db)
+        values = np.random.default_rng(4).uniform(0, 1, 1000)
+        fields = odac.modulate(values)
+        codes = odac.modulate(values.copy(), out=np.empty(values.shape, np.float32))
+        assert np.array_equal(codes, np.rint(fields * 63 / odac.max_field_transmission))
+
+    def test_modulate_into_codes_rejects_out_of_range(self):
+        odac = RingResonatorODAC()
+        for bad in ([1.0 + 2e-12], [-2e-12], [np.nan], [0.5, np.nan], [np.inf]):
+            with pytest.raises(DeviceModelError):
+                odac.modulate(np.array(bad), out=np.empty(len(bad), np.float32))
+
     def test_driver_power_matches_paper_number(self):
         odac = RingResonatorODAC(driver_energy_per_sample_j=168e-15, sample_rate_hz=10e9)
         assert odac.dynamic_power_w == pytest.approx(1.68e-3)
