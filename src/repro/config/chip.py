@@ -166,15 +166,10 @@ class ChipConfig:
         slower than the 10 GHz MAC"), i.e. all cells are written concurrently
         by per-cell drivers; this is the default ("array" parallelism).  The
         "row" and "cell" settings model driver-sharing schemes where writes
-        are serialised row-by-row or cell-by-cell.
+        are serialised row-by-row or cell-by-cell (see
+        :meth:`TechnologyConfig.programming_pass_time_s`).
         """
-        write_time = self.technology.pcm_programming_time_s
-        parallelism = self.technology.pcm_program_parallelism
-        if parallelism == "array":
-            return write_time
-        if parallelism == "row":
-            return self.rows * write_time
-        return self.rows * self.columns * write_time
+        return self.technology.programming_pass_time_s(self.rows, self.columns)
 
     @property
     def programming_cycles_per_array(self) -> float:

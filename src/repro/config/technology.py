@@ -176,6 +176,19 @@ class TechnologyConfig:
         """ODAC driver dynamic power at the reference 10 GS/s rate (W)."""
         return self.odac_driver_energy_per_sample_j * 10e9
 
+    def programming_pass_time_s(self, rows: int, columns: int) -> float:
+        """Time to reprogram every cell of one ``rows`` × ``columns`` array (s).
+
+        One ``pcm_programming_time_s`` write for the whole array, per row or
+        per cell, as :attr:`pcm_program_parallelism` says.
+        """
+        write_time = self.pcm_programming_time_s
+        if self.pcm_program_parallelism == "array":
+            return write_time
+        if self.pcm_program_parallelism == "row":
+            return rows * write_time
+        return rows * columns * write_time
+
     def with_updates(self, **overrides: float) -> "TechnologyConfig":
         """Return a copy of this configuration with ``overrides`` applied.
 

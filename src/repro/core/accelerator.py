@@ -24,8 +24,12 @@ Every later call with the same weights — every image of a batch, every
 repeated inference — reuses the programmed plan without touching the PCM
 again.  Programming is accounted per physical tile, in plan order: two
 programming events, both arrays' ``cells × pcm_programming_energy_j`` and
-one pass of programming time each.  These statistics survive cache eviction
-and are reported by :meth:`functional_statistics`.
+one pass of programming time each.  A tile's cells are the full padded
+``rows × columns`` array, so the plan charges ``2·rows·columns`` cells per
+tile where :mod:`repro.perf.power` charges the layer's ``k·n`` real cells
+once; for LeNet on the 128×128 chip the plan's figure is 4.80× the power
+model's (``docs/architecture.md`` explains both).  These statistics survive
+cache eviction and are reported by :meth:`functional_statistics`.
 
 Layer reads
 -----------
@@ -40,14 +44,21 @@ depend on the batch, BLAS or the platform.  With field noise the engine
 reads one physical tile at a time, with its inputs padded, so its noise
 draws keep their shapes and order.
 
-Per-core accounting
--------------------
-Each dispatch is accounted by a
-:class:`~repro.core.sharding.ShardedExecutionEngine`: physical tile ``i``
-goes to crossbar core ``i % num_cores`` (the same static round-robin the
-analytical :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule
-uses), and per-core tile counts and busy-time estimates are accumulated
-into :meth:`functional_statistics`.  Under field noise the layer engine is
+Per-core accounting and the chip clock
+--------------------------------------
+A plan keeps its :class:`~repro.scalesim.tiling.GemmTiling`, the same tiling
+the dataflow simulator computes for the layer.  Each dispatch is accounted by
+a :class:`~repro.core.sharding.ShardedExecutionEngine` with the
+:func:`~repro.scalesim.schedule.tile_job_times` of every
+:func:`~repro.scalesim.schedule.tile_jobs` job: physical tile ``i`` goes to
+crossbar core ``i % num_cores`` (the same static round-robin the analytical
+:class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule uses), and
+per-core tile counts and busy times are accumulated into
+:meth:`functional_statistics`.  :meth:`programming_jobs` and
+:meth:`analytical_schedule` build the same jobs from the weight matrix's
+shape alone, so they program nothing; they are the jobs
+:func:`~repro.scalesim.schedule.network_tile_jobs` lists for the layer.
+Under field noise the layer engine is
 given one generator keyed by the accelerator seed and the weight content,
 which it splits into one child per tile (a noiseless plan gets none), so
 noisy outputs do not depend on the order in which tile plans were built.
@@ -66,26 +77,17 @@ from repro.concurrency import make_rlock, thread_shared
 from repro.config.chip import ChipConfig
 from repro.config.presets import optimal_chip
 from repro.core.sharding import ShardedExecutionEngine
-from repro.crossbar.dual_core import ProgrammingJob
+from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.crossbar.signed import SignedCrossbarEngine
 from repro.errors import SimulationError
-from repro.nn.im2col import conv_weights_matrix, im2col_matrix
+from repro.nn.im2col import GemmShape, conv_weights_matrix, im2col_matrix
 from repro.nn.network import Network
 from repro.perf.metrics import PerformanceMetrics, evaluate_runtime
 from repro.scalesim.runtime import NetworkRuntime
+from repro.scalesim.schedule import tile_jobs
 from repro.scalesim.simulator import CrossbarDataflowSimulator
-
-
-@dataclass
-class _Tile:
-    """One physical crossbar tile of a weight matrix and its programming time."""
-
-    k_start: int
-    k_end: int
-    n_start: int
-    n_end: int
-    programming_time_s: float
+from repro.scalesim.tiling import GemmTiling
 
 
 class _MatrixBytes(bytes):
@@ -99,14 +101,12 @@ class _MatrixBytes(bytes):
 class _TilePlan:
     """The full programmed tiling of one weight matrix.
 
-    ``engine`` holds and reads the programmed layer; ``tiles`` are the
-    physical tiles, in plan order.
+    ``engine`` holds and reads the programmed layer; ``tiling`` is its grid
+    of physical tiles.
     """
 
-    k: int
-    n: int
     engine: SignedCrossbarEngine
-    tiles: List[_Tile]
+    tiling: GemmTiling
 
 
 #: (statistics key, metric name, help) of the scalar accelerator counters.
@@ -234,7 +234,7 @@ class OpticalCrossbarAccelerator:
         self.config = config or optimal_chip()
         self.noise_model = noise_model
         self._seed_sequence = np.random.SeedSequence(seed)
-        self.sharding = ShardedExecutionEngine(self.config.num_cores, self.config.mac_clock_hz)
+        self.sharding = ShardedExecutionEngine(self.config)
         self._simulator = CrossbarDataflowSimulator(self.config)
         if max_cached_weight_plans < 1:
             raise SimulationError(
@@ -314,17 +314,18 @@ class OpticalCrossbarAccelerator:
         )
         engine.program(weights)
         energy_j, time_s = engine.tile_programming_cost()
-        tiles = [
-            _Tile(k_start, min(k_start + rows, k), n_start, min(n_start + columns, n), time_s)
-            for k_start in range(0, k, rows)
-            for n_start in range(0, n, columns)
-        ]
+        tiling = self._tiling(weights.shape)
         stats = self._functional_stats
-        for _ in tiles:
+        for _ in range(tiling.num_tiles):
             stats["programming_events"] += 2
             stats["programming_energy_j"] += energy_j
             stats["programming_time_s"] += time_s
-        return _TilePlan(k=k, n=n, engine=engine, tiles=tiles)
+        return _TilePlan(engine=engine, tiling=tiling)
+
+    def _tiling(self, shape: Tuple[int, int]) -> GemmTiling:
+        """The physical tiles of a (k, n) weight matrix on this chip."""
+        k, n = shape
+        return GemmTiling(GemmShape("", 1, k, n), self.config.rows, self.config.columns)
 
     def _programmed_tile_plan(self, weights: np.ndarray) -> _TilePlan:
         """Fetch (or build and cache) the programmed tile plan for ``weights``."""
@@ -380,44 +381,22 @@ class OpticalCrossbarAccelerator:
             lambda: accelerator_metric_families(self.functional_statistics(), label_set)
         )
 
-    def _analytics_plan(self, weights: np.ndarray) -> _TilePlan:
-        """Tile plan for analytics queries, free of datapath side effects.
-
-        Reuses a cached plan without touching the LRU order or the hit/miss
-        counters.  For uncached weights a throwaway plan is built *outside*
-        the cache (so an analytics query can never evict a hot inference
-        plan) and the programming statistics it would have accumulated are
-        restored — the query describes a hypothetical schedule, it is not
-        datapath traffic.  Noise generators are content-keyed, so the
-        throwaway plan is identical to the one :meth:`linear` would build.
-        """
-        key = self._weight_key(weights)
-        with self._stats_lock:
-            plan = self._tile_plans.get(key)
-            if plan is not None:
-                return plan
-            snapshot = dict(self._functional_stats)
-            try:
-                return self._build_tile_plan_locked(weights, key)
-            finally:
-                self._functional_stats.update(snapshot)
-
     def programming_jobs(self, weights: np.ndarray, num_vectors: int) -> List[ProgrammingJob]:
-        """Analytical per-tile job sequence for ``weights``.
+        """Analytical per-tile job sequence for ``weights`` streaming ``num_vectors``.
 
-        Derives the tile plan and converts it into the
-        :class:`~repro.crossbar.dual_core.ProgrammingJob` list consumed by
-        :class:`~repro.crossbar.dual_core.DualCoreCrossbar`, so the functional
-        core assignment can be cross-checked against the analytical schedule.
-        Leaves the tile cache and functional statistics untouched.
+        The :func:`~repro.scalesim.schedule.tile_jobs` of the matrix's tiling
+        on this chip, the jobs :meth:`linear` accounts per core and
+        :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedules.  Only
+        ``weights.shape`` is read: nothing is programmed, and the tile cache
+        and functional statistics are untouched.
         """
-        plan = self._analytics_plan(np.asarray(weights, dtype=float))
-        return self.sharding.programming_jobs(plan, num_vectors)
+        if num_vectors < 1:
+            raise SimulationError(f"num_vectors must be >= 1, got {num_vectors}")
+        return tile_jobs(self._tiling(np.shape(weights)), self.config, num_vectors)
 
     def analytical_schedule(self, weights: np.ndarray, num_vectors: int) -> Dict[str, float]:
-        """:meth:`DualCoreCrossbar.summarize` of the tile plan for ``weights``."""
-        plan = self._analytics_plan(np.asarray(weights, dtype=float))
-        return self.sharding.schedule_summary(plan, num_vectors)
+        """:meth:`DualCoreCrossbar.summarize` of :meth:`programming_jobs`."""
+        return DualCoreCrossbar.summarize(self.programming_jobs(weights, num_vectors))
 
     def linear(self, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
         """Compute ``inputs @ weights`` on the functional crossbar, tile by tile.

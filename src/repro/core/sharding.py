@@ -15,30 +15,35 @@ Reads
 -----
 The layer's :class:`~repro.crossbar.signed.SignedCrossbarEngine` reads every
 tile itself: one stacked read per layer without field noise, one per physical
-tile with it.  The per-core accounting is per physical tile either way, from the
-programming time each tile record of the plan carries.  The concurrency the
-cores model is between photonic cores of the simulated chip, so it shows up
-in the modelled busy times, not in host threads.
+tile with it.  The per-core accounting is per physical tile either way.  The
+concurrency the cores model is between photonic cores of the simulated chip,
+so it shows up in the modelled busy times, not in host threads.
 
 Cross-checking against the analytical schedule
 ----------------------------------------------
-:meth:`ShardedExecutionEngine.programming_jobs` converts a tile plan into the
-:class:`~repro.crossbar.dual_core.ProgrammingJob` sequence the analytical
-scheduler consumes, and :meth:`ShardedExecutionEngine.schedule_summary` runs
-:meth:`DualCoreCrossbar.summarize` over it, so tests (and
-``functional_statistics()`` consumers) can verify that the functional per-core
-tile assignment and busy times agree with the event-driven schedule.
+Each physical tile of the plan's tiling is accounted with the
+:func:`~repro.scalesim.schedule.tile_job_times` of the dispatch — the times of
+every job in the :class:`~repro.crossbar.dual_core.ProgrammingJob` list that
+:func:`~repro.scalesim.schedule.tile_jobs` builds for
+:func:`~repro.scalesim.schedule.network_tile_jobs` and
+:meth:`~repro.core.accelerator.OpticalCrossbarAccelerator.programming_jobs`
+from the layer's :class:`~repro.scalesim.tiling.GemmTiling` — so the
+functional per-core tile counts and busy times are, by construction, the
+per-core totals of the event-driven schedule of those jobs
+(:func:`compute_entries_per_core`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
+from repro.config.chip import ChipConfig
 from repro.errors import SimulationError
+from repro.scalesim.schedule import tile_job_times
+from repro.scalesim.tiling import GemmTiling
 
 
 @dataclass(frozen=True)
@@ -46,9 +51,9 @@ class ShardReport:
     """Per-core accounting of one sharded GEMM dispatch.
 
     ``core_tile_counts[c]`` is the number of tiles executed on core ``c`` and
-    ``core_busy_time_s[c]`` the modelled busy time of that core (per-tile PCM
-    programming time plus ``num_vectors`` MAC cycles of compute per tile),
-    matching the per-core program+compute totals of the analytical
+    ``core_busy_time_s[c]`` the modelled busy time of that core (the
+    programming plus compute time of its tile jobs), matching the per-core
+    program+compute totals of the analytical
     :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule.
     """
 
@@ -57,27 +62,22 @@ class ShardReport:
 
 
 class ShardedExecutionEngine:
-    """Runs a tile plan's GEMM and accounts it to ``num_cores`` crossbar cores.
+    """Runs a tile plan's GEMM and accounts it to the chip's crossbar cores.
 
     Parameters
     ----------
-    num_cores:
-        Number of physical crossbar cores on the chip.  Tiles are assigned
+    config:
+        The chip.  Its ``num_cores`` physical crossbar cores take the tiles
         round-robin (tile ``i`` → core ``i % num_cores``), matching the
         core-alternation semantics of
-        :class:`~repro.crossbar.dual_core.DualCoreCrossbar`.
-    mac_clock_hz:
-        Optical MAC rate, used for the per-tile compute-time estimate
-        (one streamed vector per MAC cycle).
+        :class:`~repro.crossbar.dual_core.DualCoreCrossbar`; its programming
+        time and MAC rate set each tile's
+        :func:`~repro.scalesim.schedule.tile_jobs` busy time.
     """
 
-    def __init__(self, num_cores: int, mac_clock_hz: float) -> None:
-        if num_cores < 1:
-            raise SimulationError(f"num_cores must be >= 1, got {num_cores}")
-        if mac_clock_hz <= 0:
-            raise SimulationError(f"mac_clock_hz must be > 0, got {mac_clock_hz}")
-        self.num_cores = int(num_cores)
-        self.mac_clock_hz = float(mac_clock_hz)
+    def __init__(self, config: ChipConfig) -> None:
+        self.config = config
+        self.num_cores = config.num_cores
 
     # ------------------------------------------------------------------ schedule
     def core_assignment(self, num_tiles: int) -> List[int]:
@@ -86,40 +86,15 @@ class ShardedExecutionEngine:
             raise SimulationError(f"num_tiles must be >= 0, got {num_tiles}")
         return [index % self.num_cores for index in range(num_tiles)]
 
-    def programming_jobs(self, plan, num_vectors: int) -> List[ProgrammingJob]:
-        """Analytical :class:`ProgrammingJob` sequence for ``plan``.
-
-        Each tile contributes one job: its PCM programming time and
-        ``num_vectors`` MAC cycles of compute.  Feeding the result to
-        :class:`~repro.crossbar.dual_core.DualCoreCrossbar` reproduces the
-        core assignment used by :meth:`execute` (job ``i`` computes on core
-        ``i % 2`` in the dual-core schedule).
-        """
-        if num_vectors < 1:
-            raise SimulationError(f"num_vectors must be >= 1, got {num_vectors}")
-        compute_time_s = num_vectors / self.mac_clock_hz
-        return [
-            ProgrammingJob(
-                name=f"tile{index}",
-                programming_time_s=tile.programming_time_s,
-                compute_time_s=compute_time_s,
-            )
-            for index, tile in enumerate(plan.tiles)
-        ]
-
-    def schedule_summary(self, plan, num_vectors: int) -> Dict[str, float]:
-        """:meth:`DualCoreCrossbar.summarize` over the plan's tile jobs."""
-        return DualCoreCrossbar.summarize(self.programming_jobs(plan, num_vectors))
-
-    def _report(self, plan, num_vectors: int) -> ShardReport:
-        """Per-core tile counts and busy-time estimates for one dispatch."""
+    def _report(self, tiling: GemmTiling, num_vectors: int) -> ShardReport:
+        """Per-core tile counts and busy times of one dispatch's tile jobs."""
+        programming_time_s, compute_time_s = tile_job_times(self.config, num_vectors)
         counts = [0] * self.num_cores
         busy = [0.0] * self.num_cores
-        compute_time_s = num_vectors / self.mac_clock_hz
-        for index, tile in enumerate(plan.tiles):
+        for index in range(tiling.num_tiles):
             core = index % self.num_cores
             counts[core] += 1
-            busy[core] += tile.programming_time_s + compute_time_s
+            busy[core] += programming_time_s + compute_time_s
         return ShardReport(tuple(counts), tuple(busy))
 
     # ------------------------------------------------------------------ execute
@@ -130,8 +105,8 @@ class ShardedExecutionEngine:
         ----------
         plan:
             A programmed tile plan (``repro.core.accelerator._TilePlan``): an
-            object with the layer ``engine`` and the physical ``tiles``, each
-            with its ``programming_time_s``.
+            object with the layer ``engine`` and its physical-tile ``tiling``
+            (a :class:`~repro.scalesim.tiling.GemmTiling`).
         inputs:
             Input matrix of shape (num_vectors, k).
 
@@ -141,7 +116,7 @@ class ShardedExecutionEngine:
             The (num_vectors, n) result and the per-core accounting of this
             dispatch.
         """
-        return plan.engine.matmul(inputs), self._report(plan, inputs.shape[0])
+        return plan.engine.matmul(inputs), self._report(plan.tiling, inputs.shape[0])
 
 
 def compute_entries_per_core(

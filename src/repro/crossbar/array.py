@@ -142,17 +142,6 @@ def _gemm_dtype(technology: TechnologyConfig, rows: int) -> type:
     return np.float32 if bound < 2**24 else np.float64
 
 
-def programming_pass_time_s(technology: TechnologyConfig, rows: int, columns: int) -> float:
-    """Wall-clock time of one programming pass under the configured parallelism."""
-    write = technology.pcm_programming_time_s
-    parallelism = technology.pcm_program_parallelism
-    if parallelism == "array":
-        return write
-    if parallelism == "row":
-        return rows * write
-    return rows * columns * write
-
-
 def program_tiles(weights: np.ndarray, technology: TechnologyConfig):
     """Quantise a stack of PCM tiles in one pass.
 
@@ -346,9 +335,7 @@ class CrossbarArray:
         self._programming_events += 1
         cells = self.rows * self.columns
         self._programming_energy_j += cells * self.technology.pcm_programming_energy_j
-        self._programming_time_s += programming_pass_time_s(
-            self.technology, self.rows, self.columns
-        )
+        self._programming_time_s += self.technology.programming_pass_time_s(self.rows, self.columns)
         return self.weights
 
     @classmethod

@@ -97,36 +97,51 @@ class DualCoreCrossbar:
 
     def makespan_s(self, jobs: Sequence[ProgrammingJob]) -> float:
         """Total time to finish all jobs (s)."""
-        return max(entry.end_s for entry in self.schedule(jobs))
+        return _makespan_s(self.schedule(jobs))
 
     # ------------------------------------------------------------------ report
     def utilisation(self, jobs: Sequence[ProgrammingJob]) -> float:
         """Fraction of the makespan during which at least one core computes."""
-        entries = self.schedule(jobs)
-        makespan = max(entry.end_s for entry in entries)
-        compute_time = sum(e.duration_s for e in entries if e.kind == "compute")
-        if makespan <= 0:
-            return 0.0
-        return min(1.0, compute_time / makespan)
+        return _utilisation(self.schedule(jobs))
 
     @staticmethod
     def speedup(jobs: Sequence[ProgrammingJob]) -> float:
         """Dual-core speed-up over single-core for the same job sequence."""
-        single = DualCoreCrossbar(1).makespan_s(jobs)
-        dual = DualCoreCrossbar(2).makespan_s(jobs)
-        if dual <= 0:
-            raise SimulationError("dual-core makespan must be > 0")
-        return single / dual
+        return _speedup(DualCoreCrossbar(1).makespan_s(jobs), DualCoreCrossbar(2).makespan_s(jobs))
 
     @staticmethod
     def summarize(jobs: Sequence[ProgrammingJob]) -> Dict[str, float]:
-        """Makespan and utilisation for both core counts plus the speed-up."""
-        single = DualCoreCrossbar(1)
-        dual = DualCoreCrossbar(2)
+        """Makespan and utilisation for both core counts plus the speed-up.
+
+        Each core count's schedule is built once.
+        """
+        single = DualCoreCrossbar(1).schedule(jobs)
+        dual = DualCoreCrossbar(2).schedule(jobs)
         return {
-            "single_core_makespan_s": single.makespan_s(jobs),
-            "dual_core_makespan_s": dual.makespan_s(jobs),
-            "single_core_utilisation": single.utilisation(jobs),
-            "dual_core_utilisation": dual.utilisation(jobs),
-            "speedup": DualCoreCrossbar.speedup(jobs),
+            "single_core_makespan_s": _makespan_s(single),
+            "dual_core_makespan_s": _makespan_s(dual),
+            "single_core_utilisation": _utilisation(single),
+            "dual_core_utilisation": _utilisation(dual),
+            "speedup": _speedup(_makespan_s(single), _makespan_s(dual)),
         }
+
+
+def _makespan_s(entries: Sequence[ScheduleEntry]) -> float:
+    """End of the last phase of a schedule (s)."""
+    return max(entry.end_s for entry in entries)
+
+
+def _utilisation(entries: Sequence[ScheduleEntry]) -> float:
+    """Fraction of a schedule's makespan during which at least one core computes."""
+    makespan = _makespan_s(entries)
+    compute_time = sum(e.duration_s for e in entries if e.kind == "compute")
+    if makespan <= 0:
+        return 0.0
+    return min(1.0, compute_time / makespan)
+
+
+def _speedup(single_makespan_s: float, dual_makespan_s: float) -> float:
+    """Single-core over dual-core makespan."""
+    if dual_makespan_s <= 0:
+        raise SimulationError("dual-core makespan must be > 0")
+    return single_makespan_s / dual_makespan_s

@@ -65,7 +65,6 @@ from repro.config.technology import TechnologyConfig
 from repro.crossbar.array import (
     CrossbarArray,
     program_tiles,
-    programming_pass_time_s,
     vector_blocks,
 )
 from repro.errors import SimulationError
@@ -237,7 +236,7 @@ class SignedCrossbarEngine:
         """
         tile_rows, tile_columns = self.tile_shape
         energy_j = tile_rows * tile_columns * self.technology.pcm_programming_energy_j
-        return 2 * energy_j, programming_pass_time_s(self.technology, tile_rows, tile_columns)
+        return 2 * energy_j, self.technology.programming_pass_time_s(tile_rows, tile_columns)
 
     @property
     def weight_scale(self):

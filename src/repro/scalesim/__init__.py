@@ -21,6 +21,7 @@ from repro.scalesim.schedule import (
     network_tile_jobs,
     schedule_summary,
     scheduled_batch_latency_s,
+    tile_jobs,
 )
 from repro.scalesim.simulator import CrossbarDataflowSimulator
 from repro.scalesim.tiling import GemmTiling
@@ -38,4 +39,5 @@ __all__ = [
     "network_tile_jobs",
     "schedule_summary",
     "scheduled_batch_latency_s",
+    "tile_jobs",
 ]

@@ -1,4 +1,4 @@
-"""Per-tile programming/compute job extraction from a runtime specification.
+"""Per-tile programming/compute jobs: the one job list of the chip clock.
 
 The analytical latency model (:mod:`repro.scalesim.latency`) uses closed
 forms; for visualisation, validation and what-if scheduling studies it is
@@ -6,20 +6,58 @@ useful to have the explicit list of (programming, compute) jobs — one per
 weight tile of every layer — that the chip executes for one batch.  The
 resulting jobs plug directly into the event-driven
 :class:`~repro.crossbar.dual_core.DualCoreCrossbar` scheduler.
+
+:func:`tile_jobs` is the only place such a list is built, and
+:func:`tile_job_times` the only place its job times are computed.  Both need
+only a :class:`~repro.scalesim.tiling.GemmTiling` and the chip
+configuration, so the functional datapath
+(:meth:`~repro.core.accelerator.OpticalCrossbarAccelerator.programming_jobs`
+and the per-core accounting of
+:class:`~repro.core.sharding.ShardedExecutionEngine`) and the serving cost
+model read the same jobs as :func:`network_tile_jobs`, without programming
+any weights.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Dict, List, Tuple
 
 from repro.config.chip import ChipConfig
 from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.errors import SimulationError
 from repro.scalesim.runtime import NetworkRuntime
+from repro.scalesim.tiling import GemmTiling
+
+
+def tile_job_times(config: ChipConfig, num_vectors: int) -> Tuple[float, float]:
+    """``(programming_time_s, compute_time_s)`` of every job of :func:`tile_jobs`.
+
+    One array programming pass (``config.programming_time_per_array_s``),
+    then ``num_vectors`` vectors streamed one per MAC cycle (a tile that
+    streams none still costs its programming pass).  Per-dispatch accounting
+    reads these two times directly, so it builds no job objects.
+    """
+    if num_vectors < 0:
+        raise SimulationError(f"num_vectors must be >= 0, got {num_vectors}")
+    return config.programming_time_per_array_s, num_vectors / config.mac_clock_hz
+
+
+def tile_jobs(tiling: GemmTiling, config: ChipConfig, num_vectors: int) -> List[ProgrammingJob]:
+    """One :class:`ProgrammingJob` per physical tile of ``tiling``, in plan order.
+
+    Every job has the :func:`tile_job_times` of ``num_vectors``.  Jobs are
+    named ``<layer>/tile<i>``, or ``tile<i>`` for an unnamed GEMM.
+    """
+    programming_time_s, compute_time_s = tile_job_times(config, num_vectors)
+    prefix = f"{tiling.gemm.layer_name}/" if tiling.gemm.layer_name else ""
+    return [
+        ProgrammingJob(f"{prefix}tile{index}", programming_time_s, compute_time_s)
+        for index in range(tiling.num_tiles)
+    ]
 
 
 def network_tile_jobs(runtime: NetworkRuntime, config: ChipConfig | None = None) -> List[ProgrammingJob]:
-    """One :class:`ProgrammingJob` per (layer, weight tile) of a batch.
+    """The :func:`tile_jobs` of every layer of one batch, in layer order.
 
     Parameters
     ----------
@@ -30,18 +68,8 @@ def network_tile_jobs(runtime: NetworkRuntime, config: ChipConfig | None = None)
     """
     config = config or runtime.config
     jobs: List[ProgrammingJob] = []
-    programming_time = config.programming_time_per_array_s
-    cycle_time = config.mac_cycle_time_s
     for layer in runtime.layers:
-        compute_time = layer.tiling.compute_cycles_per_tile(config.batch_size) * cycle_time
-        for tile_index in range(layer.tiling.num_tiles):
-            jobs.append(
-                ProgrammingJob(
-                    name=f"{layer.layer_name}/tile{tile_index}",
-                    programming_time_s=programming_time,
-                    compute_time_s=compute_time,
-                )
-            )
+        jobs.extend(tile_jobs(layer.tiling, config, layer.gemm.m * config.batch_size))
     if not jobs:
         raise SimulationError("the runtime contains no tiles to schedule")
     return jobs

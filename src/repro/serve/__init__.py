@@ -15,7 +15,7 @@ Two front-ends share that pipeline: in-process submission
 ``GET /v1/stats``, ``GET /healthz``) with a matching stdlib
 :class:`HTTPInferenceClient`.  Flush decisions are pluggable
 (:class:`FixedFlushPolicy` / :class:`AdaptiveFlushPolicy` with SLO deadlines
-and ``analytical_schedule()``-seeded batch auto-tuning).
+and batch auto-tuning seeded by the dual-core tile schedule).
 
 Serving is **fault tolerant**: replica dispatches are supervised (crash /
 hang / corruption detection, exponential-backoff restarts, bounded

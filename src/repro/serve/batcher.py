@@ -17,11 +17,9 @@ is decided by a :class:`FlushPolicy`:
     budget (``slo_s``); the policy flushes when waiting any longer would blow
     the oldest request's budget, and auto-tunes its flush-on-full target to
     the largest batch whose predicted service time still fits inside the
-    budget.  The service-time model starts from
-    :meth:`~repro.core.accelerator.OpticalCrossbarAccelerator.analytical_schedule`
-    cost estimates of the served workload (see :class:`AnalyticalCostModel`)
-    and calibrates its wall-clock scale online from observed batch service
-    times.
+    budget.  The service-time model starts from the dual-core tile schedule
+    of the served workload (see :class:`AnalyticalCostModel`) and calibrates
+    its wall-clock scale online from observed batch service times.
 
 Backpressure: the queue holds at most ``capacity`` requests.  A blocking
 submit waits for space (bounding the producer's rate to the server's); a
@@ -40,7 +38,11 @@ from typing import Callable, Deque, Dict, List, Optional
 import numpy as np
 
 from repro.concurrency import make_condition, make_lock, thread_shared
+from repro.config.presets import optimal_chip
+from repro.crossbar.dual_core import DualCoreCrossbar
 from repro.errors import QueueOverflowError, ServeError, SimulationError
+from repro.scalesim.schedule import tile_jobs
+from repro.scalesim.simulator import CrossbarDataflowSimulator
 
 #: Flush policy spellings accepted by :func:`make_flush_policy` and the CLI.
 POLICY_KINDS = ("fixed", "adaptive")
@@ -161,44 +163,31 @@ class AnalyticalCostModel:
         return self.fixed_units + self.per_image_units * max(int(batch), 1)
 
     @classmethod
-    def from_workload(cls, network, weights, config=None) -> "AnalyticalCostModel":
-        """Fit the model to a workload via ``analytical_schedule`` queries.
+    def from_workload(cls, network, config=None) -> "AnalyticalCostModel":
+        """Fit the model to a workload's dual-core tile schedule.
 
-        Sums the analytical makespan of every crossbar layer's tile plan at
-        batch sizes 1 and 2 (convolutions stream one im2col patch row per
-        output position, dense layers one vector per image) and decomposes
-        the two points into the B-independent and per-image components.
+        Sums the scheduled makespan of every crossbar layer's
+        :func:`~repro.scalesim.schedule.tile_jobs` at batch sizes 1 and 2
+        (each layer streams its GEMM's ``m`` vectors per image: one im2col
+        patch row per output position, one vector for a dense layer) and
+        decomposes the two points into the B-independent and per-image
+        components.  The tilings come from the dataflow simulator, so only
+        the network's shapes are read.
         """
-        from repro.core.accelerator import OpticalCrossbarAccelerator
+        config = config or optimal_chip()
+        layers = CrossbarDataflowSimulator(config).simulate(network).layers
+        scheduler = DualCoreCrossbar(config.num_cores)
 
-        accelerator = OpticalCrossbarAccelerator(config)
-        m1 = cls._batch_makespan(accelerator, network, weights, 1)
-        m2 = cls._batch_makespan(accelerator, network, weights, 2)
+        def makespan(batch: int) -> float:
+            return sum(
+                scheduler.makespan_s(tile_jobs(layer.tiling, config, layer.gemm.m * batch))
+                for layer in layers
+            )
+
+        m1, m2 = makespan(1), makespan(2)
         per_image = max(m2 - m1, 1e-15)
         fixed = max(m1 - per_image, 0.0)
         return cls(fixed_units=fixed, per_image_units=per_image)
-
-    @staticmethod
-    def _batch_makespan(accelerator, network, weights, batch: int) -> float:
-        from repro.nn.im2col import conv_weights_matrix
-        from repro.nn.layers import ConvLayer
-
-        makespan_key = (
-            "dual_core_makespan_s"
-            if accelerator.config.num_cores >= 2
-            else "single_core_makespan_s"
-        )
-        total = 0.0
-        for info in network.crossbar_layers:
-            layer = info.layer
-            if isinstance(layer, ConvLayer):
-                matrix = conv_weights_matrix(np.asarray(weights[layer.name], dtype=float))
-                vectors = info.output_shape.height * info.output_shape.width * batch
-            else:
-                matrix = np.asarray(weights[layer.name], dtype=float)
-                vectors = batch
-            total += accelerator.analytical_schedule(matrix, vectors)[makespan_key]
-        return total
 
 
 class AdaptiveFlushPolicy(FlushPolicy):

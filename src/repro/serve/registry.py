@@ -123,9 +123,7 @@ class ModelDefinition:
         """Build this model's flush policy (adaptive policies get a cost model)."""
         cost_model = None
         if self.policy == "adaptive":
-            cost_model = AnalyticalCostModel.from_workload(
-                self.network, self.weights, self.config
-            )
+            cost_model = AnalyticalCostModel.from_workload(self.network, self.config)
         return make_flush_policy(
             self.policy,
             max_batch=self.max_batch,

@@ -9,14 +9,17 @@ this file by default (``pytest -m multicore`` selects just these tests).
 import numpy as np
 import pytest
 
-from repro.config import small_test_chip
+from repro.config import default_sweep_chip, optimal_chip, small_test_chip
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.core.sharding import ShardedExecutionEngine, compute_entries_per_core
-from repro.crossbar import CrossbarNoiseModel
+from repro.crossbar import CrossbarNoiseModel, SignedCrossbarEngine
 from repro.crossbar.dual_core import DualCoreCrossbar
 from repro.errors import SimulationError
 from repro.nn import build_lenet5
+from repro.nn.im2col import conv_weights_matrix
+from repro.scalesim import CrossbarDataflowSimulator, network_tile_jobs
+from repro.serve.batcher import AnalyticalCostModel
 
 pytestmark = pytest.mark.multicore
 
@@ -29,16 +32,14 @@ def dual_core_chip(**overrides):
 class TestRoundRobinAssignment:
     def test_engine_rejects_invalid_dimensions(self):
         with pytest.raises(SimulationError):
-            ShardedExecutionEngine(0, 10e9)
-        with pytest.raises(SimulationError):
-            ShardedExecutionEngine(2, 0.0)
+            ShardedExecutionEngine(dual_core_chip()).core_assignment(-1)
 
     def test_assignment_alternates_like_the_dual_core_schedule(self):
-        engine = ShardedExecutionEngine(2, 10e9)
+        engine = ShardedExecutionEngine(dual_core_chip())
         assert engine.core_assignment(5) == [0, 1, 0, 1, 0]
 
     def test_single_core_maps_everything_to_core_zero(self):
-        engine = ShardedExecutionEngine(1, 10e9)
+        engine = ShardedExecutionEngine(small_test_chip())
         assert engine.core_assignment(4) == [0, 0, 0, 0]
 
     def test_single_core_chip_dispatches_only_core_zero(self):
@@ -135,8 +136,90 @@ class TestLeNetMulticoreScaling:
         assert summary["speedup"] > 1.3
 
 
+#: Modelled LeNet cost on the 128x128 chip (ns per image) at B = 1, 8 and 32.
+LENET_OPTIMAL_NS_PER_IMAGE = {1: 698.9, 8: 173.9, 32: 117.65}
+
+
 class TestScheduleCrossCheck:
     """functional_statistics() must agree with DualCoreCrossbar's schedule."""
+
+    @pytest.mark.parametrize("make_config", [optimal_chip, default_sweep_chip])
+    @pytest.mark.parametrize("batch", [1, 8, 32])
+    def test_executed_lenet_plan_runs_on_the_scalesim_clock(self, make_config, batch):
+        network = build_lenet5()
+        config = make_config().with_updates(batch_size=batch)
+        cores = config.num_cores
+        runtime = CrossbarDataflowSimulator(config).simulate(network)
+        weights = generate_random_weights(network, seed=0, scale=0.3)
+        engine = FunctionalInferenceEngine(network, weights, config)
+        accelerator = engine.accelerator
+        scheduler = DualCoreCrossbar(cores)
+        network_jobs = network_tile_jobs(runtime)
+        counts, busy = [0] * cores, [0.0] * cores
+        seconds, start = 0.0, 0
+        for layer in runtime.layers:
+            matrix = weights[layer.layer_name]
+            matrix = conv_weights_matrix(matrix) if matrix.ndim == 4 else matrix
+            jobs = accelerator.programming_jobs(matrix, layer.gemm.m * batch)
+            layer_jobs = network_jobs[start : start + len(jobs)]
+            start += len(jobs)
+            assert [(job.programming_time_s, job.compute_time_s) for job in jobs] == [
+                (job.programming_time_s, job.compute_time_s) for job in layer_jobs
+            ]
+            assert not layer.latency.dram_bound
+            makespan = scheduler.makespan_s(jobs)
+            assert makespan == pytest.approx(layer.latency.latency_s, rel=1e-12)
+            seconds += makespan
+            layer_counts, layer_busy = compute_entries_per_core(scheduler.schedule(jobs), cores)
+            for core in range(cores):
+                counts[core] += layer_counts[core]
+                busy[core] += layer_busy[core]
+        assert start == len(network_jobs)
+        chip_ips = accelerator.evaluate(network).inferences_per_second
+        assert seconds / batch == pytest.approx(1.0 / chip_ips, rel=1e-12)
+        if make_config is optimal_chip:
+            expected_ns = LENET_OPTIMAL_NS_PER_IMAGE[batch]
+            assert seconds / batch * 1e9 == pytest.approx(expected_ns, abs=0.05)
+
+        images = np.random.default_rng(1).uniform(
+            0.0, 1.0, (batch,) + network.input_shape.as_tuple()
+        )
+        engine.run_batch(images)
+        stats = accelerator.functional_statistics()
+        assert stats["per_core_tile_dispatches"] == tuple(counts)
+        assert stats["per_core_busy_time_s"] == pytest.approx(tuple(busy), rel=1e-12)
+
+    @pytest.mark.parametrize("make_config", [optimal_chip, default_sweep_chip])
+    def test_plan_charges_both_padded_arrays_where_power_charges_real_cells(self, make_config):
+        # Two conventions for the same writes, pinned, not reconciled:
+        # perf.power charges each real weight cell (k*n) once; the tile plan
+        # charges both arrays of every padded rows x columns tile.
+        network = build_lenet5()
+        config = make_config()
+        runtime = CrossbarDataflowSimulator(config).simulate(network)
+        weights = generate_random_weights(network, seed=0, scale=0.3)
+        accelerator = OpticalCrossbarAccelerator(config)
+        cell_energy_j = config.technology.pcm_programming_energy_j
+        for layer in runtime.layers:
+            matrix = weights[layer.layer_name]
+            matrix = conv_weights_matrix(matrix) if matrix.ndim == 4 else matrix
+            before = accelerator.functional_statistics()["programming_energy_j"]
+            accelerator.linear(matrix, np.zeros((1, matrix.shape[0])))
+            plan_j = accelerator.functional_statistics()["programming_energy_j"] - before
+            power_j = layer.programmed_cells * cell_energy_j
+            tiling = layer.tiling
+            assert plan_j / power_j == pytest.approx(
+                2 * tiling.allocated_cells / tiling.programmed_cells, rel=1e-12
+            )
+        metrics = accelerator.evaluate(network)
+        power_j = metrics.energy_breakdown.component("pcm_programming")
+        assert power_j == runtime.total_programmed_cells * cell_energy_j
+        plan_j = accelerator.functional_statistics()["programming_energy_j"]
+        if make_config is optimal_chip:
+            per_image_uj = power_j / config.batch_size * 1e6
+            assert per_image_uj == pytest.approx(0.192, abs=5e-4)
+            assert metrics.energy_per_inference_j * 1e6 == pytest.approx(0.995, abs=5e-4)
+            assert plan_j / power_j == pytest.approx(4.80, abs=5e-3)
 
     def test_per_core_tile_counts_match_the_analytical_schedule(self):
         accelerator = OpticalCrossbarAccelerator(dual_core_chip())
@@ -195,6 +278,28 @@ class TestScheduleCrossCheck:
         stats = accelerator.functional_statistics()
         assert stats["programming_events"] == before["programming_events"]
         assert stats["tile_cache_evictions"] == 0
+
+    def test_analytics_program_nothing(self, monkeypatch):
+        # Schedules are built from shapes alone: no layer engine is constructed.
+        engines = []
+        original_init = SignedCrossbarEngine.__init__
+
+        def counting_init(engine, *args, **kwargs):
+            engines.append(engine)
+            original_init(engine, *args, **kwargs)
+
+        monkeypatch.setattr(SignedCrossbarEngine, "__init__", counting_init)
+        network = build_lenet5()
+        config = optimal_chip()
+        accelerator = OpticalCrossbarAccelerator(config)
+        matrix = np.ones((400, 120))
+        jobs = accelerator.programming_jobs(matrix, 8)
+        summary = accelerator.analytical_schedule(matrix, 8)
+        assert engines == []
+        model = AnalyticalCostModel.from_workload(network, config)
+        assert engines == []
+        assert len(jobs) == 4 and summary == DualCoreCrossbar.summarize(jobs)
+        assert (model.fixed_units, model.per_image_units) == (6e-07, 9.890000000000002e-08)
 
     def test_programming_jobs_validate_num_vectors(self):
         accelerator = OpticalCrossbarAccelerator(dual_core_chip())

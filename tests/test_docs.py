@@ -6,7 +6,8 @@ These guards keep the documentation surface honest:
   is executed (blocks in one file share a namespace, so a page can build up
   a narrative; blocks containing ``>>>`` run as doctests with output
   checking) — examples cannot silently rot;
-* ``examples/quickstart.py`` runs end to end;
+* ``examples/quickstart.py`` and ``examples/dual_core_scheduling.py`` run
+  end to end;
 * ``docs/cli.md`` is diffed against the real argparse parser: every
   subcommand and every flag must be documented;
 * every ``repro_*`` metric name the docs mention must be a family the
@@ -100,6 +101,14 @@ def test_quickstart_example_runs(capsys):
     output = capsys.readouterr().out
     assert "quickstart" in output
     assert "Table I" in output
+
+
+def test_dual_core_scheduling_example_runs(capsys):
+    """The example replays ResNet-50's ``network_tile_jobs`` through the scheduler."""
+    runpy.run_path(str(REPO_ROOT / "examples" / "dual_core_scheduling.py"), run_name="__main__")
+    output = capsys.readouterr().out
+    assert "Dual-core programming-latency hiding on ResNet-50" in output
+    assert output.count("24954") == 7  # one row per batch size, same tiling
 
 
 def test_cli_doc_documents_every_subcommand_and_flag():

@@ -190,7 +190,7 @@ class TestNoisyLayerProgramming:
         accelerator = OpticalCrossbarAccelerator(config, noise_model=noise)
         plan = _plan(accelerator, np.ones((20, 10)))
         tile_engines = plan.engine._tile_engines
-        assert len(tile_engines) == len(plan.tiles) == 6
+        assert len(tile_engines) == plan.tiling.num_tiles == 6
         assert len({id(engine) for engine in tile_engines}) == 6
 
     def test_noisy_layer_read_equals_seeded_per_tile_engines(self):

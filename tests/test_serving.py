@@ -261,8 +261,8 @@ class TestFlushPolicies:
             AnalyticalCostModel(fixed_units=-1.0, per_image_units=1.0)
 
     def test_analytical_cost_model_from_workload(self, lenet_workload):
-        network, weights, config, _, _ = lenet_workload
-        model = AnalyticalCostModel.from_workload(network, weights, config)
+        network, _, config, _, _ = lenet_workload
+        model = AnalyticalCostModel.from_workload(network, config)
         assert model.per_image_units > 0
         assert model.fixed_units >= 0
         # affine and increasing in the batch size
