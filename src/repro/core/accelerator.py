@@ -17,9 +17,10 @@ plans*, keyed by the weight matrix's shape and a copy of its bytes (hashed
 by their ends, compared in full: a lookup is a copy and a memcmp).  The
 first call with a given weight matrix programs it onto the tile grid with one
 :class:`~repro.crossbar.signed.SignedCrossbarEngine` for the whole layer,
-whose :meth:`~repro.crossbar.signed.SignedCrossbarEngine.program` pads the
-matrix once, scales, splits and quantises every tile in one vectorised
-pass, and sets each tile's ADC full scale from one column-sum reduction.
+whose :meth:`~repro.crossbar.signed.SignedCrossbarEngine.program` scales,
+splits and quantises a block of row tiles at a time straight into the code
+layout the layer's read uses, and sets each tile's ADC full scale from
+column sums over the whole padded tile.
 Every later call with the same weights — every image of a batch, every
 repeated inference — reuses the programmed plan without touching the PCM
 again.  Programming is accounted per physical tile, in plan order: two
@@ -299,7 +300,7 @@ class OpticalCrossbarAccelerator:
         )
 
     def _build_tile_plan_locked(self, weights: np.ndarray, key: Tuple) -> _TilePlan:
-        """Program ``weights`` onto the tile grid in one pass."""
+        """Program ``weights`` onto the tile grid with one layer engine."""
         k, n = weights.shape
         rows, columns = self.config.rows, self.config.columns
         noise = self.noise_model

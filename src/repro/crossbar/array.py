@@ -59,19 +59,24 @@ rounded from that float value.  This is deterministic, but a tie is no longer
 decided on the exact value.  A noise model with field impairments perturbs
 the analog column fields the same way before the ADC.
 
-Many tiles are programmed at once (:func:`program_tiles`): a layer's PCM
-tiles are quantised in one pass, and each tile's ADC full scale and ``L_a·S``
-come from one column-sum reduction over the stack.  An array can also be made
-from codes programmed that way (:meth:`CrossbarArray.from_codes`), with its
-own full scale and denominator per column.  A *stack* of ``R`` row tiles'
-codes reads them all in one call (row tile ``r`` from input row ``r·rows``)
-and returns one ADC output per row tile; a single array is the ``R = 1``
-case.  The signed engine reads a whole layer's codes so, each column's
-``K+`` and ``K-`` side by side, with an input scale per (vector, row tile)
-divided out before the ODAC.  A block of vectors at a time
-(:func:`vector_blocks`), each row tile's sums are one GEMM of the drive codes
-of its input rows (the short last tile reads only its real rows), and one
-ADC pass covers them all.
+A signed layer is programmed one block of row tiles at a time
+(:meth:`~repro.crossbar.signed.SignedCrossbarEngine.program`), straight
+into the layout its read uses: the integer level codes of ``R`` row tiles,
+shape (R, rows, columns·P) in the GEMM dtype, with each column's ``P`` parts
+side by side (``K+`` and ``K-`` for the signed engine; ``P = 1`` for
+:meth:`CrossbarArray.program_weights`).  :func:`tile_scales` gives each
+tile part its ADC full scale (the largest column sum of its quantised
+transmissions) and ``L_a·S`` over the whole padded tile, so each tile's
+values are bitwise those of programming it alone.  An array can be made
+from codes in that layout (:meth:`CrossbarArray.from_codes`), with its own
+full scale and denominator per column.  A *stack* of ``R`` row tiles' codes
+reads them all in one call (row tile ``r`` from input row ``r·rows``) and
+returns one ADC output per row tile; a single array is the ``R = 1`` case.
+The signed engine reads a whole layer's codes so, with an input scale per
+(vector, row tile) divided out before the ODAC.  A block of vectors at a
+time (:func:`vector_blocks`), each row tile's sums are one GEMM of the drive
+codes of its input rows (the short last tile reads only its real rows), and
+one ADC pass covers them all.
 """
 
 from __future__ import annotations
@@ -96,7 +101,8 @@ def vector_blocks(num_vectors: int, rows: int):
 
     The exact read and the signed engine's per-vector scales work one block
     of vectors at a time, so their temporaries stay small and are reused
-    instead of being allocated (and page-faulted) at batch size.
+    instead of being allocated (and page-faulted) at batch size.  The signed
+    engine programs its row tiles in blocks of the same element count.
     """
     step = max(1, _BLOCK_ELEMENTS // rows)
     return [slice(start, start + step) for start in range(0, num_vectors, step)]
@@ -142,39 +148,35 @@ def _gemm_dtype(technology: TechnologyConfig, rows: int) -> type:
     return np.float32 if bound < 2**24 else np.float64
 
 
-def program_tiles(weights: np.ndarray, technology: TechnologyConfig):
-    """Quantise a stack of PCM tiles in one pass.
+def tile_scales(codes: np.ndarray, tile_columns: int, technology: TechnologyConfig):
+    """ADC full scale and ``L_a·S`` of every tile of one part's level codes.
 
-    ``weights`` has shape (R, rows, P, cols): ``R·P`` tiles of rows × cols,
-    with entries in [0, 1]; it is overwritten (the pass works in place).
-    Returns the integer level codes in the GEMM dtype (same shape) and, per
-    tile, shape (R, P), the ADC full scale (the largest column sum of the
-    quantised transmissions) and the exact-code denominator ``L_a·S``.  Both
-    are computed over the whole tile, and each tile's values are bitwise
-    those of programming it alone.
+    ``codes`` holds float64 level codes of shape (R, rows, C·tile_columns):
+    ``R`` row tiles of ``C`` whole (padded) tiles each.  It is overwritten
+    with the tiles' transmissions.  Returns, each of shape (R, C), the
+    largest column sum of each tile's quantised transmissions (at least
+    1e-9) and the exact-code denominator ``L_a·S``, both bitwise those of
+    the tile programmed alone.
     """
-    levels = technology.pcm_levels
-    codes = quantize_weight_codes(weights, levels, out=weights)
+    tiles = len(codes)
+    code_sums = codes.sum(axis=1).reshape(tiles, -1, tile_columns).max(axis=2)
     # An all-dark tile (S = 0) reads exact zeros; any denominator will do.
-    code_scale = ((1 << technology.activation_bits) - 1) * np.maximum(
-        codes.sum(axis=1).max(axis=2), 1.0
-    )
-    gemm_codes = codes.astype(_gemm_dtype(technology, weights.shape[1]))
+    code_scale = ((1 << technology.activation_bits) - 1) * np.maximum(code_sums, 1.0)
     transmissions = levels_to_transmission(
         codes,
-        levels,
+        technology.pcm_levels,
         technology.pcm_min_transmission,
         technology.pcm_max_transmission,
         out=codes,
     )
     # numpy adds a tile's columns row after row, but a one-column tile
     # pairwise; sum each tile here the way it is summed alone.
-    if weights.shape[3] == 1:
-        column_sums = np.ascontiguousarray(np.moveaxis(transmissions, 1, 3)).sum(axis=3)
+    if tile_columns == 1:
+        column_sums = np.ascontiguousarray(transmissions.transpose(0, 2, 1)).sum(axis=2)
     else:
         column_sums = transmissions.sum(axis=1)
-    full_scale = np.maximum(column_sums.max(axis=2), 1e-9)
-    return gemm_codes, full_scale, code_scale
+    full_scale = column_sums.reshape(tiles, -1, tile_columns).max(axis=2)
+    return np.maximum(full_scale, 1e-9), code_scale
 
 
 class CrossbarArray:
@@ -215,15 +217,11 @@ class CrossbarArray:
         self._laser_field = float(laser_field)
         self._field_scale: Optional[float] = None
         self.noise_model = noise_model
-        self.rng = rng if rng is not None else np.random.default_rng(0)
-
-        self.input_coupling = design_input_coupling(columns)
-        self.output_coupling = design_output_coupling(rows)
-        self.odac = RingResonatorODAC(
-            bits=self.technology.activation_bits,
-            oma_penalty_db=0.0,  # The OMA penalty is carried by the link budget.
-        )
-        self._activation_max = self.odac.num_levels - 1
+        # Built on first use (the properties below), so an array made only to
+        # hold codes costs no generator, couplers or ODAC until it needs them.
+        self._rng = rng
+        self._input_coupling = self._output_coupling = self._odac = None
+        self._activation_max = (1 << self.technology.activation_bits) - 1
         self._output_max = (1 << self.technology.output_bits) - 1
 
         self._programmed = False
@@ -239,6 +237,38 @@ class CrossbarArray:
         self._stack: Optional[np.ndarray] = None
         self._column_full_scale: Optional[np.ndarray] = None
         self._column_code_scale: Optional[np.ndarray] = None
+
+    # ------------------------------------------------------- built on first use
+    @property
+    def rng(self) -> np.random.Generator:
+        """Generator the noise model draws from: the one given, else ``default_rng(0)``."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        return self._rng
+
+    @property
+    def input_coupling(self) -> np.ndarray:
+        """Power cross-coupling ratios of the input couplers (:func:`design_input_coupling`)."""
+        if self._input_coupling is None:
+            self._input_coupling = design_input_coupling(self.columns)
+        return self._input_coupling
+
+    @property
+    def output_coupling(self) -> np.ndarray:
+        """Power cross-coupling ratios of the output couplers (:func:`design_output_coupling`)."""
+        if self._output_coupling is None:
+            self._output_coupling = design_output_coupling(self.rows)
+        return self._output_coupling
+
+    @property
+    def odac(self) -> RingResonatorODAC:
+        """The ring-resonator ODAC that drives the rows."""
+        if self._odac is None:
+            self._odac = RingResonatorODAC(
+                bits=self.technology.activation_bits,
+                oma_penalty_db=0.0,  # The OMA penalty is carried by the link budget.
+            )
+        return self._odac
 
     # ------------------------------------------------------------------ laser
     @property
@@ -328,10 +358,11 @@ class CrossbarArray:
         # can produce (all inputs at full scale), instead of the worst-case
         # value N.  This keeps the 6-bit ADC's quantisation step proportional
         # to the tile's actual signal range.
-        codes, full_scale, code_scale = program_tiles(
-            weights.reshape(1, self.rows, 1, self.columns).copy(), self.technology
-        )
-        self._set_codes(codes.reshape(self.rows, self.columns), full_scale[0, 0], code_scale[0, 0])
+        technology = self.technology
+        codes = quantize_weight_codes(weights, technology.pcm_levels)
+        read_codes = codes.astype(_gemm_dtype(technology, self.rows))
+        full_scale, code_scale = tile_scales(codes[None], self.columns, technology)
+        self._set_codes(read_codes, full_scale[0, 0], code_scale[0, 0])
         self._programming_events += 1
         cells = self.rows * self.columns
         self._programming_energy_j += cells * self.technology.pcm_programming_energy_j
@@ -349,13 +380,14 @@ class CrossbarArray:
         rng: Optional[np.random.Generator] = None,
         input_rows: Optional[int] = None,
     ) -> "CrossbarArray":
-        """A programmed array holding integer level codes from :func:`program_tiles`.
+        """A programmed array holding integer level codes in its read layout.
 
         ``codes`` has shape (rows, columns), or (R, rows, columns) for a
         stack reading ``input_rows`` rows (default ``R·rows``), in the GEMM
         dtype; ``full_scale`` and ``code_scale`` are each (row tile and)
-        column's ADC full scale and ``L_a·S`` (scalars apply to every
-        column).  Nothing is quantised and no programming pass is counted.
+        column's ADC full scale and ``L_a·S`` (:func:`tile_scales`; scalars
+        apply to every column).  Nothing is quantised and no programming
+        pass is counted.
         """
         array = cls(*codes.shape[-2:], technology, noise_model=noise_model, rng=rng)
         array._set_codes(codes, full_scale, code_scale, input_rows)

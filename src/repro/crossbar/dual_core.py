@@ -113,16 +113,35 @@ class DualCoreCrossbar:
     def summarize(jobs: Sequence[ProgrammingJob]) -> Dict[str, float]:
         """Makespan and utilisation for both core counts plus the speed-up.
 
-        Each core count's schedule is built once.
+        One pass over ``jobs`` runs both schedules' clocks with
+        :meth:`schedule`'s float operations (each compute phase's
+        ``end - start``, summed in job order), and builds no timeline.
         """
-        single = DualCoreCrossbar(1).schedule(jobs)
-        dual = DualCoreCrossbar(2).schedule(jobs)
+        if not jobs:
+            raise SimulationError("at least one job is required")
+        time = 0.0  # the single core's clock
+        core_free_at = [0.0, 0.0]
+        previous_compute_end = 0.0
+        ends = ([], [])  # every phase's end, in schedule order, per core count
+        computes = ([], [])  # every compute phase's duration, in job order
+        for index, job in enumerate(jobs):
+            program_end = time + job.programming_time_s
+            time = program_end + job.compute_time_s
+            ends[0].extend((program_end, time))
+            computes[0].append(time - program_end)
+            core = index % 2
+            program_end = core_free_at[core] + job.programming_time_s
+            compute_start = max(program_end, previous_compute_end)
+            previous_compute_end = core_free_at[core] = compute_start + job.compute_time_s
+            ends[1].extend((program_end, previous_compute_end))
+            computes[1].append(previous_compute_end - compute_start)
+        single, dual = (max(phase_ends) for phase_ends in ends)
         return {
-            "single_core_makespan_s": _makespan_s(single),
-            "dual_core_makespan_s": _makespan_s(dual),
-            "single_core_utilisation": _utilisation(single),
-            "dual_core_utilisation": _utilisation(dual),
-            "speedup": _speedup(_makespan_s(single), _makespan_s(dual)),
+            "single_core_makespan_s": single,
+            "dual_core_makespan_s": dual,
+            "single_core_utilisation": _utilisation_of(single, sum(computes[0])),
+            "dual_core_utilisation": _utilisation_of(dual, sum(computes[1])),
+            "speedup": _speedup(single, dual),
         }
 
 
@@ -133,11 +152,15 @@ def _makespan_s(entries: Sequence[ScheduleEntry]) -> float:
 
 def _utilisation(entries: Sequence[ScheduleEntry]) -> float:
     """Fraction of a schedule's makespan during which at least one core computes."""
-    makespan = _makespan_s(entries)
     compute_time = sum(e.duration_s for e in entries if e.kind == "compute")
-    if makespan <= 0:
+    return _utilisation_of(_makespan_s(entries), compute_time)
+
+
+def _utilisation_of(makespan_s: float, compute_time_s: float) -> float:
+    """``compute_time_s`` as a fraction of ``makespan_s`` (at most 1; 0 for no makespan)."""
+    if makespan_s <= 0:
         return 0.0
-    return min(1.0, compute_time / makespan)
+    return min(1.0, compute_time_s / makespan_s)
 
 
 def _speedup(single_makespan_s: float, dual_makespan_s: float) -> float:

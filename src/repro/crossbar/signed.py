@@ -17,14 +17,24 @@ Programming a tile grid
 -----------------------
 An engine holds one signed weight matrix on a grid of physical arrays of
 ``tile_shape`` (by default one array the size of the matrix).
-:meth:`SignedCrossbarEngine.program` programs every tile in one pass: it pads
-the matrix to the grid, takes each tile's weight scale with one reduction,
-splits all tiles into ``[W+ | W-]`` and quantises them with one
-:func:`~repro.crossbar.array.program_tiles` call, which also sets each
-tile's ADC full scale and code denominator over the whole padded tile.  Each
-tile's values are bitwise those of a one-tile engine programmed with it.
-Every tile costs two programming passes, one per array
-(:meth:`SignedCrossbarEngine.tile_programming_cost`).
+:meth:`SignedCrossbarEngine.program` programs a block of row tiles at a
+time (at most about :func:`~repro.crossbar.array.vector_blocks`' element
+count), straight into the layout the read uses: level codes of shape
+(R, tile rows, 2·columns) in the GEMM dtype, over the matrix's real columns
+only, each column's ``K+`` and ``K-`` side by side (a short last row tile
+keeps its padding rows, at code 0).  Within a block the rows are
+zero-padded to whole tiles in one scratch buffer; each tile's weight scale
+is its largest magnitude, taken with contiguous reductions; the block is
+range-checked, divided by its tiles' scales once and rounded once to signed
+codes ``k = round(q·L)`` of the normalised weights ``q``.  Since
+``|q| ≤ 1``, ``K+ = max(k, 0)`` and ``K- = max(-k, 0)`` are the codes of
+the positive and negative parts of ``q``; each is written into the layout
+(every zero code as +0) and gives its tiles' ADC full scale and ``L_a·S``
+over the whole padded tile (:func:`~repro.crossbar.array.tile_scales`).  No
+temporary outlives its block, and the layout is the only copy of the codes
+the engine keeps.  Each tile's values are bitwise those of a one-tile
+engine programmed with it.  Every tile costs two programming passes, one
+per array (:meth:`SignedCrossbarEngine.tile_programming_cost`).
 
 Read model
 ----------
@@ -50,7 +60,11 @@ A noise model with field impairments draws per array read.  A noisy grid
 therefore reads one physical tile at a time, in row-major order, each on
 the one-array engine :meth:`SignedCrossbarEngine.tile` builds with its own
 child of the engine's generator, and with its inputs zero-padded to the
-array's rows.  A one-array engine reads its positive array before its
+array's rows; the tile's codes are sliced from the layout and zero-padded
+to the physical tile, since padding cells hold code 0.  A one-array engine
+builds its two arrays (:attr:`SignedCrossbarEngine.positive_array` and
+:attr:`~SignedCrossbarEngine.negative_array`) on first use, both drawing
+from the engine's generator.  It reads its positive array before its
 negative one and positive inputs before negative, so every draw keeps its
 shape and order.  :meth:`matvec` is a thin single-row wrapper.
 """
@@ -62,12 +76,68 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.config.technology import TechnologyConfig
-from repro.crossbar.array import (
-    CrossbarArray,
-    program_tiles,
-    vector_blocks,
-)
+from repro.crossbar.array import CrossbarArray, _gemm_dtype, tile_scales, vector_blocks
 from repro.errors import SimulationError
+from repro.photonics.pcm import check_weight_range
+
+
+def _program_layout(
+    weights: np.ndarray, tile_shape: Tuple[int, int], technology: TechnologyConfig
+):
+    """Program signed ``weights`` on a grid of ``tile_shape`` tiles, block by block.
+
+    Returns each tile's weight scale (R, C), the read layout's level codes
+    (R, tile rows, 2·columns) in the GEMM dtype, and each tile part's ADC
+    full scale and ``L_a·S`` (R, C, 2); see the module docstring.  The two
+    float64 block buffers hold at most :func:`vector_blocks`' element count
+    between them and are freed on return.
+    """
+    rows, width = weights.shape
+    tile_rows, tile_columns = tile_shape
+    grid_rows, grid_columns = -(-rows // tile_rows), -(-width // tile_columns)
+    padded_width = grid_columns * tile_columns
+    levels = technology.pcm_levels - 1
+    codes = np.empty((grid_rows, tile_rows, 2 * width), _gemm_dtype(technology, tile_rows))
+    scales = np.empty((grid_rows, grid_columns))
+    full_scale = np.empty((grid_rows, grid_columns, 2))
+    code_scale = np.empty_like(full_scale)
+    # Two float64 buffers of whole tiles, the signed codes and one part, in
+    # one allocation of at most one block.
+    blocks = vector_blocks(grid_rows, 2 * tile_rows * padded_width)
+    signed, part = np.empty((2, min(blocks[0].stop, grid_rows), tile_rows, padded_width))
+    signed[:, :, width:] = 0.0  # padding columns stay 0 through every step
+    for block in blocks:
+        count = len(range(grid_rows)[block])
+        k, k_part = signed[:count], part[:count]
+        real = weights[block.start * tile_rows : block.stop * tile_rows]
+        flat = k.reshape(-1, padded_width)
+        flat[: len(real), :width] = real
+        flat[len(real) :] = 0.0  # the padding rows of the last row tile
+        # Each tile's largest magnitude: over its rows, then its columns.
+        largest = np.abs(k, out=k_part).max(axis=1)
+        largest = largest.reshape(count, grid_columns, tile_columns).max(axis=2)
+        scale = np.where(largest > 0, largest, 1.0)
+        # Dividing by a positive scale is monotonic, so a tile's largest
+        # normalised magnitude is its largest magnitude over its scale (NaN,
+        # and out of range, for a tile with a NaN or infinite weight).
+        with np.errstate(invalid="ignore"):
+            check_weight_range(0.0, (largest / scale).max())
+        scales[block] = scale
+        k /= np.repeat(scale, tile_columns, axis=1)[:, None]
+        k *= levels
+        np.round(k, out=k)
+        k += 0.0  # rounding leaves -0 for small negatives; make every zero +0
+        for index in (0, 1):
+            if index:  # K- = max(-k, 0); 0 - k keeps zeros +0
+                np.subtract(0.0, k, out=k_part)
+                np.maximum(k_part, 0.0, out=k_part)
+            else:  # K+ = max(k, 0)
+                np.maximum(k, 0.0, out=k_part)
+            np.copyto(codes[block, :, index::2], k_part[:, :, :width], casting="same_kind")
+            full, denominator = tile_scales(k_part, tile_columns, technology)
+            full_scale[block, :, index] = full
+            code_scale[block, :, index] = denominator
+    return scales, codes, full_scale, code_scale
 
 
 class SignedCrossbarEngine:
@@ -109,71 +179,57 @@ class SignedCrossbarEngine:
         self.columns = columns
         self.technology = technology or TechnologyConfig()
         self.noise_model = noise_model
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self._rng = rng
         self.tile_shape = (tile_rows, tile_columns)
         self.grid = (-(-rows // tile_rows), -(-columns // tile_columns))
-        #: The two physical arrays of a one-tile engine, set by programming.
-        self.positive_array: Optional[CrossbarArray] = None
-        self.negative_array: Optional[CrossbarArray] = None
         self._weight_scale = np.ones(self.grid)
-        self._tiles = None
+        # Programmed state (_set_layout): the read layout's level codes and,
+        # per (row tile, tile column, part), the ADC full scale and L_a·S.
+        self._layout = None
         self._is_grid = tile_shape is not None
         self._reader = None
+        self._arrays = None
         self._tile_engines = []
         self._programmed = False
         self._programming_events = 0
         self._programming_energy_j = 0.0
         self._programming_time_s = 0.0
 
+    @property
+    def rng(self) -> np.random.Generator:
+        """Generator the noise model draws from: the one given, else ``default_rng(0)``."""
+        if self._rng is None:
+            self._rng = np.random.default_rng(0)
+        return self._rng
+
     # ------------------------------------------------------------------ weights
     def program(self, weights: np.ndarray) -> None:
-        """Program a signed weight matrix of shape (rows, columns), every tile at once."""
+        """Program a signed weight matrix of shape (rows, columns), block by block."""
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (self.rows, self.columns):
             raise SimulationError(
                 f"weights must have shape ({self.rows}, {self.columns}), got {weights.shape}"
             )
-        grid_rows, grid_columns = self.grid
-        tile_rows, tile_columns = self.tile_shape
-        padded = np.zeros((grid_rows * tile_rows, grid_columns * tile_columns))
-        padded[: self.rows, : self.columns] = weights
-        tiles = padded.reshape(grid_rows, tile_rows, grid_columns, tile_columns)
-        scales = np.maximum(tiles.max(axis=(1, 3)), -tiles.min(axis=(1, 3)))  # max |W|
-        scales = np.where(scales > 0, scales, 1.0)
-        # [W+ | W-] of every tile: the positive and negative parts of W / scale.
-        parts = np.empty((grid_rows, tile_rows, 2, grid_columns, tile_columns))
-        np.divide(tiles, scales[:, None, :, None], out=parts[:, :, 0])
-        np.negative(parts[:, :, 0], out=parts[:, :, 1])
-        np.clip(parts, 0.0, None, out=parts)
-        codes, full_scale, code_scale = program_tiles(
-            parts.reshape(grid_rows, tile_rows, 2 * grid_columns, tile_columns),
-            self.technology,
-        )
-        self._load(scales, codes, full_scale, code_scale)
+        layout = _program_layout(weights, self.tile_shape, self.technology)
+        self._set_layout(*layout)
         energy_j, time_s = self.tile_programming_cost()
-        count = grid_rows * grid_columns
+        count = self.grid[0] * self.grid[1]
         self._programming_events += 2 * count
         self._programming_energy_j += count * energy_j
         self._programming_time_s += count * time_s
 
-    def _load(self, scales, codes, full_scale, code_scale) -> None:
-        """Take programmed tile state: per-tile weight scales (R, C), level
-        codes (R, rows, 2C, cols) and per-array full scales and ``L_a·S`` (R, 2C).
+    def _set_layout(self, scales, codes, full_scale, code_scale) -> None:
+        """Take programmed state: per-tile weight scales (R, C), the read
+        layout's level codes (R, tile rows, 2·columns) and per-(tile, part)
+        full scales and ``L_a·S`` (R, C, 2).
         """
         self._weight_scale = scales
-        self._tiles = (codes, full_scale, code_scale)
+        self._layout = (codes, full_scale, code_scale)
         self._programmed = True
-        arrays = (self.technology, self.noise_model, self.rng)
-        grid_rows, grid_columns = self.grid
-        if self.grid == (1, 1):
-            self.positive_array, self.negative_array = (
-                CrossbarArray.from_codes(
-                    codes[0, :, part], full_scale[0, part], code_scale[0, part], *arrays
-                )
-                for part in (0, 1)
-            )
+        self._arrays = None
         self._reader = None
         self._tile_engines = []
+        grid_rows, grid_columns = self.grid
         if not self.is_deterministic:
             if self._is_grid:
                 self._tile_engines = [
@@ -181,27 +237,32 @@ class SignedCrossbarEngine:
                     for index, rng in enumerate(self.rng.spawn(grid_rows * grid_columns))
                 ]
             return
-        # One stack of the row tiles' read columns, trimmed to the real width (one
-        # row tile to the real rows), with each column's K+ and K- side by side;
-        # scales per row tile and column.
-        tile_rows, tile_columns = self.tile_shape
-        width = self.columns
+        # Per-tile values spread over each tile's real read columns.
+        tile_columns, width = self.tile_shape[1], self.columns
 
-        def per_column(values, parts):
-            columns = np.repeat(values, tile_columns, axis=1)
-            columns = columns.reshape(grid_rows, parts, -1)[:, :, :width]
-            return columns.transpose(0, 2, 1).reshape(grid_rows, -1)
+        def per_column(values):
+            return np.repeat(values, tile_columns, axis=1)[:, :width].reshape(grid_rows, -1)
 
-        halves = codes.reshape(grid_rows, tile_rows, 2, -1)[..., :width]
-        if grid_rows == 1:
-            halves = halves[:, : self.rows]
-        read_codes = np.stack((halves[:, :, 0], halves[:, :, 1]), axis=-1)
-        read_codes = read_codes.reshape(grid_rows, halves.shape[1], 2 * width)
-        full_scale, code_scale = per_column(full_scale, 2), per_column(code_scale, 2)
         reader = CrossbarArray.from_codes(
-            read_codes, full_scale, code_scale, *arrays, input_rows=self.rows
+            codes,
+            per_column(full_scale),
+            per_column(code_scale),
+            self.technology,
+            self.noise_model,
+            self._rng,
+            input_rows=self.rows,
         )
-        self._reader = (reader, per_column(scales, 1)[:, None])
+        self._reader = (reader, per_column(scales[..., None])[:, None])
+
+    def _tile_codes(self, row: int, column: int) -> np.ndarray:
+        """Tile (``row``, ``column``)'s read-layout codes, zero-padded to the physical tile."""
+        codes = self._layout[0]
+        tile_rows, tile_columns = self.tile_shape
+        start = column * tile_columns
+        stop = min(start + tile_columns, self.columns)
+        tile = np.zeros((tile_rows, 2 * tile_columns), codes.dtype)
+        tile[:, : 2 * (stop - start)] = codes[row, :, 2 * start : 2 * stop]
+        return tile
 
     def tile(
         self, row: int, column: int, rng: Optional[np.random.Generator] = None
@@ -218,15 +279,44 @@ class SignedCrossbarEngine:
         if not (0 <= row < self.grid[0] and 0 <= column < self.grid[1]):
             raise SimulationError(f"tile ({row}, {column}) is outside the {self.grid} grid")
         engine = SignedCrossbarEngine(*self.tile_shape, self.technology, self.noise_model, rng)
-        codes, full_scale, code_scale = self._tiles
-        parts = [column, self.grid[1] + column]
-        engine._load(
-            self._weight_scale[row : row + 1, column : column + 1],
-            codes[row : row + 1, :, parts],
-            full_scale[row : row + 1, parts],
-            code_scale[row : row + 1, parts],
+        _, full_scale, code_scale = self._layout
+        here = (slice(row, row + 1), slice(column, column + 1))
+        engine._set_layout(
+            self._weight_scale[here],
+            self._tile_codes(row, column)[None],
+            full_scale[here],
+            code_scale[here],
         )
         return engine
+
+    @property
+    def positive_array(self) -> Optional[CrossbarArray]:
+        """The ``W+`` array of a programmed one-tile engine (built on first use), else None."""
+        return self._array(0)
+
+    @property
+    def negative_array(self) -> Optional[CrossbarArray]:
+        """The ``W-`` array of a programmed one-tile engine (built on first use), else None."""
+        return self._array(1)
+
+    def _array(self, part: int) -> Optional[CrossbarArray]:
+        if self.grid != (1, 1) or not self._programmed:
+            return None
+        if self._arrays is None:
+            codes = self._tile_codes(0, 0)
+            _, full_scale, code_scale = self._layout
+            self._arrays = [
+                CrossbarArray.from_codes(
+                    np.ascontiguousarray(codes[:, index::2]),
+                    full_scale[0, 0, index],
+                    code_scale[0, 0, index],
+                    self.technology,
+                    self.noise_model,
+                    self.rng,
+                )
+                for index in (0, 1)
+            ]
+        return self._arrays[part]
 
     def tile_programming_cost(self) -> Tuple[float, float]:
         """Energy (J) and time (s) of programming one physical tile.

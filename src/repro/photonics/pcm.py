@@ -153,6 +153,18 @@ class PCMCell:
         return abs(self.level_to_transmission(level) - target_transmission)
 
 
+def check_weight_range(low: float, high: float) -> None:
+    """Raise :class:`ProgrammingError` unless [low, high] lies in [0, 1] (to 1e-12).
+
+    A NaN bound (a NaN weight) is out of range too.
+    """
+    if not (low >= -1e-12 and high <= 1.0 + 1e-12):
+        raise ProgrammingError(
+            "PCM weights must be in [0, 1]; normalise/shift the matrix first "
+            f"(got range [{low}, {high}])"
+        )
+
+
 def quantize_weight_codes(
     weights: np.ndarray, levels: int = 64, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
@@ -164,11 +176,8 @@ def quantize_weight_codes(
     (which may be ``weights`` itself).
     """
     weights = np.asarray(weights, dtype=float)
-    if weights.size and (weights.min() < -1e-12 or weights.max() > 1.0 + 1e-12):
-        raise ProgrammingError(
-            "PCM weights must be in [0, 1]; normalise/shift the matrix first "
-            f"(got range [{weights.min()}, {weights.max()}])"
-        )
+    if weights.size:
+        check_weight_range(weights.min(), weights.max())
     codes = np.clip(weights, 0.0, 1.0, out=out)
     codes *= levels - 1
     return np.round(codes, out=codes)

@@ -66,6 +66,8 @@ class TestProgramming:
             array.program_weights(np.zeros((4, 5)))
         with pytest.raises(ProgrammingError):
             array.program_weights(np.full((4, 4), 1.5))
+        with pytest.raises(ProgrammingError):
+            array.program_weights(np.full((4, 4), np.nan))
 
     def test_compute_requires_programming(self):
         array = CrossbarArray(4, 4)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.crossbar import CrossbarArray, DualCoreCrossbar, ProgrammingJob, SignedCrossbarEngine
-from repro.errors import SimulationError
+from repro.errors import ProgrammingError, SimulationError
 
 
 class TestSignedCrossbarEngine:
@@ -67,6 +67,15 @@ class TestSignedCrossbarEngine:
         engine = SignedCrossbarEngine(4, 4)
         with pytest.raises(SimulationError):
             engine.matmul(np.zeros((2, 4)))
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_are_rejected(self, bad):
+        weights = np.ones((20, 11))
+        weights[13, 9] = bad
+        engine = SignedCrossbarEngine(20, 11, tile_shape=(8, 8))
+        with pytest.raises(ProgrammingError):
+            engine.program(weights)
 
 
 class TestSignedBatchedMatmul:
@@ -177,6 +186,29 @@ class TestDualCoreScheduler:
         summary = DualCoreCrossbar.summarize(jobs)
         assert summary["dual_core_utilisation"] >= summary["single_core_utilisation"]
         assert summary["speedup"] > 1.5
+
+    def test_summary_is_bitwise_that_of_the_timelines(self):
+        rng = np.random.default_rng(9)
+        for count in (1, 2, 7, 50):
+            jobs = [
+                ProgrammingJob(
+                    f"t{i}",
+                    float(rng.uniform(0, 1e-6)) if i % 3 else 0.0,
+                    float(rng.uniform(0, 1e-6)),
+                )
+                for i in range(count)
+            ]
+            expected = {}
+            for cores, label in ((1, "single"), (2, "dual")):
+                entries = DualCoreCrossbar(cores).schedule(jobs)
+                makespan = max(entry.end_s for entry in entries)
+                compute = sum(e.duration_s for e in entries if e.kind == "compute")
+                expected[f"{label}_core_makespan_s"] = makespan
+                expected[f"{label}_core_utilisation"] = min(1.0, compute / makespan)
+            expected["speedup"] = (
+                expected["single_core_makespan_s"] / expected["dual_core_makespan_s"]
+            )
+            assert DualCoreCrossbar.summarize(jobs) == expected
 
     def test_schedule_entries_are_ordered_and_non_overlapping_per_core(self):
         jobs = self.make_jobs(6)

@@ -1,16 +1,19 @@
 """Layer-wise PCM programming: oracles against one-tile programming.
 
-A tile plan programs a whole weight matrix in one vectorised pass.  These
-tests pin that pass to programming every physical tile on its own: each
-tile's weight scale, level codes, ADC full scale and code denominator must
-equal those of a one-tile :class:`SignedCrossbarEngine` (and of the numpy
-per-tile computation it replaced), ``linear`` must equal reading one-tile
-engines tile by tile, and the noisy path must draw exactly what per-tile
-engines seeded from the same content-keyed ``SeedSequence`` children draw.
-The accounting is checked by counting, not by timing.
+A tile plan programs a whole weight matrix block by block, straight into
+the layout its read uses.  These tests pin that pass to programming every
+physical tile on its own: each tile's weight scale, level codes, ADC full
+scale and code denominator must equal those of a one-tile
+:class:`SignedCrossbarEngine` (and of the numpy per-tile computation it
+replaced), ``linear`` must equal reading one-tile engines tile by tile, and
+the noisy path must draw exactly what per-tile engines seeded from the same
+content-keyed ``SeedSequence`` children draw.
+The accounting is checked by counting, not by timing, and the memory
+programming keeps and passes through by ``tracemalloc``.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +24,7 @@ from repro.config import TechnologyConfig, default_sweep_chip, optimal_chip, sma
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.crossbar import CrossbarArray, CrossbarNoiseModel, SignedCrossbarEngine
+from repro.crossbar.array import _BLOCK_ELEMENTS
 from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.nn import build_lenet5
 from repro.nn.im2col import conv_weights_matrix
@@ -119,10 +123,17 @@ def layer_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     low = draw(st.sampled_from([-2.0, 0.0]))  # mixed signs, or non-negative
     weights = rng.uniform(low, 2.0, (k, n)) * draw(st.sampled_from([1.0, -1.0]))
-    # Zero out whole tiles now and then, so all-dark tiles are covered.
+    # Now and then a whole tile is all-dark (+0 or -0 weights) or all-negative.
     for span in _spans(k, n, rows, columns):
-        if draw(st.integers(0, 3)) == 0:
-            weights[span[0] : span[1], span[2] : span[3]] = 0.0
+        tile = weights[span[0] : span[1], span[2] : span[3]]
+        kind = draw(st.integers(0, 5))
+        if kind < 2:
+            tile[...] = (0.0, -0.0)[kind]
+        elif kind == 2:
+            tile[...] = -np.abs(tile)
+    # Scattered -0 weights, and weights that round to a zero code.
+    weights[rng.uniform(size=(k, n)) < 0.1] = -0.0
+    weights[rng.uniform(size=(k, n)) < 0.1] *= 1e-4
     inputs = rng.uniform(-1.0, 1.0, (3, k))
     inputs[0] = np.abs(inputs[0])
     inputs[1] = 0.0
@@ -154,6 +165,7 @@ class TestLayerProgrammingOracle:
             ):
                 assert np.array_equal(planned_array._codes, alone_array._codes)
                 assert np.array_equal(planned_array._codes, codes)
+                assert not np.signbit(planned_array._codes).any()  # every zero code is +0
                 assert planned_array.adc_full_scale == alone_array.adc_full_scale == full_scale
                 assert np.array_equal(
                     planned_array._column_code_scale, alone_array._column_code_scale
@@ -455,3 +467,35 @@ class TestLayerReadCount:
         # non-negative (post-ReLU) inputs read the W+ and the W- array once.
         assert len(tile_reads) == 5 + tiles
         assert len(array_reads) == 2 * tiles
+
+
+class TestProgrammingMemory:
+    def test_program_keeps_one_code_layout_and_one_block_of_temporaries(self):
+        config = default_sweep_chip()
+        weights = _lenet_matrices()[2]  # fc1: a 13x4 grid of 32x32 tiles
+        assert weights.shape == (400, 120)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = SignedCrossbarEngine(
+                *weights.shape,
+                technology=config.technology,
+                tile_shape=(config.rows, config.columns),
+            )
+            engine.program(weights)
+            retained, peak = (size - before for size in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        grid_rows, grid_columns = engine.grid
+        read_columns = 2 * weights.shape[1]  # K+ and K- of each real column
+        # The read layout: float32 level codes of every row tile's read columns.
+        layout = grid_rows * config.rows * read_columns * 4
+        # Float64 scalars: the reader's full scale and L_a·S per read column
+        # and weight scale per real column, and five per tile (weight scale,
+        # two full scales, two denominators).
+        scalars = 8 * grid_rows * (2 * read_columns + weights.shape[1] + 5 * grid_columns)
+        objects = 16 * 1024  # the engine's and its reader's Python objects
+        assert retained <= layout + scalars + objects
+        # Two float64 buffers of at most one block together, plus per-block
+        # column sums and the reader's per-column copies.
+        assert peak - retained <= 8 * _BLOCK_ELEMENTS + 64 * 1024
