@@ -37,6 +37,7 @@ from repro.config.chip import ChipConfig
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.errors import SimulationError, WorkloadError
+from repro.nn.im2col import pad_spatial
 from repro.nn.layers import (
     ActivationLayer,
     AddLayer,
@@ -149,12 +150,7 @@ def _max_pool(tensor: np.ndarray, kernel: int, stride: int, padding: int) -> np.
     if _pools_in_tiles(tensor, kernel, stride, padding):
         return _pool_tiles(tensor, kernel, np.maximum)
     if padding:
-        tensor = np.pad(
-            tensor,
-            ((0, 0), (padding, padding), (padding, padding), (0, 0)),
-            mode="constant",
-            constant_values=-np.inf,
-        )
+        tensor = pad_spatial(tensor, padding, -np.inf)
     return _pool_windows(tensor, kernel, stride).max(axis=(3, 4))
 
 
@@ -165,9 +161,7 @@ def _avg_pool(tensor: np.ndarray, kernel: int, stride: int, padding: int) -> np.
         pooled /= kernel * kernel
         return pooled
     if padding:
-        tensor = np.pad(
-            tensor, ((0, 0), (padding, padding), (padding, padding), (0, 0)), mode="constant"
-        )
+        tensor = pad_spatial(tensor, padding)
     return _pool_windows(tensor, kernel, stride).mean(axis=(3, 4))
 
 

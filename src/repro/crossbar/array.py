@@ -157,18 +157,23 @@ def tile_scales(codes: np.ndarray, tile_columns: int, technology: TechnologyConf
     largest column sum of each tile's quantised transmissions (at least
     1e-9) and the exact-code denominator ``L_a·S``, both bitwise those of
     the tile programmed alone.
+
+    With ``t_min = 0`` and ``t_max = 1`` (every preset) the transmission pass
+    is one divide, ``c/(L-1)``: ``1·c`` is ``c`` bit for bit, and adding 0
+    changes only the sign of a zero, which no column sum, largest sum or
+    1e-9 floor can see.  Other ranges take
+    :func:`~repro.photonics.pcm.levels_to_transmission`.  Each column is
+    summed row after row (a one-column tile as numpy sums it alone).
     """
     tiles = len(codes)
     code_sums = codes.sum(axis=1).reshape(tiles, -1, tile_columns).max(axis=2)
     # An all-dark tile (S = 0) reads exact zeros; any denominator will do.
     code_scale = ((1 << technology.activation_bits) - 1) * np.maximum(code_sums, 1.0)
-    transmissions = levels_to_transmission(
-        codes,
-        technology.pcm_levels,
-        technology.pcm_min_transmission,
-        technology.pcm_max_transmission,
-        out=codes,
-    )
+    low, high = technology.pcm_min_transmission, technology.pcm_max_transmission
+    if low == 0.0 and high == 1.0:
+        transmissions = np.divide(codes, technology.pcm_levels - 1, out=codes)
+    else:
+        transmissions = levels_to_transmission(codes, technology.pcm_levels, low, high, out=codes)
     # numpy adds a tile's columns row after row, but a one-column tile
     # pairwise; sum each tile here the way it is summed alone.
     if tile_columns == 1:

@@ -30,11 +30,16 @@ codes ``k = round(q·L)`` of the normalised weights ``q``.  Since
 ``|q| ≤ 1``, ``K+ = max(k, 0)`` and ``K- = max(-k, 0)`` are the codes of
 the positive and negative parts of ``q``; each is written into the layout
 (every zero code as +0) and gives its tiles' ADC full scale and ``L_a·S``
-over the whole padded tile (:func:`~repro.crossbar.array.tile_scales`).  No
-temporary outlives its block, and the layout is the only copy of the codes
-the engine keeps.  Each tile's values are bitwise those of a one-tile
-engine programmed with it.  Every tile costs two programming passes, one
-per array (:meth:`SignedCrossbarEngine.tile_programming_cost`).
+over the whole padded tile (:func:`~repro.crossbar.array.tile_scales`).  The
+two scratch buffers are views of one float64 array per thread, kept across
+layers and engines and grown to the largest block the thread has
+programmed, at most ``_BLOCK_ELEMENTS`` (512 KB), so that reprogramming
+faults in no fresh pages for them; a single row-tile pair wider than that
+gets its own buffers for the call.  Every other temporary lives for one
+block, and the layout is the only copy of the codes the engine keeps.  Each
+tile's values are bitwise those of a one-tile engine programmed with it.
+Every tile costs two programming passes, one per array
+(:meth:`SignedCrossbarEngine.tile_programming_cost`).
 
 Read model
 ----------
@@ -71,14 +76,45 @@ shape and order.  :meth:`matvec` is a thin single-row wrapper.
 
 from __future__ import annotations
 
+import math
+import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.config.technology import TechnologyConfig
-from repro.crossbar.array import CrossbarArray, _gemm_dtype, tile_scales, vector_blocks
+from repro.crossbar.array import (
+    _BLOCK_ELEMENTS,
+    CrossbarArray,
+    _gemm_dtype,
+    tile_scales,
+    vector_blocks,
+)
 from repro.errors import SimulationError
 from repro.photonics.pcm import check_weight_range
+
+
+#: Per-thread programming scratch: ``block``, the float64 array
+#: :func:`_block_buffers` keeps for the calling thread.
+_SCRATCH = threading.local()
+
+
+def _block_buffers(shape: Tuple[int, ...]) -> np.ndarray:
+    """Float64 buffers of ``shape`` for one programming block, not zeroed.
+
+    A block of at most ``_BLOCK_ELEMENTS`` is a view of one array the
+    calling thread keeps across layers and engines, grown to the largest
+    such block it has programmed, so reprogramming faults in no fresh pages
+    for it.  A larger one (a single row-tile pair wider than that) is
+    allocated for the call alone.
+    """
+    size = math.prod(shape)
+    if size > _BLOCK_ELEMENTS:
+        return np.empty(shape)
+    kept = getattr(_SCRATCH, "block", None)
+    if kept is None or kept.size < size:
+        kept = _SCRATCH.block = np.empty(size)
+    return kept[:size].reshape(shape)
 
 
 def _program_layout(
@@ -90,7 +126,9 @@ def _program_layout(
     (R, tile rows, 2·columns) in the GEMM dtype, and each tile part's ADC
     full scale and ``L_a·S`` (R, C, 2); see the module docstring.  The two
     float64 block buffers hold at most :func:`vector_blocks`' element count
-    between them and are freed on return.
+    between them and are views of the calling thread's kept block
+    (:func:`_block_buffers`); every value they hold is written here before
+    it is read, the padding included.
     """
     rows, width = weights.shape
     tile_rows, tile_columns = tile_shape
@@ -102,9 +140,9 @@ def _program_layout(
     full_scale = np.empty((grid_rows, grid_columns, 2))
     code_scale = np.empty_like(full_scale)
     # Two float64 buffers of whole tiles, the signed codes and one part, in
-    # one allocation of at most one block.
+    # one block of at most _BLOCK_ELEMENTS.
     blocks = vector_blocks(grid_rows, 2 * tile_rows * padded_width)
-    signed, part = np.empty((2, min(blocks[0].stop, grid_rows), tile_rows, padded_width))
+    signed, part = _block_buffers((2, min(blocks[0].stop, grid_rows), tile_rows, padded_width))
     signed[:, :, width:] = 0.0  # padding columns stay 0 through every step
     for block in blocks:
         count = len(range(grid_rows)[block])

@@ -101,6 +101,20 @@ def layer_to_gemms(info: LayerShapeInfo) -> List[GemmShape]:
     return []
 
 
+def pad_spatial(tensor: np.ndarray, padding: int, value: float = 0.0) -> np.ndarray:
+    """A (B, H, W, C) tensor with ``padding`` cells of ``value`` around H and W.
+
+    Bitwise ``np.pad(..., mode="constant", constant_values=value)``: a filled
+    array with the interior assigned, without ``np.pad``'s per-call overhead.
+    """
+    images, height, width, channels = tensor.shape
+    padded = np.full(
+        (images, height + 2 * padding, width + 2 * padding, channels), value, tensor.dtype
+    )
+    padded[:, padding : padding + height, padding : padding + width] = tensor
+    return padded
+
+
 def im2col_matrix(
     feature_map: np.ndarray, kernel_size: int, stride: int = 1, padding: int = 0
 ) -> np.ndarray:
@@ -131,11 +145,7 @@ def im2col_matrix(
 
     stacked = feature_map if batched else feature_map[None]
     if padding:
-        stacked = np.pad(
-            stacked,
-            ((0, 0), (padding, padding), (padding, padding), (0, 0)),
-            mode="constant",
-        )
+        stacked = pad_spatial(stacked, padding)
     num_images, padded_h, padded_w, channels = stacked.shape
     out_h = (padded_h - kernel_size) // stride + 1
     out_w = (padded_w - kernel_size) // stride + 1

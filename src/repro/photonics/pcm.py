@@ -192,7 +192,12 @@ def levels_to_transmission(
 ) -> np.ndarray:
     """E-field transmission of each PCM level index (elementwise).
 
-    Written into ``out`` when given (which may be ``level_indices`` itself).
+    ``t = span·c/(L-1) + t_min``, in three passes in that order, written into
+    ``out`` when given (which may be ``level_indices`` itself).  Adding
+    ``t_min = 0`` turns a ``-0`` code's transmission into ``+0``, so no step
+    is skipped here; :func:`~repro.crossbar.array.tile_scales`, which only
+    sums transmissions, makes them with one divide for ``t_min = 0``,
+    ``t_max = 1``.
     """
     span = max_transmission - min_transmission
     if span <= 0:

@@ -9,10 +9,14 @@ replaced), ``linear`` must equal reading one-tile engines tile by tile, and
 the noisy path must draw exactly what per-tile engines seeded from the same
 content-keyed ``SeedSequence`` children draw.
 The accounting is checked by counting, not by timing, and the memory
-programming keeps and passes through by ``tracemalloc``.
+programming keeps and passes through by ``tracemalloc``.  The transmission
+pass behind each full scale is pinned to its three-step formula and its
+row-by-row summation order, and threads programming at once to serial
+programming.
 """
 
 import hashlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -24,11 +28,13 @@ from repro.config import TechnologyConfig, default_sweep_chip, optimal_chip, sma
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.crossbar import CrossbarArray, CrossbarNoiseModel, SignedCrossbarEngine
-from repro.crossbar.array import _BLOCK_ELEMENTS
+from repro.crossbar.array import _BLOCK_ELEMENTS, tile_scales
 from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
+from repro.crossbar.signed import _SCRATCH
 from repro.nn import build_lenet5
 from repro.nn.im2col import conv_weights_matrix
 from repro.nn.quant import split_signed_matrix
+from repro.photonics.pcm import levels_to_transmission
 
 TECHNOLOGIES = {
     "ideal": TechnologyConfig(),
@@ -474,18 +480,29 @@ class TestProgrammingMemory:
         config = default_sweep_chip()
         weights = _lenet_matrices()[2]  # fc1: a 13x4 grid of 32x32 tiles
         assert weights.shape == (400, 120)
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
+
+        def programmed():
             engine = SignedCrossbarEngine(
                 *weights.shape,
                 technology=config.technology,
                 tile_shape=(config.rows, config.columns),
             )
             engine.program(weights)
+            return engine
+
+        programmed()  # makes this thread's programming block
+        kept = _SCRATCH.block
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            engine = programmed()
             retained, peak = (size - before for size in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
+        # The thread keeps one block, at most one read block of float64s, and
+        # reuses it.
+        assert _SCRATCH.block is kept
+        assert kept.nbytes <= 8 * _BLOCK_ELEMENTS
         grid_rows, grid_columns = engine.grid
         read_columns = 2 * weights.shape[1]  # K+ and K- of each real column
         # The read layout: float32 level codes of every row tile's read columns.
@@ -496,6 +513,129 @@ class TestProgrammingMemory:
         scalars = 8 * grid_rows * (2 * read_columns + weights.shape[1] + 5 * grid_columns)
         objects = 16 * 1024  # the engine's and its reader's Python objects
         assert retained <= layout + scalars + objects
-        # Two float64 buffers of at most one block together, plus per-block
-        # column sums and the reader's per-column copies.
-        assert peak - retained <= 8 * _BLOCK_ELEMENTS + 64 * 1024
+        # Per-block column sums and the reader's per-column copies: no block
+        # buffer is allocated.
+        assert peak - retained <= 64 * 1024
+
+
+def _three_step_transmissions(codes, technology):
+    """``span·c/(L-1) + t_min``, each step a separate pass."""
+    span = technology.pcm_max_transmission - technology.pcm_min_transmission
+    transmissions = span * codes
+    transmissions = transmissions / (technology.pcm_levels - 1)
+    return transmissions + technology.pcm_min_transmission
+
+
+@st.composite
+def level_codes(draw, shape):
+    """Float level codes of ``shape``, zeros drawn with both signs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    codes = rng.integers(0, 64, shape).astype(float)
+    codes[rng.uniform(size=shape) < 0.3] = draw(st.sampled_from([0.0, -0.0]))
+    codes[rng.uniform(size=shape) < 0.1] = -0.0
+    return codes
+
+
+class TestTransmissionPass:
+    @pytest.mark.parametrize("name", sorted(TECHNOLOGIES))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_levels_to_transmission_is_the_three_step_formula(self, name, data):
+        technology = TECHNOLOGIES[name]
+        codes = data.draw(level_codes((data.draw(st.integers(1, 40)),)))
+        expected = _three_step_transmissions(codes, technology)
+        arguments = (
+            technology.pcm_levels,
+            technology.pcm_min_transmission,
+            technology.pcm_max_transmission,
+        )
+        copy = codes.copy()
+        assert levels_to_transmission(copy, *arguments).tobytes() == expected.tobytes()
+        assert copy.tobytes() == codes.tobytes()  # not written without ``out``
+        in_place = levels_to_transmission(copy, *arguments, out=copy)
+        assert in_place is copy
+        assert copy.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", sorted(TECHNOLOGIES))
+    @given(data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_tile_scales_are_those_of_the_three_step_transmissions(self, name, data):
+        technology = TECHNOLOGIES[name]
+        tiles, rows = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 9))
+        tile_columns, grid_columns = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 3))
+        codes = data.draw(level_codes((tiles, rows, grid_columns * tile_columns)))
+        transmissions = _three_step_transmissions(codes, technology)
+        if tile_columns == 1:  # a one-column tile alone is one pairwise sum
+            sums = np.ascontiguousarray(transmissions.transpose(0, 2, 1)).sum(axis=2)
+        else:  # a wider tile is summed row after row
+            sums = np.cumsum(transmissions, axis=1)[:, -1]
+        expected = np.maximum(sums.reshape(tiles, grid_columns, tile_columns).max(axis=2), 1e-9)
+        written = codes.copy()
+        full_scale, _ = tile_scales(written, tile_columns, technology)
+        assert full_scale.tobytes() == expected.tobytes()
+        # The overwritten codes are the transmissions, up to the sign of a zero.
+        assert np.array_equal(written, transmissions)
+
+    def test_multi_column_full_scales_are_row_by_row_sums(self):
+        technology = TECHNOLOGIES["ideal"]
+        rng = np.random.default_rng(7)
+        # Codes whose transmissions round differently in pairwise and in
+        # sequential order, over many rows.
+        codes = rng.integers(0, 64, (2, 513, 3 * 4)).astype(float)
+        transmissions = _three_step_transmissions(codes, technology)
+        sequential = np.cumsum(transmissions, axis=1)[:, -1]
+        pairwise = np.ascontiguousarray(transmissions.transpose(0, 2, 1)).sum(axis=2)
+        assert not np.array_equal(sequential, pairwise)  # the order is visible
+        expected = np.maximum(sequential.reshape(2, 3, 4).max(axis=2), 1e-9)
+        full_scale, _ = tile_scales(codes.copy(), 4, technology)
+        assert full_scale.tobytes() == expected.tobytes()
+
+
+def _run_together(calls):
+    """Each callable's result, each run on its own thread, all released at once."""
+    barrier = threading.Barrier(len(calls))
+    results, errors = [None] * len(calls), []
+
+    def run(index):
+        try:
+            barrier.wait()
+            results[index] = calls[index]()
+        except BaseException as error:  # reported below
+            errors.append(error)
+
+    threads = [threading.Thread(target=run, args=(index,)) for index in range(len(calls))]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    assert not errors
+    return results
+
+
+class TestConcurrentProgramming:
+    def test_threads_programming_different_layers_match_serial_programming(self):
+        config = default_sweep_chip()
+        matrices = _lenet_matrices()
+
+        def programmed_state(weights):
+            engine = SignedCrossbarEngine(
+                *weights.shape,
+                technology=config.technology,
+                tile_shape=(config.rows, config.columns),
+            )
+            engine.program(weights)
+            codes, full_scale, code_scale = engine._layout
+            return [engine.weight_scale, codes, full_scale, code_scale]
+
+        def programmed_five_times(weights):
+            return lambda: [programmed_state(weights) for _ in range(5)]
+
+        serial = [programmed_state(weights) for weights in matrices]
+        for pair in ((2, 3), (1, 2), (4, 2)):  # fc1 with fc2, conv2, fc3
+            results = _run_together([programmed_five_times(matrices[index]) for index in pair])
+            for index, states in zip(pair, results):
+                for state in states:
+                    for value, reference in zip(state, serial[index]):
+                        assert value.dtype == reference.dtype
+                        assert value.shape == reference.shape
+                        assert value.tobytes() == reference.tobytes()

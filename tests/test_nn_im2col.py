@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.nn import ConvLayer, DenseLayer, TensorShape, conv_to_gemm, layer_to_gemms
-from repro.nn.im2col import GemmShape, conv2d_reference, conv_weights_matrix, dense_to_gemm, im2col_matrix
+from repro.nn.im2col import (
+    GemmShape,
+    conv2d_reference,
+    conv_weights_matrix,
+    dense_to_gemm,
+    im2col_matrix,
+    pad_spatial,
+)
 
 
 def _loop_im2col(feature_map, kernel_size, stride, padding):
@@ -119,6 +126,30 @@ class TestIm2colData:
     def test_weights_matrix_rejects_non_square_kernel(self):
         with pytest.raises(WorkloadError):
             conv_weights_matrix(np.zeros((3, 5, 1, 1)))
+
+
+class TestPadSpatial:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        shape=st.tuples(*(st.integers(min_value=1, max_value=5) for _ in range(4))),
+        padding=st.integers(min_value=1, max_value=3),
+        value=st.sampled_from([0.0, -np.inf]),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_is_bitwise_np_pad(self, shape, padding, value, seed):
+        rng = np.random.default_rng(seed)
+        tensor = rng.normal(size=shape)
+        tensor[rng.uniform(size=shape) < 0.2] = -0.0
+        padded = pad_spatial(tensor, padding, value)
+        reference = np.pad(
+            tensor,
+            ((0, 0), (padding, padding), (padding, padding), (0, 0)),
+            mode="constant",
+            constant_values=value,
+        )
+        assert padded.dtype == reference.dtype
+        assert padded.shape == reference.shape
+        assert padded.tobytes() == reference.tobytes()
 
 
 class TestIm2colVectorized:
