@@ -7,8 +7,8 @@ the figure benchmarks these use multiple rounds, since they are cheap.
 
 The batched-inference benchmarks guard the vectorized GEMM datapath: the
 64-vector ``CrossbarArray.matmul`` must stay at least 10x faster than the
-seed's per-vector Python loop, a full LeNet ``run_batch`` exercises the
-programmed-tile cache end to end, and the warm per-image cost of LeNet-5 on
+seed's per-vector Python loop, a full LeNet ``run_batch`` reads the
+engine's programmed layers end to end, and the warm per-image cost of LeNet-5 on
 the paper's 128x128 chip must fall as the batch grows.
 """
 
@@ -93,14 +93,15 @@ def test_functional_batch_matmul_speed(benchmark):
 
 
 def test_functional_signed_gemm_batch_speed(benchmark):
-    """64-vector signed GEMM through the tiled, tile-cached linear() path."""
+    """64-vector signed GEMM through the tiled linear() path of a programmed layer."""
     rng = np.random.default_rng(2)
     accelerator = OpticalCrossbarAccelerator(small_test_chip(rows=64, columns=64))
     weights = rng.normal(size=(100, 40))
     inputs = rng.uniform(-1, 1, (64, 100))
-    accelerator.linear(weights, inputs)  # warm the programmed-tile cache
+    layer = accelerator.layer(weights)
+    accelerator.linear(layer, inputs)  # program once
 
-    result = benchmark(lambda: accelerator.linear(weights, inputs))
+    result = benchmark(lambda: accelerator.linear(layer, inputs))
     assert result.shape == (64, 40)
     stats = accelerator.functional_statistics()
     # 2x1 tile grid, two differential arrays per tile, programmed exactly once.
@@ -114,7 +115,7 @@ def test_functional_lenet_run_batch_speed(benchmark):
     engine = FunctionalInferenceEngine(network, weights, small_test_chip(rows=64, columns=64))
     rng = np.random.default_rng(7)
     images = rng.uniform(0, 1, (8, 12, 12, 1))
-    engine.run_batch(images)  # warm the programmed-tile cache
+    engine.run_batch(images)  # programs the engine's layers
 
     outputs = benchmark(lambda: engine.run_batch(images))
     assert outputs.shape == (8, 10)

@@ -29,9 +29,10 @@ def test_sharded_gemm_throughput(benchmark):
     weights = rng.normal(size=(256, 256))  # 4x4 tile grid on the 64x64 chip
     inputs = rng.uniform(0, 1, (512, 256))
     accelerator = OpticalCrossbarAccelerator(chip)
-    accelerator.linear(weights, inputs)  # program once
+    layer = accelerator.layer(weights)
+    accelerator.linear(layer, inputs)  # program once
 
-    result = benchmark(lambda: accelerator.linear(weights, inputs))
+    result = benchmark(lambda: accelerator.linear(layer, inputs))
     assert result.shape == (512, 256)
     counts = accelerator.functional_statistics()["per_core_tile_dispatches"]
     assert counts[0] == counts[1]  # 16 tiles split 8/8 round-robin

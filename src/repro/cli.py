@@ -753,8 +753,8 @@ def _cmd_infer(args: argparse.Namespace) -> int:
     images = rng.uniform(0.0, 1.0, (args.images,) + network.input_shape.as_tuple())
 
     # The first (cold) batch pays the one-time PCM tile programming; the
-    # second (warm) batch shows the steady-state throughput the tile cache
-    # enables.  Both are reported so the cache's effect is visible.
+    # second (warm) batch only reads the programmed layers, which is the
+    # steady-state throughput.  Both are reported so programming's cost shows.
     if args.workers.kind == "serial":
         engine = FunctionalInferenceEngine(network, weights, config, noise_model=noise_model)
         start = time.perf_counter()

@@ -2,7 +2,10 @@
 
 * :class:`~repro.core.accelerator.OpticalCrossbarAccelerator` — the
   user-facing façade tying the dataflow simulator, power/area models and
-  functional crossbar together for one design point.
+  functional crossbar together for one design point; its
+  :meth:`~repro.core.accelerator.OpticalCrossbarAccelerator.layer` makes the
+  :class:`~repro.core.accelerator.ProgrammedLayer` handles its functional
+  path reads.
 * :class:`~repro.core.simulation.SimulationFramework` — the two-step flow of
   Fig. 5 (runtime specs → high-level metrics) with caching for sweeps.
 * :mod:`repro.core.sweep` — design-space sweep utilities.
@@ -15,7 +18,7 @@
 * :mod:`repro.core.report` — plain-text/dict report formatting.
 """
 
-from repro.core.accelerator import OpticalCrossbarAccelerator
+from repro.core.accelerator import OpticalCrossbarAccelerator, ProgrammedLayer
 from repro.core.comparison import ComparisonRow, compare_to_gpu
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.core.optimizer import DesignOptimizer, OptimizationResult
@@ -33,6 +36,7 @@ __all__ = [
     "generate_random_weights",
     "OptimizationResult",
     "ParetoPoint",
+    "ProgrammedLayer",
     "ShardReport",
     "ShardedExecutionEngine",
     "SimulationFramework",

@@ -8,29 +8,33 @@ An ``OpticalCrossbarAccelerator`` ties together, for one chip design point:
   (:meth:`linear`, :meth:`conv2d`), which is what the example applications use
   to demonstrate that the architecture computes correct results.
 
-Programmed-tile caching
------------------------
+Programmed layers
+-----------------
 PCM programming is the expensive, non-volatile step of the functional path:
 each weight tile costs a quantisation pass plus per-cell programming energy
-and time.  ``linear`` therefore keeps an LRU cache of *programmed tile
-plans*, keyed by the weight matrix's shape and a copy of its bytes (hashed
-by their ends, compared in full: a lookup is a copy and a memcmp).  The
-first call with a given weight matrix programs it onto the tile grid with one
+and time, and after that the tile is only read.  A weight layer is therefore
+a :class:`ProgrammedLayer` handle, made by :meth:`~OpticalCrossbarAccelerator.layer`
+and held by its caller (:class:`~repro.core.inference.FunctionalInferenceEngine`
+holds one per crossbar layer).  It keeps a read-only float64 copy of the
+weights and its tile grid.  Its first read by :meth:`linear` or
+:meth:`conv2d` programs it, under the accelerator's lock, with one
 :class:`~repro.crossbar.signed.SignedCrossbarEngine` for the whole layer,
 whose :meth:`~repro.crossbar.signed.SignedCrossbarEngine.program` scales,
 splits and quantises a block of row tiles at a time straight into the code
 layout the layer's read uses, and sets each tile's ADC full scale from
-column sums over the whole padded tile.
-Every later call with the same weights — every image of a batch, every
-repeated inference — reuses the programmed plan without touching the PCM
-again.  Programming is accounted per physical tile, in plan order: two
+column sums over the whole padded tile.  That read counts one
+``tile_cache_misses``; every later read of the handle counts one
+``tile_cache_hits`` and touches neither the PCM nor the weights.  A plain
+array passed to :meth:`linear` or :meth:`conv2d` gets a fresh handle for
+that one call, so it is programmed (and counted a miss) on every call.
+Programming is accounted per physical tile, in plan order: two
 programming events, both arrays' ``cells × pcm_programming_energy_j`` and
 one pass of programming time each.  A tile's cells are the full padded
 ``rows × columns`` array, so the plan charges ``2·rows·columns`` cells per
 tile where :mod:`repro.perf.power` charges the layer's ``k·n`` real cells
 once; for LeNet on the 128×128 chip the plan's figure is 4.80× the power
-model's (``docs/architecture.md`` explains both).  These statistics survive
-cache eviction and are reported by :meth:`functional_statistics`.
+model's (``docs/architecture.md`` explains both).  These statistics outlive
+the handles and are reported by :meth:`functional_statistics`.
 
 Layer reads
 -----------
@@ -62,15 +66,13 @@ shape alone, so they program nothing; they are the jobs
 Under field noise the layer engine is
 given one generator keyed by the accelerator seed and the weight content,
 which it splits into one child per tile (a noiseless plan gets none), so
-noisy outputs do not depend on the order in which tile plans were built.
+noisy outputs do not depend on the order in which layers were programmed.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -82,7 +84,7 @@ from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.crossbar.signed import SignedCrossbarEngine
 from repro.errors import SimulationError
-from repro.nn.im2col import GemmShape, conv_weights_matrix, im2col_matrix
+from repro.nn.im2col import GemmShape, im2col_matrix
 from repro.nn.network import Network
 from repro.perf.metrics import PerformanceMetrics, evaluate_runtime
 from repro.scalesim.runtime import NetworkRuntime
@@ -91,23 +93,29 @@ from repro.scalesim.simulator import CrossbarDataflowSimulator
 from repro.scalesim.tiling import GemmTiling
 
 
-class _MatrixBytes(bytes):
-    """Bytes hashed by their length and ends; equality is still a full memcmp."""
+class ProgrammedLayer:
+    """One weight layer of an accelerator: programmed on its first read, then only read.
 
-    def __hash__(self) -> int:
-        return hash((len(self), self[:64], self[-64:]))
-
-
-@dataclass
-class _TilePlan:
-    """The full programmed tiling of one weight matrix.
-
-    ``engine`` holds and reads the programmed layer; ``tiling`` is its grid
-    of physical tiles.
+    Made by :meth:`OpticalCrossbarAccelerator.layer`.  ``weights`` is a
+    read-only float64 copy of the (k, n) matrix or the (k, k, C_in, C_out)
+    filters, ``tiling`` the layer's grid of physical tiles on the chip, and
+    ``engine`` the programmed layer engine, ``None`` until the first read.
     """
 
-    engine: SignedCrossbarEngine
-    tiling: GemmTiling
+    __slots__ = ("accelerator", "weights", "tiling", "engine")
+
+    def __init__(
+        self, accelerator: OpticalCrossbarAccelerator, weights: np.ndarray, tiling: GemmTiling
+    ) -> None:
+        self.accelerator = accelerator
+        self.weights = weights
+        self.tiling = tiling
+        self.engine: Optional[SignedCrossbarEngine] = None
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The (k, n) GEMM matrix: ``weights``, with filters flattened as by im2col."""
+        return self.weights.reshape(self.tiling.gemm.k, self.tiling.gemm.n)
 
 
 #: (statistics key, metric name, help) of the scalar accelerator counters.
@@ -177,7 +185,6 @@ def accelerator_metric_families(
         for key, event in (
             ("tile_cache_hits", "hit"),
             ("tile_cache_misses", "miss"),
-            ("tile_cache_evictions", "eviction"),
         )
         if key in stats
     ]
@@ -186,7 +193,7 @@ def accelerator_metric_families(
             {
                 "name": "repro_accelerator_tile_cache_total",
                 "type": "counter",
-                "help": "Programmed tile-plan cache events by kind.",
+                "help": "Programmed-layer reads by kind (miss: the read programmed it).",
                 "samples": cache_samples,
             }
         )
@@ -220,9 +227,6 @@ class OpticalCrossbarAccelerator:
         Optional impairment model for the functional datapath.
     seed:
         Random seed for the functional datapath's noise injection.
-    max_cached_weight_plans:
-        Upper bound on the number of distinct weight matrices whose
-        programmed tile plans are kept alive (LRU eviction beyond it).
     """
 
     def __init__(
@@ -230,36 +234,28 @@ class OpticalCrossbarAccelerator:
         config: Optional[ChipConfig] = None,
         noise_model: Optional[CrossbarNoiseModel] = None,
         seed: int = 0,
-        max_cached_weight_plans: int = 64,
     ) -> None:
         self.config = config or optimal_chip()
         self.noise_model = noise_model
         self._seed_sequence = np.random.SeedSequence(seed)
         self.sharding = ShardedExecutionEngine(self.config)
         self._simulator = CrossbarDataflowSimulator(self.config)
-        if max_cached_weight_plans < 1:
-            raise SimulationError(
-                f"max_cached_weight_plans must be >= 1, got {max_cached_weight_plans}"
-            )
-        self._max_cached_weight_plans = max_cached_weight_plans
-        # Serialises tile-plan cache mutation and statistics accumulation so
+        # Serialises layer programming and statistics accumulation so
         # concurrent `linear` calls (thread-pool serving) cannot lose counter
-        # increments or corrupt the LRU order.  GEMM execution itself happens
-        # outside the lock.  Scope: with a noise model, concurrent `linear`
+        # increments or program one layer twice.  GEMM execution itself
+        # happens outside the lock.  Scope: with a noise model, concurrent `linear`
         # calls on one accelerator interleave the per-tile generator state in
         # arrival order, so noisy outputs are not reproducible across such
         # runs (counters stay exact); callers that need reproducible noise
         # must not share one accelerator across threads — the serving pool's
         # replicas are checked out exclusively for this reason.
         self._stats_lock = make_rlock("OpticalCrossbarAccelerator._stats_lock")
-        self._tile_plans: "OrderedDict[Tuple, _TilePlan]" = OrderedDict()
         self._functional_stats = {
             "programming_events": 0,
             "programming_energy_j": 0.0,
             "programming_time_s": 0.0,
             "tile_cache_hits": 0,
             "tile_cache_misses": 0,
-            "tile_cache_evictions": 0,
             "sharded_dispatches": 0,
         }
         self._per_core_tile_dispatches = [0] * self.config.num_cores
@@ -279,84 +275,86 @@ class OpticalCrossbarAccelerator:
         return self.config.peak_tops
 
     # ------------------------------------------------------------------ functional
-    def _weight_key(self, weights: np.ndarray) -> Tuple:
-        """Content-identity key of a weight matrix (shape + a copy of its bytes)."""
-        return (weights.shape, _MatrixBytes(np.ascontiguousarray(weights)))
+    def layer(self, weights: np.ndarray) -> ProgrammedLayer:
+        """A handle on ``weights`` for :meth:`linear` and :meth:`conv2d` to read.
 
-    def _noise_rng(self, key: Tuple) -> np.random.Generator:
-        """The generator the field noise of the plan identified by ``key`` draws from.
+        ``weights`` is a (k, n) matrix or (k, k, C_in, C_out) square filters.
+        The handle keeps a read-only copy, so later changes to the caller's
+        array do not reach it.  Nothing is programmed until its first read
+        (see "Programmed layers" in the module docstring).
+        """
+        weights = np.array(weights, dtype=float, order="C")
+        if weights.ndim == 4 and weights.shape[0] == weights.shape[1]:
+            shape = (weights.shape[0] * weights.shape[1] * weights.shape[2], weights.shape[3])
+        elif weights.ndim == 2:
+            shape = weights.shape
+        else:
+            raise SimulationError(
+                f"weights must be a (k, n) matrix or (k, k, C_in, C_out) square "
+                f"filters, got shape {weights.shape}"
+            )
+        weights.setflags(write=False)
+        return ProgrammedLayer(self, weights, self._tiling(shape))
+
+    def _noise_rng(self, matrix: np.ndarray) -> np.random.Generator:
+        """The generator the field noise of a layer programmed with ``matrix`` draws from.
 
         It is seeded from a sequence keyed by the accelerator seed, the
-        matrix's shape and a SHA-1 digest of its bytes, so the layer
-        engine's per-tile children depend only on (seed, weights, tile
-        index), not on how many plans were built before.
+        matrix's shape and a SHA-1 digest of its (C-order) bytes, so the
+        layer engine's per-tile children depend only on (seed, weights, tile
+        index), not on how many layers were programmed before.
         """
-        shape, data = key
+        digest = hashlib.sha1(matrix).digest()
         return np.random.default_rng(
             np.random.SeedSequence(
                 entropy=self._seed_sequence.entropy,
-                spawn_key=tuple(int(dim) for dim in shape) + tuple(hashlib.sha1(data).digest()),
+                spawn_key=tuple(int(dim) for dim in matrix.shape) + tuple(digest),
             )
         )
 
-    def _build_tile_plan_locked(self, weights: np.ndarray, key: Tuple) -> _TilePlan:
-        """Program ``weights`` onto the tile grid with one layer engine."""
-        k, n = weights.shape
-        rows, columns = self.config.rows, self.config.columns
-        noise = self.noise_model
-        field_noise = noise is not None and not noise.is_field_deterministic
-        engine = SignedCrossbarEngine(
-            k,
-            n,
-            technology=self.config.technology,
-            noise_model=noise,
-            rng=self._noise_rng(key) if field_noise else None,
-            tile_shape=(rows, columns),
-        )
-        engine.program(weights)
-        energy_j, time_s = engine.tile_programming_cost()
-        tiling = self._tiling(weights.shape)
-        stats = self._functional_stats
-        for _ in range(tiling.num_tiles):
-            stats["programming_events"] += 2
-            stats["programming_energy_j"] += energy_j
-            stats["programming_time_s"] += time_s
-        return _TilePlan(engine=engine, tiling=tiling)
+    def _program_once(self, layer: ProgrammedLayer) -> None:
+        """Count a read of ``layer``, programming it onto the tile grid on the first."""
+        if layer.accelerator is not self:
+            raise SimulationError("the layer belongs to another accelerator")
+        with self._stats_lock:
+            stats = self._functional_stats
+            if layer.engine is not None:
+                stats["tile_cache_hits"] += 1
+                return
+            stats["tile_cache_misses"] += 1
+            matrix = layer.matrix
+            k, n = matrix.shape
+            noise = self.noise_model
+            field_noise = noise is not None and not noise.is_field_deterministic
+            engine = SignedCrossbarEngine(
+                k,
+                n,
+                technology=self.config.technology,
+                noise_model=noise,
+                rng=self._noise_rng(matrix) if field_noise else None,
+                tile_shape=(self.config.rows, self.config.columns),
+            )
+            engine.program(matrix)
+            energy_j, time_s = engine.tile_programming_cost()
+            for _ in range(layer.tiling.num_tiles):
+                stats["programming_events"] += 2
+                stats["programming_energy_j"] += energy_j
+                stats["programming_time_s"] += time_s
+            layer.engine = engine
 
     def _tiling(self, shape: Tuple[int, int]) -> GemmTiling:
         """The physical tiles of a (k, n) weight matrix on this chip."""
         k, n = shape
         return GemmTiling(GemmShape("", 1, k, n), self.config.rows, self.config.columns)
 
-    def _programmed_tile_plan(self, weights: np.ndarray) -> _TilePlan:
-        """Fetch (or build and cache) the programmed tile plan for ``weights``."""
-        key = self._weight_key(weights)
-        with self._stats_lock:
-            plan = self._tile_plans.get(key)
-            if plan is not None:
-                self._tile_plans.move_to_end(key)
-                self._functional_stats["tile_cache_hits"] += 1
-                return plan
-            self._functional_stats["tile_cache_misses"] += 1
-            plan = self._build_tile_plan_locked(weights, key)
-            self._tile_plans[key] = plan
-            while len(self._tile_plans) > self._max_cached_weight_plans:
-                self._tile_plans.popitem(last=False)
-                self._functional_stats["tile_cache_evictions"] += 1
-            return plan
-
-    def clear_functional_cache(self) -> None:
-        """Drop every cached programmed tile plan (statistics are kept)."""
-        with self._stats_lock:
-            self._tile_plans.clear()
-
     def functional_statistics(self) -> Dict[str, object]:
         """Aggregate PCM programming, tile-cache and sharding statistics.
 
         ``programming_events`` counts full-array programming passes, two per
-        physical tile of every plan ever built by :meth:`linear` (eviction
-        does not erase history), so repeated inference with the same weights
-        leaves the count unchanged.  ``per_core_tile_dispatches`` and
+        physical tile of every layer ever programmed, so repeated inference
+        through the same :class:`ProgrammedLayer` leaves the count unchanged;
+        ``tile_cache_misses`` counts the reads that programmed a layer and
+        ``tile_cache_hits`` every later read.  ``per_core_tile_dispatches`` and
         ``per_core_busy_time_s`` accumulate, per crossbar core, the number of
         tile GEMMs dispatched and the modelled program+compute busy time —
         consistent with the analytical
@@ -388,8 +386,8 @@ class OpticalCrossbarAccelerator:
         The :func:`~repro.scalesim.schedule.tile_jobs` of the matrix's tiling
         on this chip, the jobs :meth:`linear` accounts per core and
         :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedules.  Only
-        ``weights.shape`` is read: nothing is programmed, and the tile cache
-        and functional statistics are untouched.
+        ``weights.shape`` is read: nothing is programmed, and the functional
+        statistics are untouched.
         """
         if num_vectors < 1:
             raise SimulationError(f"num_vectors must be >= 1, got {num_vectors}")
@@ -399,13 +397,15 @@ class OpticalCrossbarAccelerator:
         """:meth:`DualCoreCrossbar.summarize` of :meth:`programming_jobs`."""
         return DualCoreCrossbar.summarize(self.programming_jobs(weights, num_vectors))
 
-    def linear(self, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    def linear(self, weights: Union[ProgrammedLayer, np.ndarray], inputs: np.ndarray) -> np.ndarray:
         """Compute ``inputs @ weights`` on the functional crossbar, tile by tile.
 
         Parameters
         ----------
         weights:
-            Signed weight matrix of shape (k, n).
+            A :class:`ProgrammedLayer` of this accelerator (its (k, n)
+            :attr:`~ProgrammedLayer.matrix` is read), or a signed weight
+            matrix of shape (k, n), which gets a fresh layer for this call.
         inputs:
             Input matrix of shape (num_vectors, k) or vector of shape (k,).
 
@@ -415,25 +415,30 @@ class OpticalCrossbarAccelerator:
             Result of shape (num_vectors, n) (or (n,) for a single vector),
             computed with INT6 quantisation of weights, inputs and outputs.
 
-        The weight matrix is programmed at most once (see module docstring);
-        the layer engine then reads the whole input batch, one stacked exact
-        code GEMM over all its row tiles without noise.
+        The layer is programmed on its first read only (see module
+        docstring); the layer engine then reads the whole input batch, one
+        stacked exact code GEMM over all its row tiles without noise.
         """
-        weights = np.asarray(weights, dtype=float)
+        if isinstance(weights, ProgrammedLayer):
+            layer = weights
+        else:
+            weights = np.asarray(weights, dtype=float)
+            if weights.ndim != 2:
+                raise SimulationError(f"weights must be 2-D, got shape {weights.shape}")
+            layer = self.layer(weights)
         inputs = np.asarray(inputs, dtype=float)
-        if weights.ndim != 2:
-            raise SimulationError(f"weights must be 2-D, got shape {weights.shape}")
         single_vector = inputs.ndim == 1
         if single_vector:
             inputs = inputs[None, :]
-        if inputs.ndim != 2 or inputs.shape[1] != weights.shape[0]:
+        k, n = layer.tiling.gemm.k, layer.tiling.gemm.n
+        if inputs.ndim != 2 or inputs.shape[1] != k:
             raise SimulationError(
                 f"inputs of shape {inputs.shape} are incompatible with weights of "
-                f"shape {weights.shape}"
+                f"shape {(k, n)}"
             )
 
-        plan = self._programmed_tile_plan(weights)
-        result, report = self.sharding.execute(plan, inputs)
+        self._program_once(layer)
+        result, report = self.sharding.execute(layer, inputs)
         with self._stats_lock:
             self._functional_stats["sharded_dispatches"] += 1
             for core in range(self.config.num_cores):
@@ -444,7 +449,7 @@ class OpticalCrossbarAccelerator:
     def conv2d(
         self,
         feature_map: np.ndarray,
-        weights: np.ndarray,
+        weights: Union[ProgrammedLayer, np.ndarray],
         stride: int = 1,
         padding: int = 0,
     ) -> np.ndarray:
@@ -455,49 +460,49 @@ class OpticalCrossbarAccelerator:
         feature_map:
             Input of shape (H, W, C_in), or a batch of shape (B, H, W, C_in).
         weights:
-            Filters of shape (k, k, C_in, C_out).
+            A :class:`ProgrammedLayer` of filters, or filters of shape
+            (k, k, C_in, C_out), which get a fresh layer for this call.
 
         A batched input unrolls every image's receptive fields into one
         im2col matrix and runs them through :meth:`linear` in a single pass,
-        programming the filter tiles exactly once for the whole batch.
+        programming the filter tiles at most once for the whole batch.
         """
         feature_map = np.asarray(feature_map, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        if weights.ndim != 4:
+        is_layer = isinstance(weights, ProgrammedLayer)
+        filters = weights.weights if is_layer else np.asarray(weights, dtype=float)
+        if filters.ndim != 4:
             raise SimulationError(
                 f"conv2d weights must have shape (k, k, C_in, C_out), "
-                f"got shape {weights.shape}"
+                f"got shape {filters.shape}"
             )
-        if weights.shape[0] != weights.shape[1]:
+        if filters.shape[0] != filters.shape[1]:
             raise SimulationError(
                 f"conv2d supports square kernels only, "
-                f"got {weights.shape[0]}x{weights.shape[1]}"
+                f"got {filters.shape[0]}x{filters.shape[1]}"
             )
         if feature_map.ndim not in (3, 4):
             raise SimulationError(
                 f"conv2d feature_map must have shape (H, W, C_in) or "
                 f"(B, H, W, C_in), got shape {feature_map.shape}"
             )
-        if feature_map.shape[-1] != weights.shape[2]:
+        if feature_map.shape[-1] != filters.shape[2]:
             raise SimulationError(
                 f"conv2d feature_map has {feature_map.shape[-1]} channels but "
-                f"weights expect {weights.shape[2]}"
+                f"weights expect {filters.shape[2]}"
             )
-        kernel = weights.shape[0]
+        layer = weights if is_layer else self.layer(filters)
+        kernel, out_channels = filters.shape[0], filters.shape[3]
         unrolled = im2col_matrix(feature_map, kernel, stride, padding)
-        flat_weights = conv_weights_matrix(weights)
         batched = feature_map.ndim == 4
         height, width = feature_map.shape[1:3] if batched else feature_map.shape[:2]
         out_h = (height + 2 * padding - kernel) // stride + 1
         out_w = (width + 2 * padding - kernel) // stride + 1
         if batched:
             num_images, patches, patch_len = unrolled.shape
-            product = self.linear(
-                flat_weights, unrolled.reshape(num_images * patches, patch_len)
-            )
-            return product.reshape(num_images, out_h, out_w, flat_weights.shape[1])
-        product = self.linear(flat_weights, unrolled)
-        return product.reshape(out_h, out_w, flat_weights.shape[1])
+            product = self.linear(layer, unrolled.reshape(num_images * patches, patch_len))
+            return product.reshape(num_images, out_h, out_w, out_channels)
+        product = self.linear(layer, unrolled)
+        return product.reshape(out_h, out_w, out_channels)
 
     # ------------------------------------------------------------------ report
     def describe(self) -> Dict[str, float]:

@@ -15,10 +15,12 @@ The performance path answers "how fast / how much power"; this module answers
 Execution is *batched end-to-end*: :meth:`FunctionalInferenceEngine.run_batch`
 carries a whole stack of images through every layer at once — convolutions
 unroll the full batch into one im2col GEMM, dense layers run the batch as one
-tiled crossbar GEMM (weights are programmed once per layer thanks to the
-accelerator's tile cache), and pooling/activations are whole-tensor numpy
-operations.  :meth:`run` is the single-image wrapper.  In noiseless mode the
-batched outputs are bitwise-identical to running the images one at a time.
+tiled crossbar GEMM (each layer is a
+:class:`~repro.core.accelerator.ProgrammedLayer` the engine holds, programmed
+on the first batch and only read after that), and pooling/activations are
+whole-tensor numpy operations.  :meth:`run` is the single-image wrapper.  In
+noiseless mode the batched outputs are bitwise-identical to running the
+images one at a time.
 
 A float numpy reference of the same network
 (:meth:`FunctionalInferenceEngine.run_reference`) allows the INT6 optical
@@ -185,12 +187,15 @@ class FunctionalInferenceEngine:
     Parameters
     ----------
     network:
-        The workload description; batched execution plus the accelerator's
-        programmed-tile cache make multi-image functional runs practical well
+        The workload description; batched execution plus layers that are
+        programmed once make multi-image functional runs practical well
         beyond LeNet scale.
     weights:
         Mapping from crossbar-layer name to its weight tensor; see
-        :func:`generate_random_weights` for the expected shapes.
+        :func:`generate_random_weights` for the expected shapes.  The engine
+        keeps a read-only copy of each layer's weights in a
+        :class:`~repro.core.accelerator.ProgrammedLayer` (:attr:`layers`),
+        which both the optical and the reference path read.
     config:
         Chip configuration for the functional crossbar tiles.
     noise_model:
@@ -206,13 +211,14 @@ class FunctionalInferenceEngine:
         seed: int = 0,
     ) -> None:
         self.network = network
-        self.weights = dict(weights)
         self.accelerator = OpticalCrossbarAccelerator(config, noise_model=noise_model, seed=seed)
-        missing = [
-            info.name for info in network.crossbar_layers if info.name not in self.weights
-        ]
+        missing = [info.name for info in network.crossbar_layers if info.name not in weights]
         if missing:
             raise SimulationError(f"missing weights for layers: {missing}")
+        self.layers = {
+            info.name: self.accelerator.layer(weights[info.name])
+            for info in network.crossbar_layers
+        }
 
     # ------------------------------------------------------------------ run
     def run(self, image: np.ndarray) -> np.ndarray:
@@ -238,8 +244,8 @@ class FunctionalInferenceEngine:
             Flattened network outputs, shape (batch, num_outputs).
 
         Every crossbar layer processes the whole batch as one tiled GEMM and
-        programs its weights at most once, so per-image cost drops sharply
-        compared with looping :meth:`run`.
+        is programmed on the engine's first batch only, so per-image cost
+        drops sharply compared with looping :meth:`run`.
         """
         return self._execute(self._as_batch(images), optical=True)
 
@@ -340,20 +346,23 @@ class FunctionalInferenceEngine:
         return current.reshape(batch, -1)
 
     def _conv(self, layer: ConvLayer, tensor: np.ndarray, optical: bool) -> np.ndarray:
-        weights = self.weights[layer.name]
         padding = layer.resolved_padding()
         if optical:
-            return self.accelerator.conv2d(tensor, weights, stride=layer.stride, padding=padding)
+            return self.accelerator.conv2d(
+                tensor, self.layers[layer.name], stride=layer.stride, padding=padding
+            )
         from repro.nn.im2col import conv2d_reference
 
-        return conv2d_reference(tensor, weights, stride=layer.stride, padding=padding)
+        return conv2d_reference(
+            tensor, self.layers[layer.name].weights, stride=layer.stride, padding=padding
+        )
 
     def _dense(self, layer: DenseLayer, tensor: np.ndarray, optical: bool) -> np.ndarray:
-        weights = self.weights[layer.name]
         matrix = tensor.reshape(tensor.shape[0], -1)
         if optical:
-            result = self.accelerator.linear(weights, matrix)
+            result = self.accelerator.linear(self.layers[layer.name], matrix)
         else:
+            weights = self.layers[layer.name].weights
             # One GEMV per sample keeps the float reference bitwise identical
             # to single-image execution; the batch here is images, not patches,
             # so this stays cheap.

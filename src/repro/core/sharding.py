@@ -6,7 +6,7 @@ one core computes while the other is reprogrammed.
 :class:`~repro.crossbar.dual_core.DualCoreCrossbar` models that schedule
 analytically; this module makes the *functional* datapath follow the same
 schedule.  :class:`ShardedExecutionEngine` accounts the physical tiles of a
-programmed tile plan (see :mod:`repro.core.accelerator`) to the chip's
+programmed layer (see :mod:`repro.core.accelerator`) to the chip's
 ``num_cores`` crossbar cores with the same static round-robin assignment the
 analytical scheduler uses — tile ``i`` computes on core ``i % num_cores`` —
 and runs the plan's layer engine over the input.
@@ -104,9 +104,10 @@ class ShardedExecutionEngine:
         Parameters
         ----------
         plan:
-            A programmed tile plan (``repro.core.accelerator._TilePlan``): an
-            object with the layer ``engine`` and its physical-tile ``tiling``
-            (a :class:`~repro.scalesim.tiling.GemmTiling`).
+            A programmed layer
+            (:class:`~repro.core.accelerator.ProgrammedLayer`): an object with
+            the layer ``engine`` and its physical-tile ``tiling`` (a
+            :class:`~repro.scalesim.tiling.GemmTiling`).
         inputs:
             Input matrix of shape (num_vectors, k).
 

@@ -5,9 +5,9 @@ Three parts, wired through the serving pipeline (`repro.serve`):
 * :mod:`repro.obs.tracing` — `Tracer`/`RequestTrace`/`Span`: one trace per
   request with stage spans that tile admit→deliver exactly, propagated
   across the process-replica boundary, exported as Chrome trace-event JSON.
-* :mod:`repro.obs.metrics` — `MetricsRegistry` with Counter/Gauge/Histogram
-  instruments plus scrape-time collectors; renders Prometheus text
-  exposition (``GET /metrics``) and JSON (``GET /v1/stats``).
+* :mod:`repro.obs.metrics` — `MetricsRegistry` of scrape-time collectors;
+  renders Prometheus text exposition (``GET /metrics``) and JSON
+  (``GET /v1/stats``).
 * :mod:`repro.obs.slowlog` — `SlowRequestLog`: JSON-lines exemplars for
   requests over a latency threshold, carrying trace ids.
 
@@ -15,15 +15,7 @@ Three parts, wired through the serving pipeline (`repro.serve`):
 (``python -m repro trace-report``).  See docs/observability.md.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS_S,
-    PROMETHEUS_CONTENT_TYPE,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    escape_label_value,
-)
+from repro.obs.metrics import PROMETHEUS_CONTENT_TYPE, MetricsRegistry, escape_label_value
 from repro.obs.report import format_report, load_chrome_trace, summarize_chrome_trace
 from repro.obs.slowlog import SlowRequestLog
 from repro.obs.tracing import (
@@ -38,12 +30,8 @@ from repro.obs.tracing import (
 )
 
 __all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS_S",
     "DEFAULT_TRACE_CAPACITY",
     "DispatchTraceRecorder",
-    "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "PROMETHEUS_CONTENT_TYPE",
     "ROOT_SPAN_NAME",

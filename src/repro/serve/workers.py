@@ -16,7 +16,7 @@ kinds are supported, spelled the same way everywhere (the ``serve`` /
     ``N`` replicas, each living in its own worker *process*.  The replica
     specification (network, weights, chip config, noise model, seed) is
     serialized to every worker, which rebuilds — and re-programs — its own
-    tile plans at start-up.  Because the per-tile noise seeds are
+    layers at start-up.  Because the per-tile noise seeds are
     content-keyed (see :mod:`repro.core.accelerator`), every replica programs
     bitwise-identical tiles; in deterministic mode the pool's outputs are
     bitwise identical to a single local engine.  This is the executor that
@@ -164,7 +164,7 @@ class EngineReplicaSpec:
 
     The fields are plain dataclasses and numpy arrays, so the spec pickles
     cleanly into worker processes; :meth:`build` reconstructs the engine —
-    including re-programming its PCM tile plans on first use.  Replicas built
+    including re-programming its PCM layers on first use.  Replicas built
     from the same spec share the accelerator seed, and per-tile noise streams
     are content-keyed, so deterministic outputs are identical across replicas.
 
@@ -848,8 +848,8 @@ class EngineWorkerPool:
 
         Registers a scrape-time collector over :meth:`statistics`, so the
         replica count, the accelerator's merged functional counters (the
-        paper's cost drivers: PCM programming events/energy/time, tile-cache
-        traffic, per-core dispatch balance) and the supervision counters all
+        paper's cost drivers: PCM programming events/energy/time, programmed-layer
+        reads, per-core dispatch balance) and the supervision counters all
         land on ``/metrics`` without double bookkeeping.
         """
         base = dict(labels or {})

@@ -118,12 +118,13 @@ class TestProgrammedTileCache:
         rng = np.random.default_rng(0)
         weights = rng.normal(size=(20, 11))  # 3 x 2 tile grid on the 8x8 chip
         inputs = rng.uniform(0, 1, (4, 20))
-        first = accelerator.linear(weights, inputs)
+        layer = accelerator.layer(weights)
+        first = accelerator.linear(layer, inputs)
         events_after_first = accelerator.functional_statistics()["programming_events"]
         # 6 tiles x 2 arrays (positive/negative) per signed engine.
         assert events_after_first == 12
         for _ in range(5):
-            again = accelerator.linear(weights, inputs)
+            again = accelerator.linear(layer, inputs)
             assert np.array_equal(again, first)
         stats = accelerator.functional_statistics()
         assert stats["programming_events"] == events_after_first
@@ -138,11 +139,12 @@ class TestProgrammedTileCache:
         x_b = rng.uniform(0, 1, (3, 9))
         baseline_a = OpticalCrossbarAccelerator(small_test_chip()).linear(weights_a, x_a)
         baseline_b = OpticalCrossbarAccelerator(small_test_chip()).linear(weights_b, x_b)
+        layer_a, layer_b = accelerator.layer(weights_a), accelerator.layer(weights_b)
         for _ in range(3):
-            assert np.array_equal(accelerator.linear(weights_a, x_a), baseline_a)
-            assert np.array_equal(accelerator.linear(weights_b, x_b), baseline_b)
+            assert np.array_equal(accelerator.linear(layer_a, x_a), baseline_a)
+            assert np.array_equal(accelerator.linear(layer_b, x_b), baseline_b)
         stats = accelerator.functional_statistics()
-        assert stats["tile_cache_misses"] == 2  # one plan per distinct weight matrix
+        assert stats["tile_cache_misses"] == 2  # one programming per layer
         assert stats["tile_cache_hits"] == 4
 
     def test_mutated_weights_are_reprogrammed(self, accelerator):
@@ -151,122 +153,29 @@ class TestProgrammedTileCache:
         inputs = rng.uniform(0, 1, (2, 8))
         first = accelerator.linear(weights, inputs)
         events = accelerator.functional_statistics()["programming_events"]
-        weights[0, 0] += 1.0  # in-place mutation must invalidate the cache key
+        weights[0, 0] += 1.0  # an array is programmed afresh on every call
         second = accelerator.linear(weights, inputs)
-        assert accelerator.functional_statistics()["programming_events"] > events
+        stats = accelerator.functional_statistics()
+        assert stats["programming_events"] == 2 * events
+        assert stats["tile_cache_misses"] == 2
+        assert stats["tile_cache_hits"] == 0
         fresh = OpticalCrossbarAccelerator(small_test_chip()).linear(weights, inputs)
-        assert np.array_equal(second, fresh)
+        assert second.tobytes() == fresh.tobytes()
         assert first.shape == second.shape
 
-    def test_equal_matrix_in_a_new_array_is_a_cache_hit(self, accelerator):
+    def test_matrix_layout_does_not_change_the_output(self, accelerator):
         rng = np.random.default_rng(5)
         weights = rng.normal(size=(20, 11))
         inputs = rng.uniform(0, 1, (2, 20))
         first = accelerator.linear(weights, inputs)
-        events = accelerator.functional_statistics()["programming_events"]
         again = accelerator.linear(np.array(weights, order="F"), inputs)
-        stats = accelerator.functional_statistics()
-        assert stats["programming_events"] == events
-        assert stats["tile_cache_hits"] == 1
-        assert stats["tile_cache_misses"] == 1
+        strided = accelerator.linear(np.repeat(weights, 2, axis=0)[::2], inputs)
         assert again.tobytes() == first.tobytes()
-
-    def test_matrix_differing_in_one_middle_element_is_a_miss(self, accelerator):
-        rng = np.random.default_rng(6)
-        weights = rng.normal(size=(16, 16))
-        inputs = rng.uniform(0, 1, (2, 16))
-        accelerator.linear(weights, inputs)
-        events = accelerator.functional_statistics()["programming_events"]
-        changed = weights.copy()
-        changed[8, 8] += 1.0  # byte 1088 of 2048: leading and trailing bytes match
-        key, changed_key = accelerator._weight_key(weights), accelerator._weight_key(changed)
-        assert hash(key) == hash(changed_key)
-        assert key != changed_key
-        second = accelerator.linear(changed, inputs)
-        stats = accelerator.functional_statistics()
-        assert stats["tile_cache_misses"] == 2
-        assert stats["programming_events"] > events
-        fresh = OpticalCrossbarAccelerator(small_test_chip()).linear(changed, inputs)
-        assert second.tobytes() == fresh.tobytes()
-
-    def test_lru_eviction_keeps_statistics(self):
-        accelerator = OpticalCrossbarAccelerator(
-            small_test_chip(), max_cached_weight_plans=2
-        )
-        rng = np.random.default_rng(3)
-        matrices = [rng.normal(size=(8, 8)) for _ in range(3)]
-        inputs = rng.uniform(0, 1, (1, 8))
-        for matrix in matrices:
-            accelerator.linear(matrix, inputs)
-        stats = accelerator.functional_statistics()
-        assert stats["tile_cache_evictions"] == 1
-        assert stats["programming_events"] == 6  # 3 plans x 1 tile x 2 arrays
-        # The evicted (oldest) plan reprograms on reuse; the cached ones do not.
-        accelerator.linear(matrices[0], inputs)
-        assert accelerator.functional_statistics()["programming_events"] == 8
-
-    def test_clear_functional_cache(self, accelerator):
-        rng = np.random.default_rng(4)
-        weights = rng.normal(size=(8, 8))
-        inputs = rng.uniform(0, 1, (1, 8))
-        accelerator.linear(weights, inputs)
-        accelerator.clear_functional_cache()
-        accelerator.linear(weights, inputs)
-        stats = accelerator.functional_statistics()
-        assert stats["programming_events"] == 4  # reprogrammed after the clear
-        assert stats["tile_cache_misses"] == 2
-
-    def test_clear_functional_cache_keeps_hit_and_eviction_counters(self, accelerator):
-        rng = np.random.default_rng(5)
-        weights = rng.normal(size=(8, 8))
-        inputs = rng.uniform(0, 1, (1, 8))
-        accelerator.linear(weights, inputs)
-        accelerator.linear(weights, inputs)  # one warm hit before the clear
-        accelerator.clear_functional_cache()
-        accelerator.linear(weights, inputs)  # re-programs (miss, not an eviction)
-        accelerator.linear(weights, inputs)  # warm again
-        stats = accelerator.functional_statistics()
-        assert stats["tile_cache_hits"] == 2
-        assert stats["tile_cache_misses"] == 2
-        assert stats["tile_cache_evictions"] == 0
-        assert stats["programming_events"] == 4
-
-    def test_cache_holds_exactly_max_plans_without_eviction(self):
-        accelerator = OpticalCrossbarAccelerator(
-            small_test_chip(), max_cached_weight_plans=2
-        )
-        rng = np.random.default_rng(6)
-        first, second = (rng.normal(size=(8, 8)) for _ in range(2))
-        inputs = rng.uniform(0, 1, (1, 8))
-        # Exactly max_cached_weight_plans distinct matrices: no eviction, and
-        # every re-use is a hit.
-        for matrix in (first, second, first, second):
-            accelerator.linear(matrix, inputs)
-        stats = accelerator.functional_statistics()
-        assert stats["tile_cache_evictions"] == 0
-        assert stats["tile_cache_hits"] == 2
-        assert stats["programming_events"] == 4
-
-    def test_eviction_drops_the_least_recently_used_plan(self):
-        accelerator = OpticalCrossbarAccelerator(
-            small_test_chip(), max_cached_weight_plans=2
-        )
-        rng = np.random.default_rng(7)
-        a, b, c = (rng.normal(size=(8, 8)) for _ in range(3))
-        inputs = rng.uniform(0, 1, (1, 8))
-        accelerator.linear(a, inputs)
-        accelerator.linear(b, inputs)
-        accelerator.linear(a, inputs)  # touch a: b becomes the LRU entry
-        accelerator.linear(c, inputs)  # evicts b
-        events = accelerator.functional_statistics()["programming_events"]
-        accelerator.linear(a, inputs)  # still cached
-        assert accelerator.functional_statistics()["programming_events"] == events
-        accelerator.linear(b, inputs)  # evicted: must re-program
-        assert accelerator.functional_statistics()["programming_events"] == events + 2
+        assert strided.tobytes() == first.tobytes()
 
     def test_same_bytes_different_shape_weights_are_distinct_plans(self, accelerator):
-        # (2, 8) and (8, 2) views of the same buffer have identical bytes; the
-        # cache key must still tell them apart (shape is part of the key).
+        # (2, 8) and (8, 2) views of the same buffer have identical bytes;
+        # each array is its own layer, programmed with its own shape.
         base = np.arange(16, dtype=float) / 16.0
         wide, tall = base.reshape(2, 8), base.reshape(8, 2)
         x_wide = np.linspace(0, 1, 2)[None, :]
@@ -281,3 +190,56 @@ class TestProgrammedTileCache:
         fresh_tall = OpticalCrossbarAccelerator(small_test_chip()).linear(tall, x_tall)
         assert np.array_equal(result_wide, fresh_wide)
         assert np.array_equal(result_tall, fresh_tall)
+
+
+class TestProgrammedLayer:
+    @pytest.fixture()
+    def accelerator(self):
+        return OpticalCrossbarAccelerator(small_test_chip())
+
+    def test_layer_keeps_a_read_only_copy_and_programs_on_first_read(self, accelerator):
+        rng = np.random.default_rng(8)
+        weights = rng.normal(size=(20, 11))
+        inputs = rng.uniform(0, 1, (3, 20))
+        expected = OpticalCrossbarAccelerator(small_test_chip()).linear(weights, inputs)
+        layer = accelerator.layer(weights)
+        assert layer.engine is None
+        assert accelerator.functional_statistics()["programming_events"] == 0
+        weights[:] = 0.0  # the caller's array, not the layer's copy
+        assert not layer.weights.flags.writeable
+        with pytest.raises(ValueError):
+            layer.weights[0, 0] = 1.0
+        assert accelerator.linear(layer, inputs).tobytes() == expected.tobytes()
+        assert layer.tiling.num_tiles == 6
+
+    def test_conv2d_reads_one_layer_of_filters(self, accelerator):
+        rng = np.random.default_rng(9)
+        fmaps = rng.uniform(0, 1, (2, 6, 6, 2))
+        filters = rng.normal(size=(3, 3, 2, 4))
+        expected = OpticalCrossbarAccelerator(small_test_chip()).conv2d(
+            fmaps, filters, stride=1, padding=1
+        )
+        layer = accelerator.layer(filters)
+        assert layer.matrix.shape == (18, 4)
+        for _ in range(3):
+            again = accelerator.conv2d(fmaps, layer, stride=1, padding=1)
+            assert again.tobytes() == expected.tobytes()
+        stats = accelerator.functional_statistics()
+        assert stats["tile_cache_misses"] == 1
+        assert stats["tile_cache_hits"] == 2
+
+    def test_layer_shape_errors(self, accelerator):
+        with pytest.raises(SimulationError, match="k, n"):
+            accelerator.layer(np.zeros(4))
+        with pytest.raises(SimulationError, match="k, n"):
+            accelerator.layer(np.zeros((3, 2, 2, 4)))
+        with pytest.raises(SimulationError, match="k, k, C_in, C_out"):
+            accelerator.conv2d(np.zeros((6, 6, 2)), accelerator.layer(np.zeros((18, 4))))
+        with pytest.raises(SimulationError, match="incompatible"):
+            accelerator.linear(accelerator.layer(np.zeros((4, 4))), np.zeros(5))
+
+    def test_a_layer_is_read_only_by_its_own_accelerator(self, accelerator):
+        layer = OpticalCrossbarAccelerator(small_test_chip()).layer(np.ones((8, 8)))
+        with pytest.raises(SimulationError, match="another accelerator"):
+            accelerator.linear(layer, np.ones((1, 8)))
+        assert accelerator.functional_statistics()["tile_cache_misses"] == 0

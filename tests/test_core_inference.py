@@ -220,3 +220,61 @@ class TestValidation:
         weights = generate_random_weights(network)
         assert weights["conv1"].shape == (3, 3, 2, 4)
         assert weights["fc"].shape == (4 * 4 * 4, 5)
+
+
+class TestProgrammedLayers:
+    def test_engine_holds_one_read_only_layer_per_crossbar_layer(self):
+        network = tiny_cnn()
+        weights = generate_random_weights(network, seed=2)
+        engine = FunctionalInferenceEngine(network, weights, small_test_chip(rows=32, columns=32))
+        assert set(engine.layers) == {"conv1", "fc"}
+        for name, layer in engine.layers.items():
+            assert not layer.weights.flags.writeable
+            assert np.array_equal(layer.weights, weights[name])
+            assert layer.engine is None  # programmed by the first batch
+        weights["fc"][:] = 0.0  # the caller's array, not the engine's copy
+        assert engine.layers["fc"].weights.any()
+
+    def test_first_batch_misses_once_per_layer_and_later_batches_hit(self):
+        network = build_lenet5()
+        engine = FunctionalInferenceEngine(
+            network,
+            generate_random_weights(network, seed=1, scale=0.3),
+            small_test_chip(rows=32, columns=32),
+        )
+        images = np.random.default_rng(2).uniform(0, 1, (2,) + network.input_shape.as_tuple())
+        layers = len(engine.layers)
+        assert layers == 5
+        first = engine.run_batch(images)
+        stats = engine.accelerator.functional_statistics()
+        assert (stats["tile_cache_misses"], stats["tile_cache_hits"]) == (layers, 0)
+        events = stats["programming_events"]
+        programmed = {name: layer.engine for name, layer in engine.layers.items()}
+        for batch in range(1, 4):
+            assert engine.run_batch(images).tobytes() == first.tobytes()
+            stats = engine.accelerator.functional_statistics()
+            assert stats["tile_cache_misses"] == layers
+            assert stats["tile_cache_hits"] == batch * layers
+            assert stats["programming_events"] == events
+        assert {name: layer.engine for name, layer in engine.layers.items()} == programmed
+
+    def test_warm_run_batch_copies_no_weight_matrix(self):
+        import tracemalloc
+
+        network = build_mlp()
+        engine = FunctionalInferenceEngine(
+            network,
+            generate_random_weights(network, seed=3, scale=0.05),
+            small_test_chip(rows=64, columns=64, num_cores=2),
+        )
+        largest = max(layer.weights.nbytes for layer in engine.layers.values())
+        assert largest >= 32 * 2**20
+        images = np.random.default_rng(4).uniform(0, 1, (5,) + network.input_shape.as_tuple())
+        engine.run_batch(images)  # programs every layer
+        tracemalloc.start()
+        try:
+            engine.run_batch(images)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < largest / 2

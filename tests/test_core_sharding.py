@@ -261,23 +261,23 @@ class TestScheduleCrossCheck:
         assert summary["speedup"] > 1.0
 
     def test_analytics_queries_leave_the_datapath_untouched(self):
-        accelerator = OpticalCrossbarAccelerator(
-            dual_core_chip(), max_cached_weight_plans=1
-        )
+        accelerator = OpticalCrossbarAccelerator(dual_core_chip())
         rng = np.random.default_rng(8)
-        inference_weights = rng.normal(size=(8, 8))
+        layer = accelerator.layer(rng.normal(size=(8, 8)))
         inputs = rng.uniform(0, 1, (2, 8))
-        accelerator.linear(inference_weights, inputs)
+        accelerator.linear(layer, inputs)
         before = accelerator.functional_statistics()
-        # Analytics on *uncached* weights must not count cache traffic,
-        # accumulate programming stats, or evict the hot inference plan.
+        # Analytics on other weights must not count layer reads, accumulate
+        # programming stats, or touch the programmed inference layer.
         accelerator.analytical_schedule(rng.normal(size=(16, 16)), num_vectors=3)
         accelerator.programming_jobs(rng.normal(size=(24, 8)), num_vectors=3)
         assert accelerator.functional_statistics() == before
-        accelerator.linear(inference_weights, inputs)  # still cached: no re-program
+        engine = layer.engine
+        accelerator.linear(layer, inputs)  # still programmed: no re-program
         stats = accelerator.functional_statistics()
+        assert layer.engine is engine
         assert stats["programming_events"] == before["programming_events"]
-        assert stats["tile_cache_evictions"] == 0
+        assert stats["tile_cache_hits"] == before["tile_cache_hits"] + 1
 
     def test_analytics_program_nothing(self, monkeypatch):
         # Schedules are built from shapes alone: no layer engine is constructed.

@@ -117,7 +117,10 @@ def content_seeds(seed, weights, count):
 
 
 def _plan(accelerator, weights):
-    return accelerator._programmed_tile_plan(np.asarray(weights, dtype=float))
+    """A layer of ``weights``, programmed by one read of a zero vector."""
+    layer = accelerator.layer(weights)
+    accelerator.linear(layer, np.zeros(layer.tiling.gemm.k))
+    return layer
 
 
 @st.composite
@@ -184,9 +187,10 @@ class TestLayerProgrammingOracle:
         config, weights, inputs = case
         accelerator = OpticalCrossbarAccelerator(config)
         expected = per_tile_linear(config, weights, inputs)
-        assert accelerator.linear(weights, inputs).tobytes() == expected.tobytes()
-        # The cached plan reads the same.
-        assert accelerator.linear(weights, inputs).tobytes() == expected.tobytes()
+        layer = accelerator.layer(weights)
+        assert accelerator.linear(layer, inputs).tobytes() == expected.tobytes()
+        # The programmed layer reads the same.
+        assert accelerator.linear(layer, inputs).tobytes() == expected.tobytes()
 
 
 class TestNoisyLayerProgramming:
@@ -350,11 +354,13 @@ class TestCountedAccounting:
         accelerator = OpticalCrossbarAccelerator(config)
         events, energy, time_s = 0, 0.0, 0.0
         dispatches, busy = [0] * cores, [0.0] * cores
+        matrices = _lenet_matrices()
+        layers = [accelerator.layer(matrix) for matrix in matrices]
         for batch in (3, 1):
-            for matrix in _lenet_matrices():
-                accelerator.linear(matrix, np.ones((batch, matrix.shape[0])))
+            for matrix, layer in zip(matrices, layers):
+                accelerator.linear(layer, np.ones((batch, matrix.shape[0])))
                 tiles = len(_spans(*matrix.shape, rows, columns))
-                if batch == 3:  # The second pass hits the plan cache.
+                if batch == 3:  # The second pass reads the programmed layers.
                     for _ in range(tiles):
                         events += 2
                         energy += tile_energy

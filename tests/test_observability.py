@@ -96,14 +96,24 @@ def _wait_for_traces(tracer, count, timeout_s=10.0):
 # ---------------------------------------------------------------------------
 
 
+def _family(name, metric_type, help_text, samples):
+    return {"name": name, "type": metric_type, "help": help_text, "samples": samples}
+
+
 class TestMetricsRegistry:
     def test_prometheus_golden_text(self):
         registry = MetricsRegistry()
-        requests = registry.counter("test_requests_total", "Requests.", ("outcome",))
-        requests.labels(outcome="ok").inc(3)
-        requests.labels(outcome="error").inc()
-        depth = registry.gauge("test_queue_depth", "Queue depth.")
-        depth.set(7)
+        registry.register_collector(
+            lambda: [
+                _family(
+                    "test_requests_total",
+                    "counter",
+                    "Requests.",
+                    [({"outcome": "ok"}, 3), ({"outcome": "error"}, 1)],
+                ),
+                _family("test_queue_depth", "gauge", "Queue depth.", [({}, 7)]),
+            ]
+        )
         text = registry.render_prometheus()
         assert text == (
             "# HELP test_queue_depth Queue depth.\n"
@@ -117,8 +127,10 @@ class TestMetricsRegistry:
 
     def test_label_escaping(self):
         registry = MetricsRegistry()
-        family = registry.counter("test_escapes_total", "Escapes.", ("path",))
-        family.labels(path='a\\b"c\nd').inc()
+        samples = [({"path": 'a\\b"c\nd'}, 1)]
+        registry.register_collector(
+            lambda: [_family("test_escapes_total", "counter", "Escapes.", samples)]
+        )
         line = registry.render_prometheus().splitlines()[-1]
         assert line == 'test_escapes_total{path="a\\\\b\\"c\\nd"} 1'
         assert escape_label_value('x"y') == 'x\\"y'
@@ -130,46 +142,11 @@ class TestMetricsRegistry:
         assert format_value(float("nan")) == "NaN"
         assert format_value(0.25) == "0.25"
 
-    def test_histogram_buckets_cumulative_and_monotonic(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram(
-            "test_latency_seconds", "Latency.", buckets=(0.01, 0.1, 1.0)
-        )
-        for value in (0.005, 0.05, 0.05, 0.5, 5.0):
-            hist.observe(value)
-        family = registry.collect()[0]
-        buckets = [
-            (labels["le"], value)
-            for suffix, labels, value in family["samples"]
-            if suffix == "_bucket"
-        ]
-        assert buckets == [("0.01", 1.0), ("0.1", 3.0), ("1", 4.0), ("+Inf", 5.0)]
-        counts = [value for _, value in buckets]
-        assert counts == sorted(counts)  # cumulative ⇒ monotone non-decreasing
-        by_suffix = {s: v for s, _, v in family["samples"] if s in ("_sum", "_count")}
-        assert by_suffix["_count"] == 5.0
-        assert math.isclose(by_suffix["_sum"], 5.605)
-
-    def test_histogram_rejects_unsorted_buckets(self):
-        registry = MetricsRegistry()
-        with pytest.raises(SimulationError):
-            registry.histogram("test_bad", "Bad.", buckets=(0.1, 0.1))
-
-    def test_idempotent_creation_and_type_clash(self):
-        registry = MetricsRegistry()
-        first = registry.counter("test_total", "Doc.", ("a",))
-        assert registry.counter("test_total", "Doc.", ("a",)) is first
-        with pytest.raises(SimulationError):
-            registry.gauge("test_total", "Doc.", ("a",))
-        with pytest.raises(SimulationError):
-            registry.counter("test_total", "Doc.", ("b",))
-
     def test_invalid_names_rejected(self):
         registry = MetricsRegistry()
+        registry.register_collector(lambda: [_family("0bad", "counter", "Doc.", [])])
         with pytest.raises(SimulationError):
-            registry.counter("0bad", "Doc.")
-        with pytest.raises(SimulationError):
-            registry.counter("test_ok_total", "Doc.", ("le",))
+            registry.collect()
 
     def test_collector_families_merge_by_name(self):
         registry = MetricsRegistry()
@@ -198,14 +175,16 @@ class TestMetricsRegistry:
         registry.register_collector(collector_b)
         (family,) = registry.collect()
         assert family["help"] == "Merged."
-        assert sorted(labels["src"] for _, labels, _ in family["samples"]) == ["a", "b"]
+        assert sorted(labels["src"] for labels, _ in family["samples"]) == ["a", "b"]
         text = registry.render_prometheus()
         assert text.count("# HELP test_merged_total") == 1
         assert text.count("# TYPE test_merged_total") == 1
 
     def test_render_json_shape(self):
         registry = MetricsRegistry()
-        registry.counter("test_one_total", "One.").inc()
+        registry.register_collector(
+            lambda: [_family("test_one_total", "counter", "One.", [({}, 1)])]
+        )
         payload = registry.render_json()
         assert payload["test_one_total"]["type"] == "counter"
         (sample,) = payload["test_one_total"]["samples"]

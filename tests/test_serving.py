@@ -12,6 +12,7 @@ statistics, SLO telemetry, arrival processes and the serve/loadgen CLI.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 
@@ -483,31 +484,45 @@ class TestSatelliteGuards:
                 engine.run_batch(empty)
 
     def test_functional_statistics_thread_safe_under_concurrent_linear(self):
-        """Concurrent GEMMs must not lose counter increments."""
-        accelerator = OpticalCrossbarAccelerator(
-            small_test_chip(rows=16, columns=16, num_cores=2)
-        )
+        """Threads released together onto one fresh layer program it once and
+        lose no counter increments."""
+        chip = small_test_chip(rows=16, columns=16, num_cores=2)
+        accelerator = OpticalCrossbarAccelerator(chip)
         rng = np.random.default_rng(0)
         weights = rng.normal(size=(40, 24))  # 3 x 2 = 6 tiles
         inputs = rng.uniform(size=(4, 40))
+        expected = OpticalCrossbarAccelerator(chip).linear(weights, inputs)
+        layer = accelerator.layer(weights)
         calls_per_thread, num_threads = 25, 4
+        barrier = threading.Barrier(num_threads)
+        outputs = []
 
         def worker():
+            barrier.wait(timeout=30)
             for _ in range(calls_per_thread):
-                accelerator.linear(weights, inputs)
+                outputs.append(accelerator.linear(layer, inputs))
 
         threads = [threading.Thread(target=worker) for _ in range(num_threads)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
 
         total_calls = calls_per_thread * num_threads
         stats = accelerator.functional_statistics()
+        assert stats["programming_events"] == 12  # 6 tiles x 2 arrays, once
         assert stats["sharded_dispatches"] == total_calls
         assert stats["tile_cache_misses"] == 1
         assert stats["tile_cache_hits"] == total_calls - 1
         assert sum(stats["per_core_tile_dispatches"]) == total_calls * 6
+        assert len(outputs) == total_calls
+        assert all(output.tobytes() == expected.tobytes() for output in outputs)
 
 
 # ---------------------------------------------------------------------------
