@@ -2,11 +2,11 @@
 
 These guard the `repro.core.sharding` subsystem on LeNet-scale plans: the
 round-robin split must keep the chip's crossbar cores evenly loaded, and the
-analytical dual-core schedule
-(:class:`~repro.crossbar.dual_core.DualCoreCrossbar`) must show its
-speed-up.  The crossbar cores are photonic cores of the modelled chip, so
-their concurrency is asserted on the modelled timeline, not on host threads.
-The LeNet balance and speed-up checks run as a deterministic tier-1 test in
+chip clock (:func:`~repro.scalesim.latency.layer_makespan_s`, read through
+``analytical_schedule``) must show the dual core's speed-up.  The crossbar
+cores are photonic cores of the modelled chip, so their concurrency is
+asserted on the modelled timeline, not on host threads.  The LeNet balance
+and speed-up checks run as a deterministic tier-1 test in
 ``tests/test_core_sharding.py``.
 """
 

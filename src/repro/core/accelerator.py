@@ -54,15 +54,12 @@ Per-core accounting and the chip clock
 A plan keeps its :class:`~repro.scalesim.tiling.GemmTiling`, the same tiling
 the dataflow simulator computes for the layer.  Each dispatch is accounted by
 a :class:`~repro.core.sharding.ShardedExecutionEngine` with the
-:func:`~repro.scalesim.schedule.tile_job_times` of every
-:func:`~repro.scalesim.schedule.tile_jobs` job: physical tile ``i`` goes to
-crossbar core ``i % num_cores`` (the same static round-robin the analytical
-:class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule uses), and
-per-core tile counts and busy times are accumulated into
-:meth:`functional_statistics`.  :meth:`programming_jobs` and
-:meth:`analytical_schedule` build the same jobs from the weight matrix's
-shape alone, so they program nothing; they are the jobs
-:func:`~repro.scalesim.schedule.network_tile_jobs` lists for the layer.
+:func:`~repro.scalesim.schedule.tile_job_times` of the dispatch: physical
+tile ``i`` goes to crossbar core ``i % num_cores`` (the round-robin the chip
+clock assumes), and per-core tile counts and busy times are accumulated into
+:meth:`functional_statistics`.  :meth:`analytical_schedule` puts the same
+tiles on the chip clock (:func:`~repro.scalesim.latency.layer_makespan_s`)
+from the weight matrix's shape alone, so it programs nothing.
 Under field noise the layer engine is
 given one generator keyed by the accelerator seed and the weight content,
 which it splits into one child per tile (a noiseless plan gets none), so
@@ -80,7 +77,6 @@ from repro.concurrency import make_rlock, thread_shared
 from repro.config.chip import ChipConfig
 from repro.config.presets import optimal_chip
 from repro.core.sharding import ShardedExecutionEngine
-from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.crossbar.signed import SignedCrossbarEngine
 from repro.errors import SimulationError
@@ -88,7 +84,8 @@ from repro.nn.im2col import GemmShape, im2col_matrix
 from repro.nn.network import Network
 from repro.perf.metrics import PerformanceMetrics, evaluate_runtime
 from repro.scalesim.runtime import NetworkRuntime
-from repro.scalesim.schedule import tile_jobs
+from repro.scalesim.latency import layer_makespan_s
+from repro.scalesim.schedule import tile_job_times
 from repro.scalesim.simulator import CrossbarDataflowSimulator
 from repro.scalesim.tiling import GemmTiling
 
@@ -356,10 +353,9 @@ class OpticalCrossbarAccelerator:
         ``tile_cache_misses`` counts the reads that programmed a layer and
         ``tile_cache_hits`` every later read.  ``per_core_tile_dispatches`` and
         ``per_core_busy_time_s`` accumulate, per crossbar core, the number of
-        tile GEMMs dispatched and the modelled program+compute busy time —
-        consistent with the analytical
-        :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedule (see
-        :meth:`analytical_schedule`).
+        tile GEMMs dispatched and the modelled program+compute busy time of
+        the :func:`~repro.scalesim.schedule.tile_job_times` that
+        :meth:`analytical_schedule` puts on the chip clock.
         """
         with self._stats_lock:
             stats: Dict[str, object] = dict(self._functional_stats)
@@ -380,22 +376,33 @@ class OpticalCrossbarAccelerator:
             lambda: accelerator_metric_families(self.functional_statistics(), label_set)
         )
 
-    def programming_jobs(self, weights: np.ndarray, num_vectors: int) -> List[ProgrammingJob]:
-        """Analytical per-tile job sequence for ``weights`` streaming ``num_vectors``.
+    def analytical_schedule(self, weights: np.ndarray, num_vectors: int) -> Dict[str, float]:
+        """Chip-clock makespans of ``weights``' tiles streaming ``num_vectors``, on 1 and 2 cores.
 
-        The :func:`~repro.scalesim.schedule.tile_jobs` of the matrix's tiling
-        on this chip, the jobs :meth:`linear` accounts per core and
-        :class:`~repro.crossbar.dual_core.DualCoreCrossbar` schedules.  Only
-        ``weights.shape`` is read: nothing is programmed, and the functional
-        statistics are untouched.
+        Every physical tile of the matrix's tiling on this chip has the
+        :func:`~repro.scalesim.schedule.tile_job_times` of ``num_vectors``;
+        :func:`~repro.scalesim.latency.layer_makespan_s` gives the makespan on
+        one and on two cores.  A utilisation is the tiles' total compute time
+        over that makespan, and ``speedup`` is the single-core makespan over
+        the dual-core one.  Only ``weights.shape`` is read: nothing is
+        programmed, and the functional statistics are untouched.
         """
         if num_vectors < 1:
             raise SimulationError(f"num_vectors must be >= 1, got {num_vectors}")
-        return tile_jobs(self._tiling(np.shape(weights)), self.config, num_vectors)
-
-    def analytical_schedule(self, weights: np.ndarray, num_vectors: int) -> Dict[str, float]:
-        """:meth:`DualCoreCrossbar.summarize` of :meth:`programming_jobs`."""
-        return DualCoreCrossbar.summarize(self.programming_jobs(weights, num_vectors))
+        num_tiles = self._tiling(np.shape(weights)).num_tiles
+        programming_time_s, compute_time_s = tile_job_times(self.config, num_vectors)
+        single, dual = (
+            layer_makespan_s(num_tiles, programming_time_s, compute_time_s, cores)
+            for cores in (1, 2)
+        )
+        compute_s = num_tiles * compute_time_s
+        return {
+            "single_core_makespan_s": single,
+            "dual_core_makespan_s": dual,
+            "single_core_utilisation": compute_s / single,
+            "dual_core_utilisation": compute_s / dual,
+            "speedup": single / dual,
+        }
 
     def linear(self, weights: Union[ProgrammedLayer, np.ndarray], inputs: np.ndarray) -> np.ndarray:
         """Compute ``inputs @ weights`` on the functional crossbar, tile by tile.

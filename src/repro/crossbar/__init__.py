@@ -9,9 +9,11 @@ including
 * INT6 quantisation of weights (PCM levels) and inputs (ODAC codes),
 * coherent detection at the column outputs,
 * optional noise and phase-error injection plus thermal-phase-shifter
-  calibration,
-* a signed-arithmetic wrapper (differential weight/input mapping), and
-* a dual-core wrapper that demonstrates programming-latency hiding.
+  calibration, and
+* a signed-arithmetic wrapper (differential weight/input mapping).
+
+How the dual-core chip hides programming time behind compute is modelled by
+the chip clock, :func:`repro.scalesim.latency.layer_makespan_s`.
 
 The analytical array model is validated against a device-by-device
 composition of couplers, PCM cells and phase shifters in
@@ -24,7 +26,6 @@ from repro.crossbar.array import (
     design_output_coupling,
 )
 from repro.crossbar.calibration import PhaseCalibrator
-from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.crossbar.signed import SignedCrossbarEngine
 from repro.crossbar.unit_cell import UnitCell
@@ -32,9 +33,7 @@ from repro.crossbar.unit_cell import UnitCell
 __all__ = [
     "CrossbarArray",
     "CrossbarNoiseModel",
-    "DualCoreCrossbar",
     "PhaseCalibrator",
-    "ProgrammingJob",
     "SignedCrossbarEngine",
     "UnitCell",
     "design_input_coupling",

@@ -8,21 +8,17 @@ chip configuration it produces the *runtime specification* —
 * PCM programming passes and cycles,
 * SRAM traffic (input / filter / output / accumulator blocks),
 * DRAM traffic as a function of the SRAM capacities and batch size,
-* per-layer and per-network latency for the single- and dual-core schemes.
+* per-layer and per-network latency for the single- and dual-core schemes,
+  from one chip clock (:func:`~repro.scalesim.latency.layer_makespan_s`).
 
 The weight-stationary crossbar dataflow is modelled analytically per tile,
 which yields exactly the same cycle/traffic counts a per-cycle simulation of
 this dataflow would produce, at a fraction of the runtime.
 """
 
-from repro.scalesim.latency import LayerLatency, compute_layer_latency
+from repro.scalesim.latency import LayerLatency, compute_layer_latency, layer_makespan_s
 from repro.scalesim.runtime import LayerRuntime, NetworkRuntime
-from repro.scalesim.schedule import (
-    network_tile_jobs,
-    schedule_summary,
-    scheduled_batch_latency_s,
-    tile_jobs,
-)
+from repro.scalesim.schedule import tile_job_times
 from repro.scalesim.simulator import CrossbarDataflowSimulator
 from repro.scalesim.tiling import GemmTiling
 from repro.scalesim.traffic import LayerTraffic, compute_layer_traffic
@@ -36,8 +32,6 @@ __all__ = [
     "NetworkRuntime",
     "compute_layer_latency",
     "compute_layer_traffic",
-    "network_tile_jobs",
-    "schedule_summary",
-    "scheduled_batch_latency_s",
-    "tile_jobs",
+    "layer_makespan_s",
+    "tile_job_times",
 ]

@@ -17,9 +17,9 @@ is decided by a :class:`FlushPolicy`:
     budget (``slo_s``); the policy flushes when waiting any longer would blow
     the oldest request's budget, and auto-tunes its flush-on-full target to
     the largest batch whose predicted service time still fits inside the
-    budget.  The service-time model starts from the dual-core tile schedule
-    of the served workload (see :class:`AnalyticalCostModel`) and calibrates
-    its wall-clock scale online from observed batch service times.
+    budget.  The service-time model starts from the chip clock's batch
+    latency of the served workload (see :class:`AnalyticalCostModel`) and
+    calibrates its wall-clock scale online from observed batch service times.
 
 Backpressure: the queue holds at most ``capacity`` requests.  A blocking
 submit waits for space (bounding the producer's rate to the server's); a
@@ -39,9 +39,7 @@ import numpy as np
 
 from repro.concurrency import make_condition, make_lock, thread_shared
 from repro.config.presets import optimal_chip
-from repro.crossbar.dual_core import DualCoreCrossbar
 from repro.errors import QueueOverflowError, ServeError, SimulationError
-from repro.scalesim.schedule import tile_jobs
 from repro.scalesim.simulator import CrossbarDataflowSimulator
 
 #: Flush policy spellings accepted by :func:`make_flush_policy` and the CLI.
@@ -139,9 +137,9 @@ class FixedFlushPolicy(FlushPolicy):
 class AnalyticalCostModel:
     """Affine batch-cost model ``units(B) = fixed + per_image * B``.
 
-    The *units* are analytical seconds from the accelerator's dual-core tile
-    schedule — a modelled quantity many orders of magnitude below wall-clock
-    simulation time.  What the model contributes is the **shape** of the
+    The *units* are analytical seconds from the chip clock — a modelled
+    quantity many orders of magnitude below wall-clock simulation time.
+    What the model contributes is the **shape** of the
     batch-size dependence (how much of a batch's cost is B-independent
     programming/dispatch work versus per-image streaming); the
     :class:`AdaptiveFlushPolicy` fits a single wall-clock scale factor on top
@@ -164,27 +162,21 @@ class AnalyticalCostModel:
 
     @classmethod
     def from_workload(cls, network, config=None) -> "AnalyticalCostModel":
-        """Fit the model to a workload's dual-core tile schedule.
+        """Fit the model to a workload's modelled batch latency on the chip clock.
 
-        Sums the scheduled makespan of every crossbar layer's
-        :func:`~repro.scalesim.schedule.tile_jobs` at batch sizes 1 and 2
-        (each layer streams its GEMM's ``m`` vectors per image: one im2col
-        patch row per output position, one vector for a dense layer) and
-        decomposes the two points into the B-independent and per-image
-        components.  The tilings come from the dataflow simulator, so only
-        the network's shapes are read.
+        Runs the dataflow simulator at batch sizes 1 and 2 and decomposes
+        their :attr:`~repro.scalesim.runtime.NetworkRuntime.batch_latency_s`
+        (every crossbar layer's :func:`~repro.scalesim.latency.layer_makespan_s`
+        on ``config``'s cores) into the B-independent and per-image
+        components.  Only the network's shapes are read.
         """
         config = config or optimal_chip()
-        layers = CrossbarDataflowSimulator(config).simulate(network).layers
-        scheduler = DualCoreCrossbar(config.num_cores)
-
-        def makespan(batch: int) -> float:
-            return sum(
-                scheduler.makespan_s(tile_jobs(layer.tiling, config, layer.gemm.m * batch))
-                for layer in layers
-            )
-
-        m1, m2 = makespan(1), makespan(2)
+        m1, m2 = (
+            CrossbarDataflowSimulator(config.with_updates(batch_size=batch))
+            .simulate(network)
+            .batch_latency_s
+            for batch in (1, 2)
+        )
         per_image = max(m2 - m1, 1e-15)
         fixed = max(m1 - per_image, 0.0)
         return cls(fixed_units=fixed, per_image_units=per_image)

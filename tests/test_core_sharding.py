@@ -8,17 +8,19 @@ this file by default (``pytest -m multicore`` selects just these tests).
 
 import numpy as np
 import pytest
+import schedule_oracle
 
 from repro.config import default_sweep_chip, optimal_chip, small_test_chip
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
-from repro.core.sharding import ShardedExecutionEngine, compute_entries_per_core
+from repro.core.sharding import ShardedExecutionEngine
 from repro.crossbar import CrossbarNoiseModel, SignedCrossbarEngine
-from repro.crossbar.dual_core import DualCoreCrossbar
 from repro.errors import SimulationError
 from repro.nn import build_lenet5
 from repro.nn.im2col import conv_weights_matrix
-from repro.scalesim import CrossbarDataflowSimulator, network_tile_jobs
+from repro.scalesim import CrossbarDataflowSimulator
+from repro.scalesim.latency import layer_makespan_s
+from repro.scalesim.schedule import tile_job_times
 from repro.serve.batcher import AnalyticalCostModel
 
 pytestmark = pytest.mark.multicore
@@ -29,18 +31,46 @@ def dual_core_chip(**overrides):
     return small_test_chip(num_cores=2, **overrides)
 
 
+def per_core_totals(jobs, num_cores):
+    """Tile counts and program+compute busy time per core of the oracle's timeline."""
+    counts, busy = [0] * num_cores, [0.0] * num_cores
+    for core, program_start, program_end, compute_start, compute_end in schedule_oracle.timeline(
+        jobs, num_cores
+    ):
+        counts[core] += 1
+        busy[core] += (program_end - program_start) + (compute_end - compute_start)
+    return tuple(counts), tuple(busy)
+
+
+def programmed_layer(config, k, n, num_vectors=3):
+    """A programmed (k, n) layer of ``config`` and inputs for it."""
+    rng = np.random.default_rng(12)
+    accelerator = OpticalCrossbarAccelerator(config)
+    layer = accelerator.layer(rng.normal(size=(k, n)))
+    inputs = rng.uniform(0, 1, (num_vectors, k))
+    accelerator.linear(layer, inputs)
+    return layer, inputs
+
+
 class TestRoundRobinAssignment:
     def test_engine_rejects_invalid_dimensions(self):
+        layer, inputs = programmed_layer(dual_core_chip(), 16, 8)
         with pytest.raises(SimulationError):
-            ShardedExecutionEngine(dual_core_chip()).core_assignment(-1)
+            ShardedExecutionEngine(dual_core_chip()).execute(layer, inputs[:, :-1])
 
     def test_assignment_alternates_like_the_dual_core_schedule(self):
-        engine = ShardedExecutionEngine(dual_core_chip())
-        assert engine.core_assignment(5) == [0, 1, 0, 1, 0]
+        layer, inputs = programmed_layer(dual_core_chip(), 40, 8)  # 5 tiles
+        _, report = ShardedExecutionEngine(dual_core_chip()).execute(layer, inputs)
+        jobs = [tile_job_times(dual_core_chip(), 3)] * 5
+        cores = [phase[0] for phase in schedule_oracle.timeline(jobs, 2)]
+        assert cores == [0, 1, 0, 1, 0]
+        assert report.core_tile_counts == (3, 2)
+        assert report.core_busy_time_s == pytest.approx(per_core_totals(jobs, 2)[1], rel=1e-12)
 
     def test_single_core_maps_everything_to_core_zero(self):
-        engine = ShardedExecutionEngine(small_test_chip())
-        assert engine.core_assignment(4) == [0, 0, 0, 0]
+        layer, inputs = programmed_layer(small_test_chip(), 16, 16)  # 4 tiles
+        _, report = ShardedExecutionEngine(small_test_chip()).execute(layer, inputs)
+        assert report.core_tile_counts == (4,)
 
     def test_single_core_chip_dispatches_only_core_zero(self):
         accelerator = OpticalCrossbarAccelerator(small_test_chip())
@@ -141,7 +171,7 @@ LENET_OPTIMAL_NS_PER_IMAGE = {1: 698.9, 8: 173.9, 32: 117.65}
 
 
 class TestScheduleCrossCheck:
-    """functional_statistics() must agree with DualCoreCrossbar's schedule."""
+    """functional_statistics() and analytical_schedule() run on the chip clock."""
 
     @pytest.mark.parametrize("make_config", [optimal_chip, default_sweep_chip])
     @pytest.mark.parametrize("batch", [1, 8, 32])
@@ -153,28 +183,23 @@ class TestScheduleCrossCheck:
         weights = generate_random_weights(network, seed=0, scale=0.3)
         engine = FunctionalInferenceEngine(network, weights, config)
         accelerator = engine.accelerator
-        scheduler = DualCoreCrossbar(cores)
-        network_jobs = network_tile_jobs(runtime)
         counts, busy = [0] * cores, [0.0] * cores
-        seconds, start = 0.0, 0
+        seconds = 0.0
         for layer in runtime.layers:
             matrix = weights[layer.layer_name]
             matrix = conv_weights_matrix(matrix) if matrix.ndim == 4 else matrix
-            jobs = accelerator.programming_jobs(matrix, layer.gemm.m * batch)
-            layer_jobs = network_jobs[start : start + len(jobs)]
-            start += len(jobs)
-            assert [(job.programming_time_s, job.compute_time_s) for job in jobs] == [
-                (job.programming_time_s, job.compute_time_s) for job in layer_jobs
-            ]
+            num_vectors = layer.gemm.m * batch
+            schedule = accelerator.analytical_schedule(matrix, num_vectors)
+            makespan = schedule["dual_core_makespan_s" if cores == 2 else "single_core_makespan_s"]
             assert not layer.latency.dram_bound
-            makespan = scheduler.makespan_s(jobs)
-            assert makespan == pytest.approx(layer.latency.latency_s, rel=1e-12)
+            assert makespan == layer.latency.latency_s
+            jobs = [tile_job_times(config, num_vectors)] * layer.tiling.num_tiles
+            assert makespan == pytest.approx(schedule_oracle.makespan_s(jobs, cores), rel=1e-12)
             seconds += makespan
-            layer_counts, layer_busy = compute_entries_per_core(scheduler.schedule(jobs), cores)
+            layer_counts, layer_busy = per_core_totals(jobs, cores)
             for core in range(cores):
                 counts[core] += layer_counts[core]
                 busy[core] += layer_busy[core]
-        assert start == len(network_jobs)
         chip_ips = accelerator.evaluate(network).inferences_per_second
         assert seconds / batch == pytest.approx(1.0 / chip_ips, rel=1e-12)
         if make_config is optimal_chip:
@@ -228,9 +253,8 @@ class TestScheduleCrossCheck:
         inputs = rng.uniform(0, 1, (5, 20))
         accelerator.linear(weights, inputs)
 
-        jobs = accelerator.programming_jobs(weights, inputs.shape[0])
-        entries = DualCoreCrossbar(2).schedule(jobs)
-        analytical_counts, analytical_busy = compute_entries_per_core(entries, 2)
+        jobs = [tile_job_times(accelerator.config, inputs.shape[0])] * 6
+        analytical_counts, analytical_busy = per_core_totals(jobs, 2)
 
         stats = accelerator.functional_statistics()
         assert stats["per_core_tile_dispatches"] == analytical_counts == (3, 3)
@@ -270,7 +294,6 @@ class TestScheduleCrossCheck:
         # Analytics on other weights must not count layer reads, accumulate
         # programming stats, or touch the programmed inference layer.
         accelerator.analytical_schedule(rng.normal(size=(16, 16)), num_vectors=3)
-        accelerator.programming_jobs(rng.normal(size=(24, 8)), num_vectors=3)
         assert accelerator.functional_statistics() == before
         engine = layer.engine
         accelerator.linear(layer, inputs)  # still programmed: no re-program
@@ -293,15 +316,59 @@ class TestScheduleCrossCheck:
         config = optimal_chip()
         accelerator = OpticalCrossbarAccelerator(config)
         matrix = np.ones((400, 120))
-        jobs = accelerator.programming_jobs(matrix, 8)
         summary = accelerator.analytical_schedule(matrix, 8)
         assert engines == []
         model = AnalyticalCostModel.from_workload(network, config)
         assert engines == []
-        assert len(jobs) == 4 and summary == DualCoreCrossbar.summarize(jobs)
+        times = tile_job_times(config, 8)
+        assert summary["dual_core_makespan_s"] == layer_makespan_s(4, *times, 2)
         assert (model.fixed_units, model.per_image_units) == (6e-07, 9.890000000000002e-08)
 
-    def test_programming_jobs_validate_num_vectors(self):
+    def test_analytical_schedule_validates_num_vectors(self):
         accelerator = OpticalCrossbarAccelerator(dual_core_chip())
         with pytest.raises(SimulationError):
-            accelerator.programming_jobs(np.eye(8), 0)
+            accelerator.analytical_schedule(np.eye(8), 0)
+
+
+#: ``evaluate(build_lenet5())`` on each preset: (inferences/s, µJ per inference).
+LENET_CHIP_METRICS = {
+    optimal_chip: (8499787.505312366, 0.9946881055904783),
+    default_sweep_chip: (4089979.5501022497, 0.5495834636666668),
+}
+
+
+class TestChipClockPins:
+    """The chip metrics and Fig. 7's amortisation, counted rather than timed."""
+
+    @pytest.mark.parametrize("make_config", [optimal_chip, default_sweep_chip])
+    def test_lenet_chip_metrics_are_pinned(self, make_config):
+        metrics = OpticalCrossbarAccelerator(make_config()).evaluate(build_lenet5())
+        ips, uj_per_image = LENET_CHIP_METRICS[make_config]
+        assert metrics.inferences_per_second == ips
+        assert metrics.energy_per_inference_j * 1e6 == uj_per_image
+
+    @pytest.mark.parametrize("make_config", [optimal_chip, default_sweep_chip])
+    def test_programming_per_image_falls_as_one_over_batch(self, make_config):
+        # One program-then-read of B images programs every tile once, so
+        # programming events per image fall as 1/B, and so does the chip
+        # clock's modelled time per image.
+        network = build_lenet5()
+        weights = generate_random_weights(network, seed=0, scale=0.3)
+        images = np.random.default_rng(1).uniform(0.0, 1.0, (32,) + network.input_shape.as_tuple())
+        runtime = CrossbarDataflowSimulator(make_config()).simulate(network)
+        tiles = runtime.total_programming_passes
+        if make_config is default_sweep_chip:
+            assert 2 * tiles == 146
+        events_per_image, chip_ns = {}, {}
+        for batch in (1, 8, 32):
+            config = make_config().with_updates(batch_size=batch)
+            engine = FunctionalInferenceEngine(network, weights, config)
+            engine.run_batch(images[:batch])
+            events = engine.accelerator.functional_statistics()["programming_events"]
+            assert events == 2 * tiles
+            events_per_image[batch] = events / batch
+            ips = engine.accelerator.evaluate(network).inferences_per_second
+            chip_ns[batch] = 1e9 / ips
+        assert events_per_image[8] == events_per_image[1] / 8
+        assert events_per_image[32] == events_per_image[1] / 32
+        assert chip_ns[1] > chip_ns[8] > chip_ns[32]

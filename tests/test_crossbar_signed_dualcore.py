@@ -1,10 +1,12 @@
-"""Unit tests for signed GEMM execution and the dual-core scheduler."""
+"""Unit tests for signed GEMM execution and the dual-core chip clock."""
 
 import numpy as np
 import pytest
+import schedule_oracle
 
-from repro.crossbar import CrossbarArray, DualCoreCrossbar, ProgrammingJob, SignedCrossbarEngine
+from repro.crossbar import CrossbarArray, SignedCrossbarEngine
 from repro.errors import ProgrammingError, SimulationError
+from repro.scalesim.latency import layer_makespan_s
 
 
 class TestSignedCrossbarEngine:
@@ -142,97 +144,72 @@ class TestSignedBatchedMatmul:
 
 
 class TestDualCoreScheduler:
+    """The chip clock on identical tiles, and the event-driven oracle it is checked against."""
+
     def make_jobs(self, count=8, programming=100e-9, compute=300e-9):
-        return [
-            ProgrammingJob(f"tile{i}", programming_time_s=programming, compute_time_s=compute)
-            for i in range(count)
-        ]
+        return [(programming, compute)] * count
 
     def test_single_core_makespan_is_sum_of_all_phases(self):
-        jobs = self.make_jobs(4)
-        scheduler = DualCoreCrossbar(1)
-        assert scheduler.makespan_s(jobs) == pytest.approx(4 * (100e-9 + 300e-9))
+        assert layer_makespan_s(4, 100e-9, 300e-9, 1) == pytest.approx(4 * (100e-9 + 300e-9))
 
     def test_dual_core_hides_programming_when_compute_dominates(self):
-        jobs = self.make_jobs(8, programming=100e-9, compute=400e-9)
-        makespan = DualCoreCrossbar(2).makespan_s(jobs)
+        makespan = layer_makespan_s(8, 100e-9, 400e-9, 2)
         # Only the first programming pass is exposed.
         assert makespan == pytest.approx(100e-9 + 8 * 400e-9)
 
     def test_dual_core_bound_by_programming_when_it_dominates(self):
-        jobs = self.make_jobs(8, programming=500e-9, compute=100e-9)
-        makespan = DualCoreCrossbar(2).makespan_s(jobs)
-        single = DualCoreCrossbar(1).makespan_s(jobs)
+        makespan = layer_makespan_s(8, 500e-9, 100e-9, 2)
+        single = layer_makespan_s(8, 500e-9, 100e-9, 1)
         assert makespan < single
         # Each core programs every other tile, so programming of consecutive
         # tiles overlaps and the makespan approaches half the programming sum.
         assert makespan >= 8 / 2 * 500e-9
 
     def test_speedup_between_one_and_two(self):
-        jobs = self.make_jobs(16, programming=200e-9, compute=200e-9)
-        speedup = DualCoreCrossbar.speedup(jobs)
+        speedup = layer_makespan_s(16, 200e-9, 200e-9, 1) / layer_makespan_s(16, 200e-9, 200e-9, 2)
         assert 1.0 <= speedup <= 2.0 + 1e-9
 
     def test_dual_core_never_slower(self):
         rng = np.random.default_rng(3)
-        jobs = [
-            ProgrammingJob(f"t{i}", float(rng.uniform(0, 1e-6)), float(rng.uniform(0, 1e-6)))
-            for i in range(20)
-        ]
-        assert DualCoreCrossbar(2).makespan_s(jobs) <= DualCoreCrossbar(1).makespan_s(jobs) + 1e-15
+        for _ in range(20):
+            tiles = int(rng.integers(1, 50))
+            programming, compute = (float(t) for t in rng.uniform(0, 1e-6, 2))
+            dual = layer_makespan_s(tiles, programming, compute, 2)
+            assert dual <= layer_makespan_s(tiles, programming, compute, 1) + 1e-15
 
     def test_utilisation_higher_for_dual_core_when_programming_matters(self):
-        jobs = self.make_jobs(8, programming=300e-9, compute=300e-9)
-        summary = DualCoreCrossbar.summarize(jobs)
-        assert summary["dual_core_utilisation"] >= summary["single_core_utilisation"]
-        assert summary["speedup"] > 1.5
+        compute = 8 * 300e-9
+        single = layer_makespan_s(8, 300e-9, 300e-9, 1)
+        dual = layer_makespan_s(8, 300e-9, 300e-9, 2)
+        assert compute / dual >= compute / single
+        assert single / dual > 1.5
 
     def test_summary_is_bitwise_that_of_the_timelines(self):
-        rng = np.random.default_rng(9)
-        for count in (1, 2, 7, 50):
-            jobs = [
-                ProgrammingJob(
-                    f"t{i}",
-                    float(rng.uniform(0, 1e-6)) if i % 3 else 0.0,
-                    float(rng.uniform(0, 1e-6)),
-                )
-                for i in range(count)
-            ]
-            expected = {}
-            for cores, label in ((1, "single"), (2, "dual")):
-                entries = DualCoreCrossbar(cores).schedule(jobs)
-                makespan = max(entry.end_s for entry in entries)
-                compute = sum(e.duration_s for e in entries if e.kind == "compute")
-                expected[f"{label}_core_makespan_s"] = makespan
-                expected[f"{label}_core_utilisation"] = min(1.0, compute / makespan)
-            expected["speedup"] = (
-                expected["single_core_makespan_s"] / expected["dual_core_makespan_s"]
-            )
-            assert DualCoreCrossbar.summarize(jobs) == expected
+        # The closed form sums T tiles in one multiplication where the
+        # timeline adds them one by one: equal up to rounding, bitwise for
+        # tiles whose times are exact binary fractions.
+        for tiles in (1, 2, 7, 50):
+            for programming, compute in ((0.25, 0.5), (0.5, 0.25), (0.375, 0.375)):
+                jobs = [(programming, compute)] * tiles
+                for cores in (1, 2):
+                    expected = schedule_oracle.makespan_s(jobs, cores)
+                    assert layer_makespan_s(tiles, programming, compute, cores) == expected
 
     def test_schedule_entries_are_ordered_and_non_overlapping_per_core(self):
-        jobs = self.make_jobs(6)
-        entries = DualCoreCrossbar(2).schedule(jobs)
+        phases = schedule_oracle.timeline(self.make_jobs(6), 2)
         for core in (0, 1):
-            core_entries = sorted(
-                (e for e in entries if e.core == core), key=lambda e: e.start_s
-            )
-            for earlier, later in zip(core_entries, core_entries[1:]):
-                assert later.start_s >= earlier.end_s - 1e-15
+            core_phases = [phase for phase in phases if phase[0] == core]
+            for earlier, later in zip(core_phases, core_phases[1:]):
+                assert later[1] >= earlier[4] - 1e-15
 
     def test_compute_follows_programming_for_each_job(self):
-        jobs = self.make_jobs(5)
-        entries = DualCoreCrossbar(2).schedule(jobs)
-        by_job = {}
-        for entry in entries:
-            by_job.setdefault(entry.job_name, {})[entry.kind] = entry
-        for phases in by_job.values():
-            assert phases["compute"].start_s >= phases["program"].end_s - 1e-15
+        for _, _, program_end, compute_start, _ in schedule_oracle.timeline(self.make_jobs(5), 2):
+            assert compute_start >= program_end - 1e-15
 
     def test_validation(self):
         with pytest.raises(SimulationError):
-            DualCoreCrossbar(3)
+            layer_makespan_s(4, 1.0, 1.0, 3)
         with pytest.raises(SimulationError):
-            DualCoreCrossbar(2).schedule([])
+            layer_makespan_s(0, 1.0, 1.0, 2)
         with pytest.raises(SimulationError):
-            ProgrammingJob("bad", -1.0, 1.0)
+            layer_makespan_s(4, -1.0, 1.0, 2)

@@ -104,7 +104,7 @@ def test_quickstart_example_runs(capsys):
 
 
 def test_dual_core_scheduling_example_runs(capsys):
-    """The example replays ResNet-50's ``network_tile_jobs`` through the scheduler."""
+    """The example compares ResNet-50's single- and dual-core batch latency."""
     runpy.run_path(str(REPO_ROOT / "examples" / "dual_core_scheduling.py"), run_name="__main__")
     output = capsys.readouterr().out
     assert "Dual-core programming-latency hiding on ResNet-50" in output

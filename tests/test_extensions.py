@@ -1,7 +1,9 @@
 """Tests for the extension modules: sensitivity analysis, Pareto frontier,
 tile-schedule extraction, roofline model and the MLP workload builder."""
 
+import numpy as np
 import pytest
+import schedule_oracle
 
 from repro.analysis.sensitivity import (
     DEFAULT_PARAMETERS,
@@ -9,13 +11,14 @@ from repro.analysis.sensitivity import (
     sensitivity_rows,
 )
 from repro.config import default_sweep_chip, optimal_chip, small_test_chip
+from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.pareto import frontier_rows, pareto_frontier
 from repro.core.simulation import SimulationFramework
 from repro.core.sweep import sweep_array_sizes
 from repro.errors import SimulationError
 from repro.nn import build_lenet5, build_mlp
 from repro.perf.roofline import RooflineModel
-from repro.scalesim import network_tile_jobs, schedule_summary, scheduled_batch_latency_s
+from repro.scalesim.schedule import tile_job_times
 from repro.scalesim.simulator import simulate_network
 
 
@@ -133,32 +136,56 @@ class TestParetoFrontier:
             pareto_frontier(sweep, objectives=("ips", "mac_utilization"))
 
 
+def _network_jobs(runtime):
+    """Every tile of every layer of one batch, in layer order, as (P, C) jobs."""
+    config = runtime.config
+    return [
+        tile_job_times(config, layer.gemm.m * config.batch_size)
+        for layer in runtime.layers
+        for _ in range(layer.tiling.num_tiles)
+    ]
+
+
 class TestTileSchedule:
+    """The per-layer chip clock against one event-driven schedule of the whole network."""
+
     @pytest.fixture(scope="class")
     def runtime(self):
         return simulate_network(build_lenet5(), small_test_chip(num_cores=2))
 
     def test_job_count_matches_programming_passes(self, runtime):
-        jobs = network_tile_jobs(runtime)
-        assert len(jobs) == runtime.total_programming_passes
+        assert len(_network_jobs(runtime)) == runtime.total_programming_passes
 
     def test_scheduled_latency_close_to_analytical(self, runtime):
-        scheduled = scheduled_batch_latency_s(runtime)
+        scheduled = schedule_oracle.makespan_s(_network_jobs(runtime), 2)
         analytical = runtime.batch_latency_s
-        # The event-driven schedule can only be faster (cross-layer overlap)
-        # and should be within a modest factor of the closed form.
+        # The network-wide schedule can only be faster (it overlaps a layer's
+        # first programming pass with the previous layer's computes, which
+        # the per-layer clock does not) and stays within a modest factor of it.
         assert scheduled <= analytical * (1 + 1e-9)
         assert scheduled > 0.5 * analytical
 
     def test_schedule_summary_keys(self, runtime):
-        summary = schedule_summary(runtime)
-        assert summary["num_tiles"] == runtime.total_programming_passes
+        accelerator = OpticalCrossbarAccelerator(runtime.config)
+        layer = runtime.layers[0]
+        summary = accelerator.analytical_schedule(
+            np.zeros((layer.gemm.k, layer.gemm.n)), layer.gemm.m * runtime.batch_size
+        )
+        assert set(summary) == {
+            "single_core_makespan_s",
+            "dual_core_makespan_s",
+            "single_core_utilisation",
+            "dual_core_utilisation",
+            "speedup",
+        }
         assert summary["speedup"] >= 1.0
         assert summary["dual_core_makespan_s"] <= summary["single_core_makespan_s"]
+        assert not layer.latency.dram_bound
+        assert summary["dual_core_makespan_s"] == layer.latency.latency_s
 
     def test_single_core_schedule_matches_analytical_exactly(self):
         runtime = simulate_network(build_lenet5(), small_test_chip(num_cores=1))
-        scheduled = scheduled_batch_latency_s(runtime, num_cores=1)
+        scheduled = schedule_oracle.makespan_s(_network_jobs(runtime), 1)
         # For a single core the schedule is strictly serial; the only
         # difference from the analytical sum is the (absent) DRAM bound.
         assert scheduled == pytest.approx(runtime.batch_latency_s, rel=1e-9)

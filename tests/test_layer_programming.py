@@ -21,6 +21,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import schedule_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -29,7 +30,6 @@ from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.crossbar import CrossbarArray, CrossbarNoiseModel, SignedCrossbarEngine
 from repro.crossbar.array import _BLOCK_ELEMENTS, tile_scales
-from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
 from repro.crossbar.signed import _SCRATCH
 from repro.nn import build_lenet5
 from repro.nn.im2col import conv_weights_matrix
@@ -381,12 +381,12 @@ class TestCountedAccounting:
 
         for matrix in _lenet_matrices():
             tiles = len(_spans(*matrix.shape, rows, columns))
-            jobs = [
-                ProgrammingJob(f"tile{index}", tile_time, 8 / config.mac_clock_hz)
-                for index in range(tiles)
-            ]
-            assert accelerator.programming_jobs(matrix, 8) == jobs
-            assert accelerator.analytical_schedule(matrix, 8) == DualCoreCrossbar.summarize(jobs)
+            jobs = [(tile_time, 8 / config.mac_clock_hz)] * tiles
+            schedule = accelerator.analytical_schedule(matrix, 8)
+            for cores, label in ((1, "single"), (2, "dual")):
+                assert schedule[f"{label}_core_makespan_s"] == pytest.approx(
+                    schedule_oracle.makespan_s(jobs, cores), rel=1e-12
+                )
         assert accelerator.functional_statistics() == stats
 
 

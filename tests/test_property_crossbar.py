@@ -4,12 +4,14 @@ import math
 
 import numpy as np
 import pytest
+import schedule_oracle
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.crossbar import CrossbarArray, design_input_coupling, design_output_coupling
-from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
+from repro.errors import SimulationError
+from repro.scalesim.latency import layer_makespan_s
 
 
 class TestCouplingDesignProperties:
@@ -94,27 +96,44 @@ class TestCrossbarMatvecProperties:
 
 
 class TestDualCoreScheduleProperties:
-    job_list = st.lists(
-        st.builds(
-            ProgrammingJob,
-            name=st.just("job"),
-            programming_time_s=st.floats(0.0, 1e-5),
-            compute_time_s=st.floats(0.0, 1e-5),
-        ),
-        min_size=1,
-        max_size=30,
-    )
+    """The chip clock against the event-driven oracle, on identical tiles."""
 
-    @given(job_list)
+    tiles = st.integers(1, 200)
+    job_time = st.floats(0.0, 1e-6)
+    cores = st.sampled_from((1, 2))
+
+    @given(tiles, job_time, job_time)
     @settings(max_examples=60, deadline=None)
-    def test_dual_core_between_half_and_full_single_core_time(self, jobs):
-        jobs = [
-            ProgrammingJob(f"job{i}", job.programming_time_s, job.compute_time_s)
-            for i, job in enumerate(jobs)
-        ]
-        single = DualCoreCrossbar(1).makespan_s(jobs)
-        dual = DualCoreCrossbar(2).makespan_s(jobs)
-        assert dual <= single + 1e-15
-        assert dual >= 0.5 * single - 1e-15
-        total_compute = sum(job.compute_time_s for job in jobs)
-        assert dual >= total_compute - 1e-15
+    def test_dual_core_between_half_and_full_single_core_time(self, tiles, programming, compute):
+        single = layer_makespan_s(tiles, programming, compute, 1)
+        dual = layer_makespan_s(tiles, programming, compute, 2)
+        assert dual <= single * (1 + 1e-12)
+        assert dual >= 0.5 * single * (1 - 1e-12)
+        assert dual >= tiles * compute * (1 - 1e-12)
+
+    @given(tiles, job_time, job_time, cores)
+    @settings(max_examples=100, deadline=None)
+    def test_clock_agrees_with_the_event_driven_oracle(
+        self, tiles, programming, compute, num_cores
+    ):
+        expected = schedule_oracle.makespan_s([(programming, compute)] * tiles, num_cores)
+        assert layer_makespan_s(tiles, programming, compute, num_cores) == pytest.approx(
+            expected, rel=1e-12, abs=0.0
+        )
+
+    @given(
+        tiles,
+        job_time,
+        st.floats(-1e-6, -1e-18),
+        cores,
+        st.integers(-4, 8).filter(lambda n: n not in (1, 2)),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_clock_rejects_negative_times_and_bad_core_counts(
+        self, tiles, good, bad, num_cores, bad_cores
+    ):
+        for programming, compute in ((bad, good), (good, bad)):
+            with pytest.raises(SimulationError):
+                layer_makespan_s(tiles, programming, compute, num_cores)
+        with pytest.raises(SimulationError):
+            layer_makespan_s(tiles, good, good, bad_cores)

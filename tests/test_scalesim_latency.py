@@ -1,11 +1,13 @@
 """Unit tests for the latency model (single vs dual core, DRAM bound)."""
 
 import pytest
+import schedule_oracle
 
 from repro.config import ChipConfig
 from repro.errors import SimulationError
 from repro.nn.im2col import GemmShape
 from repro.scalesim.latency import compute_layer_latency
+from repro.scalesim.schedule import tile_job_times
 from repro.scalesim.tiling import GemmTiling
 
 
@@ -56,22 +58,15 @@ class TestCycleAccounting:
         assert latency.latency_s < 0.6 * single.latency_s
 
     def test_dual_core_formula_matches_event_driven_scheduler(self):
-        from repro.crossbar.dual_core import DualCoreCrossbar, ProgrammingJob
-
-        config = ChipConfig(rows=128, columns=128, batch_size=2, num_cores=2)
-        for m in (10, 500, 1000, 5000):
-            tiling = tiling_for(m=m)
-            latency = compute_layer_latency("layer", tiling, config)
-            jobs = [
-                ProgrammingJob(
-                    f"tile{i}",
-                    programming_time_s=config.programming_time_per_array_s,
-                    compute_time_s=tiling.compute_cycles_per_tile(2) * config.mac_cycle_time_s,
-                )
-                for i in range(tiling.num_tiles)
-            ]
-            scheduled = DualCoreCrossbar(2).makespan_s(jobs)
-            assert latency.latency_s == pytest.approx(scheduled, rel=1e-9)
+        for cores in (1, 2):
+            config = ChipConfig(rows=128, columns=128, batch_size=2, num_cores=cores)
+            for m in (10, 500, 1000, 5000):
+                tiling = tiling_for(m=m)
+                latency = compute_layer_latency("layer", tiling, config)
+                times = tile_job_times(config, tiling.compute_cycles_per_tile(2))
+                jobs = [times] * tiling.num_tiles
+                scheduled = schedule_oracle.makespan_s(jobs, cores)
+                assert latency.latency_s == pytest.approx(scheduled, rel=1e-12)
 
     def test_dual_core_never_slower_than_single_core(self):
         tiling = tiling_for(m=300)
