@@ -13,9 +13,9 @@ make the same argument *online*:
   policy must meet a latency deadline the fixed policy (tuned for
   throughput, oblivious to deadlines) misses, or match its throughput
   within 5% when both meet it;
-* the identical burst is served with per-request tracing off and on at the
-  default sampling rate — tracing must stay within 5% of the untraced
-  throughput, so observability is safe to leave enabled in production;
+* tracing's cost is not timed here: ``tests/test_observability.py``
+  counts the trace objects and spans it makes (``TestTracingCost``), and
+  the traced ``serve-open`` perfbench run reports ``obs.trace_overhead_pct``;
 * the same keep-alive request wave is driven at 100 / 500 / 2000 concurrent
   connections against the asyncio HTTP front-end — it must answer every
   client at every count with bitwise-identical outputs.
@@ -189,67 +189,6 @@ def test_adaptive_policy_meets_deadline_fixed_misses(results_dir):
         f"bursty arrivals vs {slo_s * 1e3:.0f} ms SLO: fixed p95 "
         f"{fixed_p95 * 1e3:.1f} ms ({fixed.achieved_rps:.1f} rps) -> adaptive p95 "
         f"{adaptive_p95 * 1e3:.1f} ms ({adaptive.achieved_rps:.1f} rps)"
-    )
-
-
-def test_tracing_overhead_under_five_percent(results_dir):
-    """Acceptance: default-sampling tracing costs <5% of serving throughput."""
-    network, weights, config, images = _workload()
-    # A 4x-replicated burst: long enough (~300 ms) that the 2 ms flush-timer
-    # jitter and scheduler noise stay well under the 5% assertion margin.
-    flood = np.concatenate([images] * 4)
-    direct = FunctionalInferenceEngine(network, weights, config).run_batch(flood)
-
-    def burst_rps(tracing):
-        """One burst's throughput on a fresh server."""
-        server = InferenceServer(
-            network,
-            weights,
-            config,
-            max_batch=8,
-            max_wait_s=0.002,
-            queue_capacity=len(flood),
-            tracing=tracing,
-        )
-        with server:
-            start = time.perf_counter()
-            outputs = server.serve_batch(flood)
-            elapsed = time.perf_counter() - start
-        assert np.array_equal(outputs, direct)  # tracing never moves a bit
-        return len(flood) / elapsed
-
-    def measure():
-        """Interleave the two configurations so machine-load drift during
-        the benchmark biases both sides equally; best-of filters scheduler
-        noise."""
-        untraced = traced = 0.0
-        for _ in range(5):
-            untraced = max(untraced, burst_rps(False))
-            traced = max(traced, burst_rps(True))
-        return untraced, traced
-
-    # One re-measure before failing: a shared CI runner can stall either
-    # side by more than the 5% budget; a *real* tracing regression exceeds
-    # it in both measurements.
-    for attempt in range(2):
-        untraced_rps, traced_rps = measure()
-        if traced_rps >= 0.95 * untraced_rps:
-            break
-    overhead = 1.0 - traced_rps / untraced_rps
-
-    assert traced_rps >= 0.95 * untraced_rps, (
-        f"tracing overhead {overhead * 1e2:.1f}% exceeds the 5% budget: "
-        f"{untraced_rps:.1f} rps untraced -> {traced_rps:.1f} rps traced"
-    )
-
-    with open(results_dir / "serving_tracing.csv", "w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["tracing", "throughput_rps"])
-        writer.writerow(["off", f"{untraced_rps:.1f}"])
-        writer.writerow(["on (sample=1.0)", f"{traced_rps:.1f}"])
-    print(
-        f"tracing overhead: {untraced_rps:.1f} rps untraced -> {traced_rps:.1f} "
-        f"rps traced ({overhead * 1e2:+.1f}%)"
     )
 
 

@@ -43,9 +43,13 @@ A plan's layer engine reads every tile itself
 input).  Without field noise that is one stacked read of the whole layer:
 one exact code GEMM per row tile over the ``K+`` and ``K-`` codes of all its
 column tiles, so a batch's inputs are normalised and ODAC-quantised once
-per layer whatever its width or depth.  Every ADC code is the exact
-round-half-even code of :mod:`repro.crossbar.array`, so the output does not
-depend on the batch, BLAS or the platform.  With field noise the engine
+per layer whatever its width or depth.  :meth:`linear` and :meth:`conv2d`
+feed that read the same way (:meth:`_read`): a matrix as it is, and a
+convolution's im2col rows, or, for a finite non-negative feature map whose
+patches fit one row tile, its :class:`~repro.nn.im2col.ScaledPatches`,
+divided by their scales straight from the feature map.  Every ADC code is
+the exact round-half-even code of :mod:`repro.crossbar.array`, so the
+output does not depend on the batch, BLAS or the platform.  With field noise the engine
 reads one physical tile at a time, with its inputs padded, so its noise
 draws keep their shapes and order.
 
@@ -80,7 +84,7 @@ from repro.core.sharding import ShardedExecutionEngine
 from repro.crossbar.noise import CrossbarNoiseModel
 from repro.crossbar.signed import SignedCrossbarEngine
 from repro.errors import SimulationError
-from repro.nn.im2col import GemmShape, im2col_matrix
+from repro.nn.im2col import GemmShape, ScaledPatches, im2col_matrix
 from repro.nn.network import Network
 from repro.perf.metrics import PerformanceMetrics, evaluate_runtime
 from repro.scalesim.runtime import NetworkRuntime
@@ -444,6 +448,15 @@ class OpticalCrossbarAccelerator:
                 f"shape {(k, n)}"
             )
 
+        result = self._read(layer, inputs)
+        return result[0] if single_vector else result
+
+    def _read(self, layer: ProgrammedLayer, inputs) -> np.ndarray:
+        """``inputs @ layer`` for a (num_vectors, k) matrix or scaled conv patches.
+
+        Programs the layer on its first read, reads the whole batch through
+        its engine, and accounts the dispatch per core.
+        """
         self._program_once(layer)
         result, report = self.sharding.execute(layer, inputs)
         with self._stats_lock:
@@ -451,7 +464,7 @@ class OpticalCrossbarAccelerator:
             for core in range(self.config.num_cores):
                 self._per_core_tile_dispatches[core] += report.core_tile_counts[core]
                 self._per_core_busy_time_s[core] += report.core_busy_time_s[core]
-        return result[0] if single_vector else result
+        return result
 
     def conv2d(
         self,
@@ -470,9 +483,16 @@ class OpticalCrossbarAccelerator:
             A :class:`ProgrammedLayer` of filters, or filters of shape
             (k, k, C_in, C_out), which get a fresh layer for this call.
 
-        A batched input unrolls every image's receptive fields into one
-        im2col matrix and runs them through :meth:`linear` in a single pass,
-        programming the filter tiles at most once for the whole batch.
+        Every image's receptive fields are read as one batch of rows, in a
+        single read of the layer, which programs the filter tiles at most
+        once for the whole batch.  On a noiseless chip, a finite
+        non-negative feature map whose patches fit one row tile (a first
+        conv layer) is never unrolled: its patches are
+        :class:`~repro.nn.im2col.ScaledPatches`, each divided by its largest
+        value a block at a time straight from the feature map, and quantised
+        by the ODAC without a range check.  Any other feature map is
+        unrolled by :func:`~repro.nn.im2col.im2col_matrix` and read as
+        :meth:`linear` reads a matrix.  Both give the same output bits.
         """
         feature_map = np.asarray(feature_map, dtype=float)
         is_layer = isinstance(weights, ProgrammedLayer)
@@ -499,17 +519,35 @@ class OpticalCrossbarAccelerator:
             )
         layer = weights if is_layer else self.layer(filters)
         kernel, out_channels = filters.shape[0], filters.shape[3]
-        unrolled = im2col_matrix(feature_map, kernel, stride, padding)
         batched = feature_map.ndim == 4
-        height, width = feature_map.shape[1:3] if batched else feature_map.shape[:2]
+        stacked = feature_map if batched else feature_map[None]
+        if self._reads_patches(layer, stacked):
+            rows = ScaledPatches(stacked, kernel, stride, padding)
+        else:
+            unrolled = im2col_matrix(stacked, kernel, stride, padding)
+            rows = unrolled.reshape(-1, unrolled.shape[-1])
+        height, width = stacked.shape[1:3]
         out_h = (height + 2 * padding - kernel) // stride + 1
         out_w = (width + 2 * padding - kernel) // stride + 1
-        if batched:
-            num_images, patches, patch_len = unrolled.shape
-            product = self.linear(layer, unrolled.reshape(num_images * patches, patch_len))
-            return product.reshape(num_images, out_h, out_w, out_channels)
-        product = self.linear(layer, unrolled)
-        return product.reshape(out_h, out_w, out_channels)
+        product = self._read(layer, rows).reshape(len(stacked), out_h, out_w, out_channels)
+        return product if batched else product[0]
+
+    def _reads_patches(self, layer: ProgrammedLayer, feature_map: np.ndarray) -> bool:
+        """True when the conv read takes ``feature_map``'s patches as :class:`ScaledPatches`.
+
+        That needs a noiseless engine, patches that fit one row tile, and a
+        finite feature map with no negative value: the sign test runs on
+        the map, not on its unrolled patches.  Any other feature map is
+        unrolled by :func:`~repro.nn.im2col.im2col_matrix` and read as a
+        matrix, which keeps the sign of every zero and rejects non-finite
+        values at the ODAC.
+        """
+        noise = self.noise_model
+        if noise is not None and not noise.is_field_deterministic:
+            return False
+        if layer.tiling.gemm.k > self.config.rows or feature_map.size == 0:
+            return False
+        return bool(feature_map.min() >= 0.0 and feature_map.max() < np.inf)
 
     # ------------------------------------------------------------------ report
     def describe(self) -> Dict[str, float]:

@@ -32,12 +32,21 @@ is exact either way.  The dtype is chosen, and the float64 bound checked,
 when the weights are programmed.  No result depends on BLAS, the platform or
 how the vectors are batched.
 
-The drive codes are made in one step per block of vectors, and no field is
-formed on the way.  The inputs (each divided by its scale, when the caller
-gives one) go into a float64 scratch block, and the ODAC's
-:meth:`~repro.photonics.ring.RingResonatorODAC.modulate` range-checks them
-and writes ``c = round(clip(x, 0, 1)·L_a)`` straight into a buffer in the
-GEMM dtype, which the GEMM reads.
+A read takes a block of vectors at a time, and no field is formed on the
+way.  It has one input contract: rows already divided by their
+per-(vector, row tile) scale, plus those scales (:class:`ScaledRows`).  The
+producer writes a block of divided rows into the thread's float64 block
+buffer (a plain batch of values in [0, 1] is copied there instead), and the
+ODAC's :meth:`~repro.photonics.ring.RingResonatorODAC.modulate` writes
+``c = round(x·L_a)`` straight into a buffer in the GEMM dtype, which the
+GEMM reads.  Each row divided by a finite scale no smaller than its largest
+value is in [0, 1] by construction, so the ODAC skips its range check and
+clip for them; a plain batch, or rows with a NaN or infinite scale, is
+range-checked and clipped as before.  The read then takes each block's ADC
+values (below) while they are in cache: a plain array copies them into its
+(R, V, columns) output, and a signed layer's stack
+(:class:`~repro.crossbar.signed.SignedCrossbarEngine`) turns them into its
+signed product there and then.
 
 The TIA gain is calibrated per tile so that the largest dot product the tile
 can produce maps to the ADC's full scale.  With ``t_min = 0`` the ADC code of
@@ -74,15 +83,16 @@ reads them all in one call (row tile ``r`` from input row ``r·rows``) and
 returns one ADC output per row tile; a single array is the ``R = 1`` case.
 The signed engine reads a whole layer's codes so, with an input scale per
 (vector, row tile) divided out before the ODAC.  A block of vectors at a
-time (:func:`vector_blocks`), each row tile's sums are one GEMM of the drive
-codes of its input rows (the short last tile reads only its real rows), and
-one ADC pass covers them all.
+time, each row tile's sums are one GEMM of the drive codes of its input
+rows (the short last tile reads only its real rows), and one ADC pass
+covers them all.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+import threading
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -95,6 +105,10 @@ from repro.photonics.ring import RingResonatorODAC
 #: :func:`vector_blocks`).
 _BLOCK_ELEMENTS = 1 << 16
 
+#: Per-thread block scratch: ``block``, the float64 array
+#: :func:`_block_buffers` keeps for the calling thread.
+_SCRATCH = threading.local()
+
 
 def vector_blocks(num_vectors: int, rows: int):
     """Consecutive slices of at most ``_BLOCK_ELEMENTS // rows`` vectors.
@@ -106,6 +120,105 @@ def vector_blocks(num_vectors: int, rows: int):
     """
     step = max(1, _BLOCK_ELEMENTS // rows)
     return [slice(start, start + step) for start in range(0, num_vectors, step)]
+
+
+def _block_buffers(shape: Tuple[int, ...]) -> np.ndarray:
+    """Float64 buffers of ``shape`` for one block, not zeroed.
+
+    A block of at most ``_BLOCK_ELEMENTS`` is a view of one array the
+    calling thread keeps across reads, layers and engines, grown to the
+    largest such block it has used, so neither a read nor reprogramming
+    faults in fresh pages for it.  A larger one (one vector, or one
+    row-tile pair, wider than that) is allocated for the call alone.
+    """
+    size = math.prod(shape)
+    if size > _BLOCK_ELEMENTS:
+        return np.empty(shape)
+    kept = getattr(_SCRATCH, "block", None)
+    if kept is None or kept.size < size:
+        kept = _SCRATCH.block = np.empty(size)
+    return kept[:size].reshape(shape)
+
+
+def _laid_out_like(buffer: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """A view of the flat ``buffer`` with ``values``' shape and (C or F) order."""
+    if values.flags.c_contiguous:
+        return buffer[: values.size].reshape(values.shape)
+    return buffer[: values.size].reshape(values.shape[::-1]).T
+
+
+class ScaledRows:
+    """Input vectors as the exact read takes them: each row tile over its own scale.
+
+    This is the noiseless read's one input contract.  ``scales`` (V, R)
+    holds, for each of the ``V`` vectors and each of the ``R`` row tiles of
+    ``tile_rows`` rows, a positive scale no smaller than the vector's
+    largest magnitude there (1 where that is 0).  :meth:`divide_into`
+    writes a block of vectors with each row tile divided by its scale: with
+    ``parts = 1`` the vectors themselves, with ``parts = 2`` their positive
+    parts, then their negative parts.  ``shape`` (and ``len``) count the
+    rows read, ``parts`` per vector.  ``nonzero`` is False when no scale is
+    positive (every row all zeros), so a caller can skip the read.  A
+    correctly rounded divide of ``0 ≤ x ≤ s`` by ``s`` is in [0, 1], so
+    while every scale is finite the ODAC quantises the block without a
+    range check.
+
+    :class:`ScaledRows` produces them from a (V, K) ``matrix``: one test
+    says whether any entry is negative (``parts = 2``), one reduction per
+    block of vectors gives the scales (largest values, or magnitudes), and
+    each block is one divide per part.  The convolution patches of
+    :class:`~repro.nn.im2col.ScaledPatches` are the other producer.  Any
+    object with the same ``shape``, ``parts``, ``scales``, ``nonzero``,
+    :meth:`blocks` and :meth:`divide_into` is read the same way: a block of
+    vectors at a time, in the slices :meth:`blocks` gives for the read's
+    element budget (in order from vector 0, the first the largest).
+    """
+
+    def __init__(self, matrix: np.ndarray, tile_rows: int) -> None:
+        self.matrix = matrix
+        count, width = matrix.shape
+        self.parts = 2 if matrix.size and matrix.min() < 0.0 else 1
+        self.shape = (self.parts * count, width)
+        starts = range(0, width, tile_rows)
+        # Input rows each row tile holds (the last may be short).
+        self._widths = [min(tile_rows, width - start) for start in starts]
+        scales = np.empty((count, len(self._widths)))
+        for block in vector_blocks(count, width):
+            magnitudes = np.abs(matrix[block]) if self.parts == 2 else matrix[block]
+            np.maximum.reduceat(magnitudes, list(starts), axis=1, out=scales[block])
+        self.nonzero = bool(np.any(scales > 0.0))
+        # An all-zero row tile keeps a unit scale, so its rows read exact
+        # zeros.  A NaN scale stays, so the read range-checks and rejects it.
+        scales[scales == 0.0] = 1.0
+        self.scales = scales
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def blocks(self, block_elements: int):
+        """Consecutive slices of vectors whose rows hold at most ``block_elements``
+        values (at least one vector).
+        """
+        count = len(self.matrix)
+        step = max(1, block_elements // (self.parts * self.shape[1]))
+        return [slice(start, min(start + step, count)) for start in range(0, count, step)]
+
+    def divide_into(self, block: slice, scratch: np.ndarray) -> np.ndarray:
+        """Block ``block``'s rows over their scales, a (parts·count, K) view of ``scratch``."""
+        batch, scales = self.matrix[block], self.scales[block]
+        count = len(batch)
+        out = scratch[: self.parts * batch.size].reshape(self.parts * count, -1)
+        if len(self._widths) > 1:
+            # Each scale spread over its tile's rows, for one contiguous
+            # divide: faster than broadcasting it over a (count, R, rows) view.
+            scales = np.repeat(scales, self._widths, axis=1)
+        if self.parts == 1:
+            return np.divide(batch, scales, out=out)
+        positive, negative = out[:count], out[count:]
+        np.divide(np.maximum(batch, 0.0, out=positive), scales, out=positive)
+        np.negative(batch, out=negative)
+        np.divide(np.maximum(negative, 0.0, out=negative), scales, out=negative)
+        return out
 
 
 def design_input_coupling(columns: int) -> np.ndarray:
@@ -412,44 +525,56 @@ class CrossbarArray:
         self._programmed = True
 
     # ------------------------------------------------------------------ compute
-    def _check_batch(self, inputs: np.ndarray) -> np.ndarray:
-        """``inputs`` as a float (num_vectors, input_rows) batch of a programmed array."""
+    def _check_batch(self, inputs):
+        """``inputs`` as a float (num_vectors, input_rows) batch of a programmed
+        array, or scaled rows (:class:`ScaledRows`) of that shape.
+        """
         if not self._programmed:
             raise SimulationError("the array must be programmed before computing")
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[1] != self.input_rows:
+        if not hasattr(inputs, "divide_into"):
+            inputs = np.asarray(inputs, dtype=float)
+        if len(inputs.shape) != 2 or inputs.shape[1] != self.input_rows:
             raise SimulationError(
                 f"inputs must have shape (num_vectors, {self.input_rows}), got {inputs.shape}"
             )
         return inputs
 
-    def _read_blocks(self, inputs: np.ndarray, scales: Optional[np.ndarray]):
+    def _read_blocks(self, inputs):
         """``(block, drive codes, code sums)`` of each block of checked inputs.
 
-        A block's inputs, row tile ``r`` of each vector divided by its scale
-        when ``scales`` is given, go into a float64 scratch buffer in one pass;
-        the ODAC quantises them, with the scratch as its working space, into
-        drive codes ``c`` (v, input_rows) in the GEMM dtype.  Each row tile's
-        sums are then one GEMM of its drive codes with its level codes (the
-        short last tile's padding rows left out).  The buffers are made once
-        per call and reused by every block.
+        A block of scaled rows is divided by its scales
+        (:meth:`ScaledRows.divide_into`) into the thread's float64 block
+        buffer (:func:`_block_buffers`); a plain batch is copied there.  The
+        ODAC quantises the block, with that buffer as its working space,
+        into drive codes ``c`` (v, input_rows) in the GEMM dtype, laid out
+        as the block is.  It range-checks a plain batch, and scaled rows only
+        when a scale is not finite (a NaN or infinite input).  Each row
+        tile's sums are then one GEMM of its drive codes with its level codes
+        (the short last tile's padding rows left out).  The code and sum
+        buffers are made once per call and reused by every block; the first
+        block is the largest.
         """
-        blocks = vector_blocks(len(inputs), self.input_rows)
-        size = min(len(inputs), blocks[0].stop if blocks else 0)
-        scratch = np.empty((size, self.input_rows))
-        codes = np.empty_like(scratch, dtype=self._stack.dtype)
+        scaled = not isinstance(inputs, np.ndarray)
+        if scaled:
+            blocks = inputs.blocks(_BLOCK_ELEMENTS)  # from vector 0, the first the largest
+            size = inputs.parts * blocks[0].stop if blocks else 0
+        else:
+            blocks = vector_blocks(len(inputs), self.input_rows)
+            size = min(len(inputs), blocks[0].stop) if blocks else 0
+        in_range = scaled and bool(np.isfinite(inputs.scales).all())
+        scratch = _block_buffers((size * self.input_rows,))
+        codes = np.empty(size * self.input_rows, self._stack.dtype)
         sums = np.empty((len(self._stack), size, self.columns), self._stack.dtype)
         for block in blocks:
-            batch = inputs[block]
-            count = len(batch)
-            if scales is None:
-                np.copyto(scratch[:count], batch)
-            elif len(self._tile_widths) == 1:
-                np.divide(batch, scales[block], out=scratch[:count])
-            else:  # each scale spread over its tile's rows: one contiguous divide
-                tile_scales = np.repeat(scales[block], self._tile_widths, axis=1)
-                np.divide(batch, tile_scales, out=scratch[:count])
-            drive = self.odac.modulate(scratch[:count], out=codes[:count])
+            if scaled:
+                values = inputs.divide_into(block, scratch)
+            else:
+                batch = inputs[block]
+                values = scratch[: batch.size].reshape(batch.shape)
+                np.copyto(values, batch)
+            count = len(values)
+            out = _laid_out_like(codes, values)
+            drive = self.odac.modulate(values, out=out, in_range=in_range)
             start = 0
             for tile, width in enumerate(self._tile_widths):
                 levels = self._stack[tile, :width]
@@ -480,7 +605,7 @@ class CrossbarArray:
             return self.column_fields(inputs[None])[..., 0, :]
         inputs = self._check_batch(inputs)
         fields = np.empty((len(self._stack), len(inputs), self.columns))
-        for block, drive, sums in self._read_blocks(inputs, None):
+        for block, drive, sums in self._read_blocks(inputs):
             fields[:, block] = self._analog(drive, sums)
         fields *= self.field_scale
         if not self.is_deterministic:
@@ -504,26 +629,19 @@ class CrossbarArray:
         batch = np.asarray(inputs, dtype=float)[None]
         return self.matmul(batch, quantize_output=quantize_output)[..., 0, :]
 
-    def matmul(
-        self,
-        inputs: np.ndarray,
-        quantize_output: bool = True,
-        scales: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def matmul(self, inputs, quantize_output: bool = True) -> np.ndarray:
         """Read a batch of input vectors through the array as a code GEMM.
 
         Parameters
         ----------
         inputs:
             Input vectors, shape (num_vectors, input_rows), with entries in
-            [0, 1] or, when ``scales`` is given, in [0, scales[v, r]] on row
-            tile ``r``.
+            [0, 1]; or scaled rows of that shape (:class:`ScaledRows`), whose
+            row tile ``r`` of vector ``v`` the front end divides by
+            ``scales[v, r]`` just before the ODAC.
         quantize_output:
             Apply the ADC quantisation (default).  Disable to inspect the
             analog result ``sum_i v[i] * w[i, j]``.
-        scales:
-            Optional positive scales, shape (num_vectors, R).  The front end
-            divides row tile ``r`` of vector ``v`` by ``scales[v, r]``.
 
         Returns (num_vectors, columns), or (R, num_vectors, columns) for a
         stack.  Without noise and with ``t_min = 0`` each ADC code is the
@@ -531,29 +649,61 @@ class CrossbarArray:
         output is independent of the rest of the batch.
         """
         inputs = self._check_batch(inputs)
-        levels = self._output_max
-        full_scale = self._column_full_scale
-        exact = quantize_output and self.is_deterministic
-        exact = exact and not self.technology.pcm_min_transmission
+        if quantize_output and self.is_deterministic:
+            return self._read(inputs)
         output = np.empty((len(self._stack), len(inputs), self.columns))
-        for block, drive, sums in self._read_blocks(inputs, scales):
-            if not exact:
-                output[:, block] = self._analog(drive, sums)
-                continue
-            codes = np.multiply(sums, levels, out=output[:, block], dtype=np.float64)
-            codes /= self._column_code_scale
-            np.round(codes, out=codes)
-            codes /= levels
-            codes *= full_scale
-        if not exact and not self.is_deterministic:
+        for block, drive, sums in self._read_blocks(inputs):
+            output[:, block] = self._analog(drive, sums)
+        if not self.is_deterministic:
             output *= self.field_scale
             for tile in output:  # each row tile draws as a single array does
                 tile[...] = self.noise_model.apply_to_fields(tile, self.rng)
             output /= self.field_scale
-        if not exact and quantize_output:
-            output = np.clip(np.round(output / full_scale * levels), 0, levels)
-            output = output / levels * full_scale
+        if quantize_output:
+            output = self._quantize(output)
         return output if self._codes.ndim == 3 else output[0]
+
+    def _quantize(self, analog: np.ndarray) -> np.ndarray:
+        """ADC values of ``analog`` column results, (R, v, columns), rounded in float."""
+        levels, full_scale = self._output_max, self._column_full_scale
+        codes = np.clip(np.round(analog / full_scale * levels), 0, levels)
+        return codes / levels * full_scale
+
+    def _read(self, inputs) -> np.ndarray:
+        """The ADC values of a noiseless read, a block of vectors at a time.
+
+        Each block's values, (R, v, columns), are made in one buffer: the
+        exact ADC codes of the module docstring with ``t_min = 0``, else the
+        float-rounded codes of its analog sums.  :meth:`_take` then moves
+        them into the result :meth:`_new_result` made, while they are in
+        cache.
+        """
+        levels = self._output_max
+        exact = not self.technology.pcm_min_transmission
+        result = self._new_result(inputs)
+        buffer = None
+        for block, drive, sums in self._read_blocks(inputs):
+            if buffer is None:  # the first block is the largest
+                buffer = np.empty(sums.shape)
+            values = buffer[:, : sums.shape[1]]
+            if exact:
+                np.multiply(sums, levels, out=values, dtype=np.float64)
+                values /= self._column_code_scale
+                np.round(values, out=values)
+                values /= levels
+                values *= self._column_full_scale
+            else:
+                values[...] = self._quantize(self._analog(drive, sums))
+            self._take(result, block, values, inputs)
+        return result if self._codes.ndim == 3 else result[0]
+
+    def _new_result(self, inputs) -> np.ndarray:
+        """The array a read of ``inputs`` returns: (R, num_vectors, columns)."""
+        return np.empty((len(self._stack), len(inputs), self.columns))
+
+    def _take(self, result: np.ndarray, block: slice, values: np.ndarray, inputs) -> None:
+        """Move one block's ADC values into the result."""
+        result[:, block] = values
 
     # ------------------------------------------------------------------ report
     def statistics(self) -> Dict[str, float]:

@@ -49,17 +49,24 @@ order.  Without noise it makes one stacked read of the whole layer
 (:meth:`~repro.crossbar.array.CrossbarArray.matmul`) over every tile's
 ``K+`` and ``K-`` codes, each column's pair side by side, trimmed to the
 matrix's real columns (one row tile also to its real rows), with each
-column's own tile full scale and weight scale.  One test says whether the
-layer's inputs have a negative entry anywhere, and one reduction gives each
+column's own tile full scale and weight scale.  The read takes scaled rows
+(:class:`~repro.crossbar.array.ScaledRows`): from a matrix, one test says
+whether it has a negative entry anywhere, and one reduction gives each
 vector's input scale per row tile (its largest magnitude there), which the
-read divides out just before the ODAC.  When there is a negative entry, the
-negative parts are stacked under the positive ones in the same read; a row
-tile without any reads exact zeros for them, which leaves its partial
-bitwise unchanged.  Otherwise (the common case after ReLU) they are left
-out, and the inputs are their own magnitudes.  The four differential
-products are combined digitally in a fixed order.  Each ADC
-code depends on its own vector only (see :mod:`repro.crossbar.array`), so a
-vector's output is independent of the batch it came in.
+read divides out just before the ODAC; a convolution hands its patches over
+already scaled (:class:`~repro.nn.im2col.ScaledPatches`).  When there is a
+negative entry, each block's negative parts are read after its positive
+ones in the same read; a row tile without any reads exact zeros for them,
+which leaves its partial bitwise unchanged.  Otherwise (the common case
+after ReLU) they are left out, and the inputs are their own magnitudes.
+
+The stack (``_LayerStack``) finishes each block of vectors while its ADC
+values are in cache: ``K+`` less ``K-``, positive inputs' less negative
+inputs', times the column's weight scale, times the vector's input scale,
+added row tile by row tile into the zero result.  No (R, V, 2·columns)
+array of ADC values is made.  Each ADC code depends on its own vector only
+(see :mod:`repro.crossbar.array`), so a vector's output is independent of
+the batch, and of the block, it came in.
 
 A noise model with field impairments draws per array read.  A noisy grid
 therefore reads one physical tile at a time, in row-major order, each on
@@ -76,45 +83,21 @@ shape and order.  :meth:`matvec` is a thin single-row wrapper.
 
 from __future__ import annotations
 
-import math
-import threading
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from repro.config.technology import TechnologyConfig
 from repro.crossbar.array import (
-    _BLOCK_ELEMENTS,
     CrossbarArray,
+    ScaledRows,
+    _block_buffers,
     _gemm_dtype,
     tile_scales,
     vector_blocks,
 )
 from repro.errors import SimulationError
 from repro.photonics.pcm import check_weight_range
-
-
-#: Per-thread programming scratch: ``block``, the float64 array
-#: :func:`_block_buffers` keeps for the calling thread.
-_SCRATCH = threading.local()
-
-
-def _block_buffers(shape: Tuple[int, ...]) -> np.ndarray:
-    """Float64 buffers of ``shape`` for one programming block, not zeroed.
-
-    A block of at most ``_BLOCK_ELEMENTS`` is a view of one array the
-    calling thread keeps across layers and engines, grown to the largest
-    such block it has programmed, so reprogramming faults in no fresh pages
-    for it.  A larger one (a single row-tile pair wider than that) is
-    allocated for the call alone.
-    """
-    size = math.prod(shape)
-    if size > _BLOCK_ELEMENTS:
-        return np.empty(shape)
-    kept = getattr(_SCRATCH, "block", None)
-    if kept is None or kept.size < size:
-        kept = _SCRATCH.block = np.empty(size)
-    return kept[:size].reshape(shape)
 
 
 def _program_layout(
@@ -176,6 +159,35 @@ def _program_layout(
             full_scale[block, :, index] = full
             code_scale[block, :, index] = denominator
     return scales, codes, full_scale, code_scale
+
+
+class _LayerStack(CrossbarArray):
+    """A noiseless signed layer's read: one stacked array of every tile's codes.
+
+    Its codes hold each column's ``K+`` and ``K-`` side by side, and it reads
+    scaled rows (:class:`~repro.crossbar.array.ScaledRows`).  Each block's
+    ADC values become the signed product while they are in cache: ``K+``
+    less ``K-``, the positive inputs' less the negative inputs' (for rows
+    of two parts), times the column's weight scale (``weight_scale``,
+    (R, 1, columns)), times the vector's input scale, summed over the row
+    tiles into a zero result in plan order.
+    """
+
+    weight_scale: np.ndarray
+
+    def _new_result(self, rows) -> np.ndarray:
+        return np.zeros((len(rows.scales), self.columns // 2))
+
+    def _take(self, result: np.ndarray, block: slice, values: np.ndarray, rows) -> None:
+        partials = values[..., 0::2] - values[..., 1::2]
+        if rows.parts == 2:  # less that of the negative inputs
+            count = partials.shape[1] // 2
+            partials = partials[:, :count] - partials[:, count:]
+        partials *= self.weight_scale
+        partials *= rows.scales[block].T[:, :, None]
+        out = result[block]
+        for partial in partials:
+            out += partial
 
 
 class SignedCrossbarEngine:
@@ -281,7 +293,7 @@ class SignedCrossbarEngine:
         def per_column(values):
             return np.repeat(values, tile_columns, axis=1)[:, :width].reshape(grid_rows, -1)
 
-        reader = CrossbarArray.from_codes(
+        self._reader = _LayerStack.from_codes(
             codes,
             per_column(full_scale),
             per_column(code_scale),
@@ -290,7 +302,7 @@ class SignedCrossbarEngine:
             self._rng,
             input_rows=self.rows,
         )
-        self._reader = (reader, per_column(scales[..., None])[:, None])
+        self._reader.weight_scale = per_column(scales[..., None])[:, None]
 
     def _tile_codes(self, row: int, column: int) -> np.ndarray:
         """Tile (``row``, ``column``)'s read-layout codes, zero-padded to the physical tile."""
@@ -391,22 +403,34 @@ class SignedCrossbarEngine:
         """Signed ``weights.T @ inputs`` for one vector (wraps :meth:`matmul`)."""
         return self.matmul(np.asarray(inputs, dtype=float)[None])[0]
 
-    def matmul(self, inputs: np.ndarray) -> np.ndarray:
+    def matmul(self, inputs) -> np.ndarray:
         """Signed GEMM ``inputs @ weights`` for a batch of input vectors.
 
         ``inputs`` has shape (num_vectors, rows) and the result
-        (num_vectors, columns).  Every tile is read as described in the
-        module docstring, and the partial products are summed into a zero
-        result in plan order: row tile by row tile, or, under field noise,
-        tile by tile in row-major order.
+        (num_vectors, columns).  A noiseless engine also reads inputs
+        already given as scaled rows (a convolution's
+        :class:`~repro.nn.im2col.ScaledPatches`).  Every tile is read as
+        described in the module docstring, and the partial products are
+        summed into a zero result in plan order: row tile by row tile, or,
+        under field noise, tile by tile in row-major order.
         """
         if not self._programmed:
             raise SimulationError("program() must be called before matmul()")
-        inputs = np.asarray(inputs, dtype=float)
-        if inputs.ndim != 2 or inputs.shape[1] != self.rows:
+        scaled = hasattr(inputs, "divide_into")
+        if not scaled:
+            inputs = np.asarray(inputs, dtype=float)
+        if len(inputs.shape) != 2 or inputs.shape[1] != self.rows:
             raise SimulationError(
                 f"inputs must have shape (num_vectors, {self.rows}), got {inputs.shape}"
             )
+        if self._reader is not None:
+            if not scaled:
+                inputs = ScaledRows(inputs, self.tile_shape[0])
+            if not inputs.nonzero:  # all zeros: an exact zero result, unread
+                return np.zeros((len(inputs.scales), self.columns))
+            return self._reader.matmul(inputs)
+        if scaled:
+            raise SimulationError("only a noiseless engine reads scaled rows")
         if self._tile_engines:
             tile_rows, tile_columns = self.tile_shape
             padded = np.zeros((inputs.shape[0], self.grid[0] * tile_rows))
@@ -418,52 +442,32 @@ class SignedCrossbarEngine:
                 partial = engine.matmul(padded[:, row * tile_rows : (row + 1) * tile_rows])
                 partials.append((start, partial[:, : self.columns - start]))
         else:
-            partials = [(0, partial) for partial in self._row_tile_partials(inputs)]
+            partials = [(0, self._noisy_partial(inputs))]
         # Allocated after the reads, so it adds nothing to their peak memory.
         result = np.zeros((inputs.shape[0], self.columns))
         for start, partial in partials:
             result[:, start : start + partial.shape[1]] += partial
         return result
 
-    def _row_tile_partials(self, inputs: np.ndarray):
-        """Partial products (R, num_vectors, columns) of the row tiles (module
-        docstring); a noisy one-array engine reads its own two arrays.
+    def _noisy_partial(self, inputs: np.ndarray) -> np.ndarray:
+        """A noisy one-array engine's product: its ``W+`` and ``W-`` arrays read
+        the positive, then any negative, parts of the normalised inputs.
         """
-        count = inputs.shape[0]
-        starts = np.arange(0, self.rows, self.tile_shape[0])
         negative = inputs.size > 0 and inputs.min() < 0.0
-        input_scales = np.empty((count, len(starts)))
-        for block in vector_blocks(count, self.rows):
-            magnitudes = np.abs(inputs[block]) if negative else inputs[block]
-            np.maximum.reduceat(magnitudes, starts, axis=1, out=input_scales[block])
+        magnitudes = np.abs(inputs) if negative else inputs
+        input_scales = magnitudes.max(axis=1, keepdims=True)
         if not np.any(input_scales > 0.0):
-            return []
-        # Zero vectors keep a unit scale so the division is well-defined; their
-        # normalised rows are all-zero and produce exact zero outputs.
-        safe_scales = np.where(input_scales > 0.0, input_scales, 1.0)
-
-        if self._reader is not None:
-            reader, weight_scale = self._reader
-            batch, scales = inputs, safe_scales
-            if negative:
-                batch = np.concatenate((np.maximum(inputs, 0.0), np.maximum(-inputs, 0.0)))
-                scales = np.concatenate((safe_scales, safe_scales))
-            products = reader.matmul(batch, scales=scales)
-            partials = products[..., 0::2] - products[..., 1::2]
-            if len(batch) > count:  # less that of the negative inputs
-                partials = partials[:, :count] - partials[:, count:]
-        else:
-            normalised = inputs / safe_scales
-            positive_in = np.clip(normalised, 0.0, None)
-            negative_in = np.clip(-normalised, 0.0, None)
-            positive, negative = self.positive_array, self.negative_array
-            partials = positive.matmul(positive_in) - negative.matmul(positive_in)
-            if np.any(negative_in > 0):
-                partials -= positive.matmul(negative_in) - negative.matmul(negative_in)
-            partials, weight_scale = partials[None], self.weight_scale
-        partials *= weight_scale
-        partials *= input_scales.T[:, :, None]
-        return partials
+            return np.zeros((len(inputs), self.columns))
+        normalised = inputs / np.where(input_scales > 0.0, input_scales, 1.0)
+        positive_in = np.clip(normalised, 0.0, None)
+        negative_in = np.clip(-normalised, 0.0, None)
+        positive, negative = self.positive_array, self.negative_array
+        partial = positive.matmul(positive_in) - negative.matmul(positive_in)
+        if np.any(negative_in > 0):
+            partial -= positive.matmul(negative_in) - negative.matmul(negative_in)
+        partial *= self.weight_scale
+        partial *= input_scales
+        return partial
 
     # ------------------------------------------------------------------ report
     def statistics(self) -> Dict[str, float]:

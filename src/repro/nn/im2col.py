@@ -10,7 +10,9 @@ N×M crossbar.
 
 :func:`im2col_matrix` additionally performs the real data transformation for
 small tensors so that the functional crossbar examples can run an actual
-convolution optically.
+convolution optically.  :class:`ScaledPatches` gives the crossbar read the
+same rows, each divided by its largest value, a block at a time straight
+from the feature map, without unrolling it.
 """
 
 from __future__ import annotations
@@ -131,7 +133,11 @@ def im2col_matrix(
 
     The gather is a zero-copy ``sliding_window_view`` over the (padded)
     feature map; the only copy made is the final reshape into the contiguous
-    im2col matrix, so no per-patch Python loop is involved.
+    im2col matrix, so no per-patch Python loop is involved.  That copy holds
+    every patch element, ``k²`` times the feature map's size: the crossbar
+    read makes it only for maps it must read as a matrix (with a negative
+    value, or patches wider than one row tile) and reads a first layer's
+    patches from the feature map instead (:class:`ScaledPatches`).
     """
     feature_map = np.asarray(feature_map, dtype=float)
     batched = feature_map.ndim == 4
@@ -140,27 +146,110 @@ def im2col_matrix(
             f"feature_map must have shape (H, W, C) or (B, H, W, C), "
             f"got {feature_map.shape}"
         )
-    if kernel_size < 1 or stride < 1 or padding < 0:
-        raise WorkloadError("kernel_size and stride must be >= 1 and padding >= 0")
-
     stacked = feature_map if batched else feature_map[None]
-    if padding:
-        stacked = pad_spatial(stacked, padding)
-    num_images, padded_h, padded_w, channels = stacked.shape
-    out_h = (padded_h - kernel_size) // stride + 1
-    out_w = (padded_w - kernel_size) // stride + 1
-    if out_h < 1 or out_w < 1:
-        raise WorkloadError("im2col produces an empty output; check kernel/stride/padding")
-
-    # (B, out_h', out_w', C, ky, kx) view; subsample by the stride, then move
-    # the window axes in front of the channel axis so each flattened patch is
-    # ordered (ky, kx, c), matching conv_weights_matrix.
-    windows = sliding_window_view(stacked, (kernel_size, kernel_size), axis=(1, 2))
-    windows = windows[:, :: stride, :: stride]
+    windows, stacked = _windows(stacked, kernel_size, stride, padding)
+    num_images, out_h, out_w, channels = windows.shape[:4]
+    # Move the window axes in front of the channel axis so each flattened
+    # patch is ordered (ky, kx, c), matching conv_weights_matrix.
     patches = windows.transpose(0, 1, 2, 4, 5, 3).reshape(
         num_images, out_h * out_w, kernel_size * kernel_size * channels
     )
     return patches if batched else patches[0]
+
+
+def _windows(stacked: np.ndarray, kernel_size: int, stride: int, padding: int):
+    """The (B, out_h, out_w, C, ky, kx) patch view of a (B, H, W, C) map, and the padded map."""
+    if kernel_size < 1 or stride < 1 or padding < 0:
+        raise WorkloadError("kernel_size and stride must be >= 1 and padding >= 0")
+    if padding:
+        stacked = pad_spatial(stacked, padding)
+    padded_h, padded_w = stacked.shape[1:3]
+    if padded_h < kernel_size or padded_w < kernel_size:
+        raise WorkloadError("im2col produces an empty output; check kernel/stride/padding")
+    windows = sliding_window_view(stacked, (kernel_size, kernel_size), axis=(1, 2))
+    return windows[:, ::stride, ::stride], stacked
+
+
+class ScaledPatches:
+    """The im2col rows of a non-negative feature map, each over its largest value.
+
+    The noiseless crossbar read takes its inputs as scaled rows (see
+    :class:`~repro.crossbar.array.ScaledRows`): the (V, K) rows of
+    :func:`im2col_matrix` of a (B, H, W, C) map, which here fit one row
+    tile, with ``scales`` (V, 1) each patch's largest value (1 for an
+    all-zero patch).  These are made from the (padded) feature map without
+    unrolling it.  The scales are a separable sliding-window maximum: over
+    channels, then ``k`` shifted maxima along the width and ``k`` along the
+    height.  :meth:`divide_into` gathers a block of patches straight from the
+    window view and divides it by the patches' scales in one pass,
+    feature-major: the block is stored (K, count), where each of the K
+    window offsets is a run of output pixels along a row of the map, and
+    returned as its (count, K) transpose.  Blocks are whole images or, for
+    an image larger than a block, whole output rows of one image.
+
+    The values are those of dividing :func:`im2col_matrix`'s rows by their
+    largest value: the same IEEE divides of the same operands.  The feature
+    map must be finite and non-negative.
+    """
+
+    def __init__(
+        self, feature_map: np.ndarray, kernel_size: int, stride: int = 1, padding: int = 0
+    ) -> None:
+        windows, stacked = _windows(feature_map, kernel_size, stride, padding)
+        images, out_h, out_w, channels = windows.shape[:4]
+        self.shape = (images * out_h * out_w, kernel_size * kernel_size * channels)
+        self.parts = 1  # non-negative: no negative parts
+        self._out_h, self._out_w = out_h, out_w
+        # (ky, kx, c, B, out_h, out_w): the feature-major window view.
+        self._windows = windows.transpose(4, 5, 3, 0, 1, 2)
+        # Each patch's largest value: over channels, then along W and H.
+        plane = stacked[..., 0] if channels == 1 else stacked.max(axis=3)
+        span_w, span_h = (out_w - 1) * stride + 1, (out_h - 1) * stride + 1
+        along_w = plane[:, :, :span_w:stride].copy()
+        for offset in range(1, kernel_size):
+            np.maximum(along_w, plane[:, :, offset : offset + span_w : stride], out=along_w)
+        largest = along_w[:, :span_h:stride].copy()
+        for offset in range(1, kernel_size):
+            np.maximum(largest, along_w[:, offset : offset + span_h : stride], out=largest)
+        self.nonzero = bool(np.any(largest > 0.0))
+        largest[largest == 0.0] = 1.0  # an all-zero patch reads exact zeros
+        self._largest = largest
+        self.scales = largest.reshape(-1, 1)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def blocks(self, block_elements: int):
+        """Slices of whole images, or whole output rows of one image, of at
+        most ``block_elements`` values where a row fits (:meth:`divide_into`).
+        """
+        out_h, out_w = self._out_h, self._out_w
+        per_image = out_h * out_w
+        rows = max(1, block_elements // (out_w * self.shape[1]))
+        if rows >= out_h:
+            step = (rows // out_h) * per_image
+            starts = range(0, len(self), step)
+            return [slice(start, min(start + step, len(self))) for start in starts]
+        return [
+            slice(image + row * out_w, image + min(row + rows, out_h) * out_w)
+            for image in range(0, len(self), per_image)
+            for row in range(0, out_h, rows)
+        ]
+
+    def divide_into(self, block: slice, scratch: np.ndarray) -> np.ndarray:
+        """Block ``block``'s patches over their scales, as a (count, K) view of ``scratch``."""
+        count = block.stop - block.start
+        per_image = self._out_h * self._out_w
+        image, first = divmod(block.start, per_image)
+        if count >= per_image:  # whole images
+            here = (slice(image, image + count // per_image),)
+        else:  # whole output rows of one image
+            row = first // self._out_w
+            here = (image, slice(row, row + count // self._out_w))
+        windows = self._windows[(slice(None),) * 3 + here]
+        out = scratch[: count * self.shape[1]]
+        np.divide(windows, self._largest[here], out=out.reshape(windows.shape))
+        return out.reshape(self.shape[1], count).T
 
 
 def conv_weights_matrix(weights: np.ndarray) -> np.ndarray:

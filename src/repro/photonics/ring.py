@@ -85,7 +85,9 @@ class RingResonatorODAC:
             raise DeviceModelError(f"value must be in [0, 1], got {value}")
         return int(round(value * (self.num_levels - 1)))
 
-    def modulate(self, values: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    def modulate(
+        self, values: np.ndarray, out: Optional[np.ndarray] = None, in_range: bool = False
+    ) -> np.ndarray:
         """Quantise-and-modulate an array of normalised values to E-field amplitudes.
 
         Each value's integer drive code is ``round(clip(v, 0, 1)·L)`` with
@@ -94,17 +96,29 @@ class RingResonatorODAC:
         are written there (in its dtype) and returned instead of the fields;
         ``values`` then serves as the float64 scratch space and is
         overwritten when it is already a float64 array.
+
+        Values outside [0, 1] (NaN and infinities included) raise
+        :class:`~repro.errors.DeviceModelError`.  ``in_range=True`` is for
+        values in [0, 1] by construction: each a finite non-negative input
+        divided by a finite scale no smaller than it, which a correctly
+        rounded divide keeps at most 1.  The range check and the clip, which
+        would leave such values unchanged, are then skipped, so the codes
+        are ``round(v·L)`` in two passes.
         """
         values = np.asarray(values, dtype=float)
-        # Written as "not inside" so a NaN extreme (every comparison false)
-        # fails the check too.
-        if values.size and not (values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12):
-            raise DeviceModelError(
-                f"values must be in [0, 1], got range [{values.min()}, {values.max()}]"
-            )
         levels = self.num_levels - 1
-        codes = np.clip(values, 0.0, 1.0, out=None if out is None else values)
-        codes *= levels
+        scratch = None if out is None else values
+        if in_range:
+            codes = np.multiply(values, levels, out=scratch)
+        else:
+            # Written as "not inside" so a NaN extreme (every comparison
+            # false) fails the check too.
+            if values.size and not (values.min() >= -1e-12 and values.max() <= 1.0 + 1e-12):
+                raise DeviceModelError(
+                    f"values must be in [0, 1], got range [{values.min()}, {values.max()}]"
+                )
+            codes = np.clip(values, 0.0, 1.0, out=scratch)
+            codes *= levels
         if out is not None:
             # Rounded in float64; the integer codes are exact in any float dtype.
             return np.rint(codes, out=out)

@@ -264,7 +264,7 @@ def test_readme_lists_every_ci_test_lane():
     lanes = sorted({match.group(1) for match in markers if match})
     perfbench = [c for c in commands if "perfbench/run.py" in c]
     assert {"docs", "serving", "chaos", "obs", "asynchttp", "smoke"} <= set(lanes)
-    assert len(perfbench) == 2
+    assert len(perfbench) == 3  # serve-open (traced), lenet-reprogram, lenet-offline
     missing = [f"-m {lane}" for lane in lanes if f"-m {lane}" not in readme]
     missing += [command for command in perfbench if command not in readme]
     assert not missing, f"ci.yml runs these, README.md does not list them: {missing}"

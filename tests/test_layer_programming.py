@@ -29,8 +29,7 @@ from repro.config import TechnologyConfig, default_sweep_chip, optimal_chip, sma
 from repro.core.accelerator import OpticalCrossbarAccelerator
 from repro.core.inference import FunctionalInferenceEngine, generate_random_weights
 from repro.crossbar import CrossbarArray, CrossbarNoiseModel, SignedCrossbarEngine
-from repro.crossbar.array import _BLOCK_ELEMENTS, tile_scales
-from repro.crossbar.signed import _SCRATCH
+from repro.crossbar.array import _BLOCK_ELEMENTS, _SCRATCH, tile_scales
 from repro.nn import build_lenet5
 from repro.nn.im2col import conv_weights_matrix
 from repro.nn.quant import split_signed_matrix

@@ -15,6 +15,7 @@ enabled.
 
 from __future__ import annotations
 
+import collections
 import io
 import json
 import math
@@ -44,6 +45,7 @@ from repro.obs.metrics import (
     escape_label_value,
     format_value,
 )
+from repro.obs.tracing import DispatchTraceRecorder, RequestTrace, Span
 from repro.serve import (
     AsyncServeHTTPServer,
     EngineReplicaSpec,
@@ -517,6 +519,56 @@ class TestTracedServing:
         assert snapshot["tracer"] is None
         assert "stage_breakdown" in snapshot["telemetry"]
         assert snapshot["telemetry"]["stage_breakdown"] == {}
+
+
+class TestTracingCost:
+    """Tracing's cost in objects made, counted rather than timed.
+
+    A traced request records one span per stage plus the replica's
+    ``replica_run``, whatever the load; an untraced server makes no trace,
+    no span and no dispatch recorder.  The wall-clock ratio this replaces
+    (traced over untraced serving throughput) is the perfbench metric
+    ``obs.trace_overhead_pct``.
+    """
+
+    @staticmethod
+    def _count_constructions(monkeypatch):
+        counts = collections.Counter()
+        for owner in (RequestTrace, Span, DispatchTraceRecorder):
+
+            def counting(self, *args, _original=owner.__init__, _name=owner.__name__, **kwargs):
+                counts[_name] += 1
+                _original(self, *args, **kwargs)
+
+            monkeypatch.setattr(owner, "__init__", counting)
+        return counts
+
+    def test_traced_request_records_one_span_per_stage(self, monkeypatch, lenet_workload):
+        network, weights, config, images, direct = lenet_workload
+        counts = self._count_constructions(monkeypatch)
+        with InferenceServer(
+            network, weights, config, max_batch=4, max_wait_s=0.005, executor="serial"
+        ) as server:
+            outputs = _serve_all(server, images)
+            traces = _wait_for_traces(server.tracer, len(images))
+        recorded = dict(counts)
+        assert np.array_equal(outputs, direct)
+        assert recorded["RequestTrace"] == len(images)
+        assert recorded["Span"] == len(images) * (len(STAGES) + 1)
+        expected = collections.Counter(STAGES + ("replica_run", "request"))
+        for trace in traces:
+            assert collections.Counter(span.name for span in trace.spans()) == expected
+
+    def test_untraced_server_makes_no_trace_and_records_no_span(self, monkeypatch, lenet_workload):
+        network, weights, config, images, direct = lenet_workload
+        counts = self._count_constructions(monkeypatch)
+        with InferenceServer(
+            network, weights, config, max_batch=4, max_wait_s=0.005, tracing=False
+        ) as server:
+            outputs = _serve_all(server, images)
+        assert np.array_equal(outputs, direct)
+        assert server.tracer is None
+        assert counts == {}
 
 
 # ---------------------------------------------------------------------------
